@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the non-finite number check."""
+
+import math
+
+
+def non_finite_fields(obj) -> list[str]:
+    """One message per float field of a dataclass instance that is NaN or infinite."""
+    return [f"{name} must be finite, got {value}" for name, value in vars(obj).items()
+            if isinstance(value, float) and not math.isfinite(value)]
 
 
 class ThermoshiftError(Exception):

@@ -2,8 +2,9 @@
 
 One iteration of the loop simulates: compute at the active model's power,
 injected idle time, the logging stall, a temperature reading, the shift
-decision, and (on a shift) the model-load stall. The governor runs inside
-every thermal sub-step, so throttling can land mid-iteration.
+decision, and (on a shift) the model-load stall. The thermal model is
+solved exactly with the governor acting continuously, so throttling can
+land mid-iteration.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .controller import ControllerConfig, Decision, Mode, ShiftController, TemperatureSample
-from .errors import ScenarioError, TraceFormatError
+from .errors import ScenarioError, TraceFormatError, non_finite_fields
 from .thermal import (
     EVENT_THROTTLE_OFF,
     EVENT_THROTTLE_ON,
@@ -164,7 +165,9 @@ class Scenario:
     logging_enabled: bool = True
 
     def validate(self):
-        problems = []
+        problems = non_finite_fields(self)
+        if problems:
+            raise ScenarioError("; ".join(problems))
         if self.duration <= 0:
             problems.append(f"duration must be > 0, got {self.duration}")
         if self.large.base_latency < self.small.base_latency:

@@ -4,9 +4,12 @@ Temperature follows newtonian heating/cooling,
 
     C * dT/dt = P - k * (T - T_ambient)
 
-integrated with explicit Euler sub-steps capped at 0.1 s. Stability needs
-dt < 2*C/k; calibrated profiles keep the cap at least an order of
-magnitude below that.
+``advance`` solves it exactly: on every governor band the right-hand side
+is linear in T, so the temperature relaxes exponentially and the time to
+the next governor threshold is one logarithm. ``thermal_step`` (constant
+power, no governor) keeps explicit Euler sub-steps capped at 0.1 s;
+stability needs dt < 2*C/k, and calibrated profiles keep the cap at least
+an order of magnitude below that.
 
 Two governor styles are modeled:
 
@@ -22,7 +25,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import CalibrationError, ProfileError
+from .errors import CalibrationError, ProfileError, non_finite_fields
 
 MAX_SUBSTEP_S = 0.1
 
@@ -49,7 +52,9 @@ class DeviceProfile:
     idle_power: float = 1.0     # W drawn during injected idle time
 
     def __post_init__(self):
-        problems = []
+        problems = non_finite_fields(self)
+        if problems:
+            raise ProfileError("; ".join(problems))
         if self.heat_capacity <= 0:
             problems.append(f"heat_capacity must be > 0, got {self.heat_capacity}")
         if self.dissipation <= 0:
@@ -80,8 +85,7 @@ class DeviceState:
 
 def thermal_step(state: DeviceState, profile: DeviceProfile, power: float, dt: float) -> DeviceState:
     """Advance the temperature by dt seconds at constant input power."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    _check_dt(dt)
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
     n = max(1, math.ceil(dt / MAX_SUBSTEP_S))
@@ -122,28 +126,97 @@ def governor_step(state: DeviceState, profile: DeviceProfile) -> str | None:
 
 
 def advance(state, profile, power_of_freq, dt) -> list[str]:
-    """Advance dt seconds, re-running the governor after every sub-step.
+    """Advance dt seconds exactly, with the governor acting continuously.
 
-    ``power_of_freq`` maps the current frequency to input power, so a
-    mid-interval frequency drop also lowers the heat flowing in. Returns
-    the throttle events raised along the way, in order.
+    ``power_of_freq`` maps a frequency to input power and must be affine
+    in frequency: phone-drop reads it at the current level, pi-pin at
+    f_nominal and f_throttled. On each governor band the temperature
+    relaxes in closed form; where it reaches the band's threshold it is
+    set to the threshold exactly and ``governor_step`` runs there, so a
+    mid-interval frequency drop also lowers the heat flowing in. The
+    governor runs once more at the end of the interval. Returns the
+    throttle events raised along the way, in order.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    _check_dt(dt)
+    if profile.governor is GovernorKind.PHONE_DROP:
+        band, consts = _drop_band, (profile, power_of_freq)
+    else:
+        band, consts = _pin_band, _pin_constants(profile, power_of_freq)
     events = []
-    n = max(1, math.ceil(dt / MAX_SUBSTEP_S))
-    h = dt / n
-    c = profile.heat_capacity
-    k = profile.dissipation
-    amb = profile.ambient_temp
-    for _ in range(n):
-        power = power_of_freq(state.freq)
-        state.temp += (power - k * (state.temp - amb)) * h / c
+    left = dt
+    while left > 0.0:
+        # The band's relaxation rate (1/s), its equilibrium, and the
+        # threshold ahead of the temperature, if any.
+        rate, t_eq, edge = band(state, *consts)
+        temp = state.temp
+        end = t_eq + (temp - t_eq) * math.exp(-rate * left)
+        if edge is None or edge == t_eq or (edge - temp) * (end - edge) < 0.0:
+            state.temp = end
+            left = 0.0
+        else:
+            state.temp = edge
+            left -= math.log((t_eq - temp) / (t_eq - edge)) / rate
         event = governor_step(state, profile)
         if event:
             events.append(event)
     state.sim_time += dt
     return events
+
+
+def _check_dt(dt):
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+
+
+def _drop_band(state, profile, power_of_freq):
+    """Phone-drop: constant power at the current level until the next threshold."""
+    k = profile.dissipation
+    t_eq = profile.ambient_temp + power_of_freq(state.freq) / k
+    if state.throttled:
+        edge = profile.t_resume
+        due = state.temp <= edge
+    else:
+        edge = profile.t_throttle
+        due = state.temp >= edge
+    # A state already past its threshold trips the governor at once.
+    return k / profile.heat_capacity, t_eq, state.temp if due else edge
+
+
+def _pin_constants(profile, power_of_freq):
+    """Pi-pin bands: nominal power below the trip point, throttled power
+    above the frequency floor, and power affine in T in between, shedding
+    ``pin_gain * dP/df`` watts per degree above the trip point."""
+    c, k, amb = profile.heat_capacity, profile.dissipation, profile.ambient_temp
+    trip = profile.t_throttle
+    p_nom = power_of_freq(profile.f_nominal)
+    p_thr = power_of_freq(profile.f_throttled)
+    if p_thr > p_nom:
+        raise ValueError(f"power must not fall as frequency rises, got {p_nom} W at "
+                         f"f_nominal and {p_thr} W at f_throttled")
+    span = profile.f_nominal - profile.f_throttled
+    shed = profile.pin_gain * (p_nom - p_thr) / span
+    return (trip, trip + span / profile.pin_gain, k / c, amb + p_nom / k, amb + p_thr / k,
+            (k + shed) / c, (p_nom + shed * trip + k * amb) / (k + shed))
+
+
+def _pin_band(state, trip, floor, free_rate, below_eq, above_eq, pinned_rate, pinned_eq):
+    """The pi-pin band the temperature is in or, on a band edge, moving into.
+
+    An edge counts as ahead only when the temperature is strictly short of
+    it, so every crossing makes progress.
+    """
+    temp = state.temp
+    if temp < trip or (temp == trip and pinned_eq <= trip):
+        return free_rate, below_eq, trip if temp < trip and below_eq > trip else None
+    if temp > floor or (temp == floor and pinned_eq >= floor):
+        return free_rate, above_eq, floor if temp > floor and above_eq < floor else None
+    if pinned_eq < trip:
+        edge = trip
+    elif pinned_eq > floor:
+        edge = floor
+    else:
+        edge = None
+    return pinned_rate, pinned_eq, edge
 
 
 def equilibrium_temp(profile: DeviceProfile, power: float) -> float:
@@ -218,11 +291,8 @@ def _simulate_pin(targets, capacity, pin_gain, large_power):
         pin_gain=pin_gain,
     )
     state = DeviceState(temp=targets.ambient, freq=targets.f_nominal)
-    tau = capacity / targets.dissipation
-    horizon = 10.0 * tau
-    power_of_freq = lambda f: large_power * f / targets.f_nominal
-    while state.sim_time < horizon:
-        advance(state, profile, power_of_freq, 1.0)
+    horizon = 10.0 * capacity / targets.dissipation
+    advance(state, profile, lambda f: large_power * f / targets.f_nominal, horizon)
     return state.temp, state.freq
 
 

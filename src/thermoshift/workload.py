@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import ScenarioError
+from .errors import ScenarioError, non_finite_fields
 
 
 class Platform(enum.Enum):
@@ -39,7 +39,9 @@ class ModelVariant:
     shift_std: float = 0.0   # s, spread of that stall
 
     def __post_init__(self):
-        problems = []
+        problems = non_finite_fields(self)
+        if problems:
+            raise ScenarioError(f"variant {self.name!r}: " + "; ".join(problems))
         if self.base_latency <= 0:
             problems.append(f"base_latency must be > 0, got {self.base_latency}")
         if not (0.0 <= self.accuracy <= 1.0):
@@ -60,6 +62,9 @@ class PacingPolicy:
     latency_multiplier: float = 1.0     # uniform slowdown applied to compute time
 
     def __post_init__(self):
+        problems = non_finite_fields(self)
+        if problems:
+            raise ScenarioError("; ".join(problems))
         if self.latency_multiplier < 1.0:
             raise ScenarioError(
                 f"latency_multiplier must be >= 1, got {self.latency_multiplier}"

@@ -1,7 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thermoshift
 from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_scenario
 from thermoshift.errors import ConfigFileError
@@ -274,3 +280,40 @@ class TestCliParser:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", "x", "--out", "y", "--frobnicate"])
         assert exc.value.code == 2
+
+
+class TestNonFiniteConfig:
+    """Python's json accepts NaN and Infinity; they are rejected up front, by key."""
+
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN", "-Infinity"])
+    def test_non_finite_duration_named(self, tmp_path, literal):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config()).replace('"duration": 900',
+                                                          f'"duration": {literal}'))
+        with pytest.raises(ConfigFileError) as err:
+            load_scenario(str(path))
+        assert any("duration" in p for p in err.value.problems)
+
+    def test_run_with_infinite_duration_fails_fast(self, tmp_path):
+        # Without the check this run never ends; the subprocess timeout turns
+        # a regression into a failure instead of a hang.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(duration=math.inf)))
+        src = str(Path(thermoshift.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "thermoshift.cli", "run", "--config", str(path),
+             "--out", str(tmp_path / "t.csv")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 2
+        assert "duration must be finite" in done.stderr + done.stdout
+
+    def test_nan_heat_capacity_named(self):
+        device = {"profile": {
+            "heat_capacity": math.nan, "dissipation": 0.2, "ambient_temp": 20.0,
+            "f_nominal": 2.0, "f_throttled": 1.0, "t_throttle": 75.0, "t_resume": 70.0,
+        }}
+        with pytest.raises(ConfigFileError) as err:
+            build_scenario(base_config(device=device))
+        assert any("heat_capacity must be finite" in p for p in err.value.problems)

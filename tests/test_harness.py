@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import phone_scenario, pi_scenario
@@ -189,3 +191,10 @@ class TestTraceCsv:
         assert [r.event for r in parsed] == [r.event for r in trace]
         for a, b in zip(trace, parsed):
             assert b.cpu_temp == pytest.approx(a.cpu_temp, rel=1e-5)
+
+
+class TestNonFiniteScenario:
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_non_finite_duration_rejected_before_running(self, duration):
+        with pytest.raises(ScenarioError, match="duration must be finite"):
+            phone_scenario(duration=duration).validate()

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 
 import pytest
 
@@ -247,3 +248,169 @@ class TestCalibration:
         assert result.latency_rise == pytest.approx(0.045, abs=0.005)
         assert abs(result.pinned_temp - 78.0) <= 1.0
         assert 0.02 <= result.latency_rise <= 0.10
+
+
+class TestExactAdvance:
+    """``advance`` follows the closed-form solution on every governor band."""
+
+    def pin_profile(self):
+        return profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN,
+                       t_throttle=78.0, t_resume=73.0,
+                       f_nominal=1.5, f_throttled=0.6, pin_gain=0.14)
+
+    @pytest.mark.parametrize("kind", ["phone-drop", "pi-pin"])
+    def test_step_size_independence(self, kind):
+        if kind == "phone-drop":
+            # 15 W nominal: T_eq 82 C, trip crossed at ~497 s from 22 C; the
+            # throttled T_eq 63.96 C brings it back to resume at ~594 s
+            p, start, power = profile(C=50.0, k=0.25), 22.0, 15.0
+            expected = [EVENT_THROTTLE_ON, EVENT_THROTTLE_OFF]
+        else:
+            # 5.9 W nominal: T_eq 81 C, trip crossed at ~391 s from 60 C, then pinned
+            p, start, power = self.pin_profile(), 60.0, 5.9
+            expected = [EVENT_THROTTLE_ON]
+        power_of_freq = lambda f: power * f / p.f_nominal
+        whole = DeviceState(temp=start, freq=p.f_nominal)
+        whole_events = advance(whole, p, power_of_freq, 600.0)
+        steps = DeviceState(temp=start, freq=p.f_nominal)
+        step_events = []
+        for _ in range(6000):
+            step_events += advance(steps, p, power_of_freq, 0.1)
+        assert whole_events == step_events == expected
+        assert steps.temp == pytest.approx(whole.temp, abs=1e-9)
+        assert steps.freq == pytest.approx(whole.freq, abs=1e-9)
+        assert steps.throttled == whole.throttled
+        assert steps.sim_time == pytest.approx(whole.sim_time, abs=1e-9)
+
+    def test_phone_drop_crossing_is_two_segment_closed_form(self):
+        # 18 W nominal: T_eq 94 C; throttled 12.59 W: T_eq 72.35 C, above resume
+        p = profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
+        power_of_freq = lambda f: 18.0 * f / p.f_nominal
+        state = DeviceState(temp=22.0, freq=p.f_nominal)
+        assert advance(state, p, power_of_freq, 400.0) == [EVENT_THROTTLE_ON]
+        tau = 50.0 / 0.25
+        t_eq = 22.0 + 18.0 / 0.25
+        crossing = tau * math.log((t_eq - 22.0) / (t_eq - 77.0))
+        assert 0.0 < crossing < 400.0
+        expected = closed_form(400.0 - crossing, 22.0, 50.0, 0.25, power_of_freq(2.0), 77.0)
+        assert state.temp == pytest.approx(expected, abs=1e-9)
+        assert state.freq == p.f_throttled and state.throttled
+        assert state.sim_time == 400.0
+
+    def test_pi_pin_lands_on_analytic_pinned_temperature(self):
+        p = self.pin_profile()
+        p_nom = 5.9
+        power_of_freq = lambda f: p_nom * f / p.f_nominal
+        # k (T - T_amb) = P(f(T)) with f(T) = f_nom - gain (T - trip): linear in T
+        shed = p_nom * p.pin_gain / p.f_nominal
+        pinned = (p.dissipation * p.ambient_temp + p_nom + shed * p.t_throttle) / (
+            p.dissipation + shed)
+        assert p.t_throttle < pinned < p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
+        state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
+        tau = p.heat_capacity / p.dissipation
+        assert advance(state, p, power_of_freq, 20.0 * tau) == [EVENT_THROTTLE_ON]
+        assert state.temp == pytest.approx(pinned, abs=1e-9)
+        freq = p.f_nominal - p.pin_gain * (pinned - p.t_throttle)
+        assert state.freq == pytest.approx(freq, abs=1e-9)
+        assert p.dissipation * (state.temp - p.ambient_temp) == pytest.approx(
+            power_of_freq(state.freq), abs=1e-9)
+
+    def test_several_crossings_in_one_call(self):
+        # 15 W nominal: T_eq 82 C above trip; throttled 10.49 W: T_eq 63.96 C
+        # below resume, so the device cycles between 72 and 77 C.
+        p = profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
+        power_of_freq = lambda f: 15.0 * f / p.f_nominal
+        hot = 22.0 + 15.0 / 0.25
+        cool = 22.0 + power_of_freq(2.0) / 0.25
+        tau = 50.0 / 0.25
+        first_on = tau * math.log((hot - 22.0) / (hot - 77.0))
+        cool_s = tau * math.log((cool - 77.0) / (cool - 72.0))
+        heat_s = tau * math.log((hot - 72.0) / (hot - 77.0))
+        expected, t = [], first_on
+        while t < 3000.0:
+            expected.append(EVENT_THROTTLE_ON)
+            t += cool_s
+            if t >= 3000.0:
+                break
+            expected.append(EVENT_THROTTLE_OFF)
+            t += heat_s
+        state = DeviceState(temp=22.0, freq=p.f_nominal)
+        events = advance(state, p, power_of_freq, 3000.0)
+        assert len(events) >= 4
+        assert events == expected
+        assert 72.0 <= state.temp <= 77.0
+
+    @pytest.mark.parametrize("power", [3.0, 5.9, 20.0])
+    @pytest.mark.parametrize("edge", ["trip", "floor"])
+    def test_pi_pin_from_a_band_edge(self, edge, power):
+        # 3 W settles below the trip point, 5.9 W pins, 20 W settles above
+        # the frequency floor; a start exactly on a band edge must move into
+        # the band the heat flow points to, however the interval is split.
+        p = self.pin_profile()
+        floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
+        start = p.t_throttle if edge == "trip" else floor
+        power_of_freq = lambda f: power * f / p.f_nominal
+        whole = DeviceState(temp=start, freq=p.f_nominal)
+        advance(whole, p, power_of_freq, 20000.0)
+        steps = DeviceState(temp=start, freq=p.f_nominal)
+        for _ in range(200):
+            advance(steps, p, power_of_freq, 100.0)
+        assert steps.temp == pytest.approx(whole.temp, abs=1e-9)
+        assert steps.freq == pytest.approx(whole.freq, abs=1e-9)
+        settled = {3.0: 22.0 + 30.0, 20.0: 22.0 + 20.0 * p.f_throttled / p.f_nominal / 0.1}
+        if power in settled:
+            assert whole.temp == pytest.approx(settled[power], abs=1e-6)
+        else:
+            assert p.t_throttle < whole.temp < floor
+
+    def test_pi_pin_heating_onto_an_equilibrium_at_the_trip_point_ends(self):
+        # Nominal power puts the free equilibrium one rounding step above the
+        # trip point, and the pinned equilibrium rounds to just below it. A
+        # band choice that disagreed with the crossing test would stop at the
+        # trip point with zero time left to spend and never return; the
+        # thread bounds that failure.
+        p = profile(C=20.0, k=0.22162096354476996, ambient=29.535609754411492,
+                    governor=GovernorKind.PI_PIN, t_throttle=81.77557804339546,
+                    t_resume=76.0, f_nominal=1.5, f_throttled=0.6,
+                    pin_gain=0.5512479436442783)
+        power_of_freq = lambda f: 11.577472107752858 * f / p.f_nominal
+        state = DeviceState(temp=p.t_throttle - 1.0, freq=p.f_nominal)
+        worker = threading.Thread(target=advance, args=(state, p, power_of_freq, 5000.0),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert state.sim_time == 5000.0
+        assert state.temp == pytest.approx(p.t_throttle, abs=1e-9)
+
+    def test_state_past_trip_throttles_at_once(self):
+        p = profile(C=50.0, k=0.25)
+        state = DeviceState(temp=80.0, freq=p.f_nominal)
+        power_of_freq = lambda f: 15.0 * f / p.f_nominal
+        assert advance(state, p, power_of_freq, 10.0) == [EVENT_THROTTLE_ON]
+        expected = closed_form(10.0, 22.0, 50.0, 0.25, power_of_freq(p.f_throttled), 80.0)
+        assert state.temp == pytest.approx(expected, abs=1e-9)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_advance_rejects_non_finite_dt(self, dt):
+        p = profile()
+        state = DeviceState(temp=30.0, freq=p.f_nominal)
+        with pytest.raises(ValueError, match="finite"):
+            advance(state, p, lambda f: 5.0, dt)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_thermal_step_rejects_non_finite_dt(self, dt):
+        p = profile()
+        state = DeviceState(temp=30.0, freq=p.f_nominal)
+        with pytest.raises(ValueError, match="finite"):
+            thermal_step(state, p, 5.0, dt)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kwarg, field", [
+        ("C", "heat_capacity"), ("k", "dissipation"), ("ambient", "ambient_temp"),
+        ("t_throttle", "t_throttle"), ("f_nominal", "f_nominal")])
+    def test_profile_rejects_non_finite_constants(self, kwarg, field, value):
+        with pytest.raises(ProfileError, match=f"{field} must be finite"):
+            profile(**{kwarg: value})

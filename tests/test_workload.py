@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -152,3 +153,19 @@ class TestValidation:
             PacingPolicy(latency_multiplier=0.5)
         with pytest.raises(ScenarioError):
             PacingPolicy(target_period=-1.0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_variant_names_non_finite_field(self, value):
+        with pytest.raises(ScenarioError, match="'m': base_latency must be finite"):
+            variant(base_latency=value)
+        with pytest.raises(ScenarioError, match="power_nominal must be finite"):
+            variant(power=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_pacing_names_non_finite_field(self, value):
+        with pytest.raises(ScenarioError, match="target_period must be finite"):
+            PacingPolicy(target_period=value)
+        with pytest.raises(ScenarioError, match="latency_multiplier must be finite"):
+            PacingPolicy(latency_multiplier=value)
