@@ -56,13 +56,25 @@ def summarize(trace: Trace, large: ModelVariant, small: ModelVariant) -> Summary
     """
     if len(trace) == 0:
         raise AnalysisError("cannot summarize an empty trace")
-    n_large = sum(1 for r in trace if r.mode is Mode.LARGE)
+    n_large = n_shifts = n_throttle = 0
+    latencies = []
+    max_temp = trace[0].cpu_temp
+    for r in trace:
+        if r.mode is Mode.LARGE:
+            n_large += 1
+        if r.inference_latency is not None:
+            latencies.append(r.inference_latency)
+        event = r.event
+        if event == EVENT_SHIFT_SMALL or event == EVENT_SHIFT_LARGE:
+            n_shifts += 1
+        elif event == EVENT_THROTTLE_ON:
+            n_throttle += 1
+        if r.cpu_temp > max_temp:
+            max_temp = r.cpu_temp
     n_small = len(trace) - n_large
-    latencies = [r.inference_latency for r in trace if r.inference_latency is not None]
+    # sum(), not a running total: it compensates rounding on Python 3.12+
     avg_latency = sum(latencies) / len(latencies) if latencies else None
     est_accuracy = (n_large * large.accuracy + n_small * small.accuracy) / len(trace)
-    n_shifts = sum(1 for r in trace if r.event in (EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE))
-    n_throttle = sum(1 for r in trace if r.event == EVENT_THROTTLE_ON)
     return Summary(
         avg_latency=avg_latency,
         est_accuracy=est_accuracy,
@@ -70,7 +82,7 @@ def summarize(trace: Trace, large: ModelVariant, small: ModelVariant) -> Summary
         n_small=n_small,
         n_shifts=n_shifts,
         n_throttle_events=n_throttle,
-        max_temp=max(r.cpu_temp for r in trace),
+        max_temp=max_temp,
     )
 
 

@@ -53,7 +53,7 @@ _PROFILE_KEYS = {
 _CALIBRATION_KEYS = {
     "ambient", "trip_temp", "temp_threshold", "time_to_throttle", "time_window",
     "small_equilibrium", "governor", "f_nominal", "f_throttled", "resume_temp",
-    "dissipation", "latency_rise", "sticky_margin",
+    "dissipation", "latency_rise", "sticky_margin", "large_power", "small_power",
 }
 
 

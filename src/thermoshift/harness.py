@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .controller import ControllerConfig, Decision, Mode, ShiftController, TemperatureSample
 from .errors import ScenarioError, TraceFormatError, non_finite_fields
@@ -40,9 +41,13 @@ CSV_HEADER = "sim_time,cpu_temp,avg_temp,grad,freq,mode,inference_latency,idle,e
 _EVENTS = {EVENT_NONE, EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE, EVENT_THROTTLE_ON, EVENT_THROTTLE_OFF}
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
-    """One per-inference log row. Optional fields are blank in the CSV."""
+    """One per-inference log row. Optional fields are blank in the CSV.
+
+    Fields are in CSV column order, then ``log_time``, so rows can be
+    built positionally.
+    """
 
     sim_time: float
     cpu_temp: float
@@ -79,28 +84,26 @@ class Trace:
         return [r for r in self.records if r.event == kind]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return "%.6g" % value
+def _row_format(blanks) -> str:
+    # "%.0s" prints any value, None included, as nothing: a blank column.
+    avg, grad, freq, latency, idle = ("%.0s" if blank else "%.6g" for blank in blanks)
+    return f"%.6g,%.6g,{avg},{grad},{freq},%s,{latency},{idle},%s,%.6g"
+
+
+# One row format per pattern of blank optional columns, keyed by which of
+# avg_temp, grad, freq, inference_latency and idle are None.
+_ROW_FORMATS = {blanks: _row_format(blanks) for blanks in product((False, True), repeat=5)}
 
 
 def emit_trace(trace: Trace, path) -> None:
     """Write the trace as CSV: fixed header, floats at 6 significant digits."""
     lines = [CSV_HEADER]
     for r in trace:
-        lines.append(",".join([
-            _fmt(r.sim_time),
-            _fmt(r.cpu_temp),
-            _fmt(r.avg_temp),
-            _fmt(r.grad),
-            _fmt(r.freq),
-            r.mode.name,
-            _fmt(r.inference_latency),
-            _fmt(r.idle),
-            r.event,
-            _fmt(r.overhead),
-        ]))
+        avg, grad, freq, latency, idle = r.avg_temp, r.grad, r.freq, r.inference_latency, r.idle
+        row_format = _ROW_FORMATS[
+            avg is None, grad is None, freq is None, latency is None, idle is None]
+        lines.append(row_format % (r.sim_time, r.cpu_temp, avg, grad, freq, r.mode.name,
+                                   latency, idle, r.event, r.overhead))
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -108,44 +111,50 @@ def emit_trace(trace: Trace, path) -> None:
         raise TraceFormatError(f"cannot write trace to {path}: {exc}") from exc
 
 
-def _parse_opt(text: str) -> float | None:
-    return None if text == "" else float(text)
+_MODES = {mode.name: mode for mode in Mode}
 
 
 def parse_trace(path) -> Trace:
-    """Read a trace CSV produced by emit_trace (or a live run)."""
+    """Read a trace CSV produced by emit_trace (or a live run).
+
+    Blank lines are skipped; errors name the file and line as ``path:line``.
+    """
     try:
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace from {path}: {exc}") from exc
-    if not lines or lines[0] != CSV_HEADER:
+    if lines[0] != CSV_HEADER:
         raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
     trace = Trace()
+    append = trace.records.append
     for n, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != 10:
-            raise TraceFormatError(f"{path}:{n}: expected 10 columns, got {len(parts)}")
+        try:
+            sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = (
+                line.split(","))
+        except ValueError:
+            raise TraceFormatError(
+                f"{path}:{n}: expected 10 columns, got {line.count(',') + 1}") from None
         try:
             record = TraceRecord(
-                sim_time=float(parts[0]),
-                cpu_temp=float(parts[1]),
-                avg_temp=_parse_opt(parts[2]),
-                grad=_parse_opt(parts[3]),
-                freq=_parse_opt(parts[4]),
-                mode=Mode[parts[5]],
-                inference_latency=_parse_opt(parts[6]),
-                idle=_parse_opt(parts[7]),
-                event=parts[8],
-                overhead=float(parts[9]) if parts[9] else 0.0,
+                float(sim_time),
+                float(cpu_temp),
+                float(avg) if avg else None,
+                float(grad) if grad else None,
+                float(freq) if freq else None,
+                _MODES[mode],
+                float(latency) if latency else None,
+                float(idle) if idle else None,
+                event,
+                float(overhead) if overhead else 0.0,
             )
         except (ValueError, KeyError) as exc:
             raise TraceFormatError(f"{path}:{n}: {exc}") from exc
-        if record.event not in _EVENTS:
-            raise TraceFormatError(f"{path}:{n}: unknown event {record.event!r}")
-        trace.append(record)
+        if event not in _EVENTS:
+            raise TraceFormatError(f"{path}:{n}: unknown event {event!r}")
+        append(record)
     return trace
 
 
@@ -186,7 +195,8 @@ class Scenario:
             raise ScenarioError("; ".join(problems))
 
 
-def _pick_event(decision: Decision, governor_events) -> str:
+def pick_event(decision: Decision, governor_events) -> str:
+    """The row's event: a shift decision wins over governor events."""
     if decision is Decision.SHIFT_TO_SMALL:
         return EVENT_SHIFT_SMALL
     if decision is Decision.SHIFT_TO_LARGE:
@@ -248,16 +258,16 @@ def run_scenario(scenario: Scenario) -> Trace:
                 )
 
         trace.append(TraceRecord(
-            sim_time=device.sim_time,
-            cpu_temp=cpu_temp,
-            avg_temp=avg,
-            grad=grad,
-            freq=freq_now,
-            mode=controller.mode if controller else Mode.LARGE,
-            inference_latency=compute,
-            idle=idle,
-            event=_pick_event(decision, events),
-            overhead=overhead,
-            log_time=log_dt,
+            device.sim_time,
+            cpu_temp,
+            avg,
+            grad,
+            freq_now,
+            controller.mode if controller else Mode.LARGE,
+            compute,
+            idle,
+            pick_event(decision, events),
+            overhead,
+            log_dt,
         ))
     return trace

@@ -12,7 +12,7 @@ import time
 
 from .controller import ControllerConfig, Decision, ShiftController, TemperatureSample
 from .errors import LiveRunError, SampleError, SensorReadError, SourceExhausted
-from .harness import EVENT_NONE, EVENT_SHIFT_LARGE, EVENT_SHIFT_SMALL, Trace, TraceRecord, parse_trace
+from .harness import Trace, TraceRecord, pick_event, parse_trace
 from .thermal import DeviceProfile, DeviceState, thermal_step
 
 DEFAULT_MAX_CONSECUTIVE_ERRORS = 5
@@ -119,22 +119,16 @@ def live_run(source, config: ControllerConfig, period: float,
                 sleep(max(0.0, period - (clock() - loop_began)))
                 continue
             consecutive = 0
-            if decision is Decision.SHIFT_TO_SMALL:
-                event = EVENT_SHIFT_SMALL
-            elif decision is Decision.SHIFT_TO_LARGE:
-                event = EVENT_SHIFT_LARGE
-            else:
-                event = EVENT_NONE
             trace.append(TraceRecord(
-                sim_time=sample.time_s,
-                cpu_temp=sample.celsius,
-                avg_temp=controller.last_avg_temp,
-                grad=controller.last_grad,
-                freq=None,
-                mode=controller.mode,
-                inference_latency=None,
-                idle=None,
-                event=event,
+                sample.time_s,
+                sample.celsius,
+                controller.last_avg_temp,
+                controller.last_grad,
+                None,
+                controller.mode,
+                None,
+                None,
+                pick_event(decision, ()),
             ))
             if decision is not Decision.STAY and on_shift is not None:
                 on_shift(decision, sample)

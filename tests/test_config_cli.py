@@ -103,6 +103,32 @@ class TestConfigSchema:
         scenario = build_scenario(base_config(device=device))
         assert scenario.profile.t_throttle == 77.0
 
+    def test_device_calibration_large_power(self):
+        calibration = {"trip_temp": 77.0, "time_to_throttle": 450.0,
+                       "small_equilibrium": 64.0}
+        default = build_scenario(base_config(device={"calibration": calibration}))
+        calibration["large_power"] = 8.0
+        scenario = build_scenario(base_config(device={"calibration": calibration}))
+        assert scenario.profile.t_throttle == 77.0
+        assert scenario.profile.heat_capacity != default.profile.heat_capacity
+
+    def test_device_calibration_small_power(self):
+        calibration = {"trip_temp": 77.0, "time_to_throttle": 450.0,
+                       "small_equilibrium": 64.0, "small_power": 4.0}
+        scenario = build_scenario(base_config(device={"calibration": calibration}))
+        assert scenario.profile.t_throttle == 77.0
+
+    def test_device_calibration_power_not_below_large_rejected(self):
+        calibration = {"large_power": 5.0, "small_power": 6.0}
+        with pytest.raises(ConfigFileError) as info:
+            build_scenario(base_config(device={"calibration": calibration}))
+        assert "device.calibration: small-model power 6.00 W" in str(info.value)
+
+    def test_device_calibration_power_must_be_a_number(self):
+        with pytest.raises(ConfigFileError) as info:
+            build_scenario(base_config(device={"calibration": {"large_power": "8"}}))
+        assert "device.calibration.large_power: expected a number, got '8'" in str(info.value)
+
     def test_controller_literal_and_pacing_options(self):
         cfg = base_config(
             controller={"temp_threshold": 73, "grad_threshold": -0.07,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import phone_scenario, pi_scenario
 
 from thermoshift.controller import Mode
 from thermoshift.errors import ScenarioError
+from thermoshift.errors import TraceFormatError
 from thermoshift.harness import (
     CSV_HEADER,
     EVENT_SHIFT_LARGE,
@@ -16,6 +18,7 @@ from thermoshift.harness import (
     parse_trace,
     run_scenario,
 )
+from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.thermal import EVENT_THROTTLE_ON
 from thermoshift.workload import PacingPolicy
 
@@ -191,6 +194,93 @@ class TestTraceCsv:
         assert [r.event for r in parsed] == [r.event for r in trace]
         for a, b in zip(trace, parsed):
             assert b.cpu_temp == pytest.approx(a.cpu_temp, rel=1e-5)
+
+    def test_positional_record_matches_header_order(self):
+        values = (1.0, 50.0, 49.0, -0.01, 2.86, Mode.SMALL, 0.107, 0.098,
+                  "shift_to_small", 1.1, 0.02)
+        record = TraceRecord(*values)
+        columns = CSV_HEADER.split(",") + ["log_time"]
+        assert [getattr(record, name) for name in columns] == list(values)
+
+    def test_blank_body_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n\n1,50,,,,LARGE,,,none,0\n\n"
+                        "2,51,,,,SMALL,,,shift_to_small,1.5\n\n")
+        parsed = parse_trace(path)
+        assert [r.sim_time for r in parsed] == [1.0, 2.0]
+        assert [r.mode for r in parsed] == [Mode.LARGE, Mode.SMALL]
+        assert parsed[1].overhead == 1.5
+
+    def test_no_trailing_newline(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n1,50,,,,LARGE,,,none,0\n2,51,,,,LARGE,,,none,")
+        parsed = parse_trace(path)
+        assert [r.cpu_temp for r in parsed] == [50.0, 51.0]
+        assert parsed[1].overhead == 0.0
+
+    def test_phone_hour_emit_parse_emit_byte_identical(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_trace(run_scenario(phone_scenario(duration=3600.0, seed=0)), first)
+        emit_trace(parse_trace(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_live_trace_emit_parse_emit_byte_identical(self, tmp_path, phone_suite):
+        sim = run_scenario(phone_scenario(duration=900.0))
+        ticks = itertools.count()
+        live = live_run(ReplaySource.from_trace(sim), phone_suite.controller, period=0.25,
+                        sleep=lambda s: None, clock=lambda: float(next(ticks)))
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_trace(live, first)
+        rows = first.read_text().splitlines()[1:]
+        assert len(rows) == len(sim)
+        assert all(row.split(",")[4] == row.split(",")[6] == row.split(",")[7] == ""
+                   for row in rows)
+        emit_trace(parse_trace(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+class TestParseTraceErrors:
+    GOOD = "1,50,49,-0.01,2.86,LARGE,0.205,0,none,0"
+
+    def parse_error(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError) as info:
+            parse_trace(path)
+        return path, str(info.value)
+
+    @pytest.mark.parametrize("text", ["time,temp\n" + GOOD + "\n", ""])
+    def test_wrong_header(self, tmp_path, text):
+        path, message = self.parse_error(tmp_path, text)
+        assert message == f"{path}: missing or wrong header (want {CSV_HEADER!r})"
+
+    @pytest.mark.parametrize("body,expected", [
+        (GOOD + "\n\n1,50,49,LARGE,none\n", "4: expected 10 columns, got 5"),
+        (GOOD + ",extra\n", "2: expected 10 columns, got 11"),
+    ])
+    def test_wrong_column_count(self, tmp_path, body, expected):
+        path, message = self.parse_error(tmp_path, CSV_HEADER + "\n" + body)
+        assert message == f"{path}:{expected}"
+
+    @pytest.mark.parametrize("row,bad", [
+        ("1,50,49,-0.01,fast,LARGE,0.205,0,none,0", "fast"),
+        ("1,50,49,-0.01,2.86,LARGE,0.205,0,none,x", "x"),
+        # the first bad column is reported, not the later bad mode and event
+        ("1,hot,49,-0.01,2.86,MEDIUM,0.205,0,melt,0", "hot"),
+    ])
+    def test_bad_float(self, tmp_path, row, bad):
+        path, message = self.parse_error(tmp_path, CSV_HEADER + "\n" + self.GOOD + "\n" + row)
+        assert message == f"{path}:3: could not convert string to float: {bad!r}"
+
+    def test_unknown_mode(self, tmp_path):
+        text = CSV_HEADER + "\n" + self.GOOD + "\n1,50,49,-0.01,2.86,MEDIUM,0.205,0,none,0\n"
+        path, message = self.parse_error(tmp_path, text)
+        assert message == f"{path}:3: 'MEDIUM'"
+
+    def test_unknown_event(self, tmp_path):
+        text = CSV_HEADER + "\n" + self.GOOD + "\n1,50,49,-0.01,2.86,LARGE,0.205,0,melt,0\n"
+        path, message = self.parse_error(tmp_path, text)
+        assert message == f"{path}:3: unknown event 'melt'"
 
 
 class TestNonFiniteScenario:
