@@ -165,7 +165,8 @@ def _device(data, platform, problems):
     if "time_window" in section:
         window = section["time_window"]
         if (isinstance(window, list) and len(window) == 2
-                and all(isinstance(v, (int, float)) for v in window)):
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        for v in window)):
             kwargs["time_window"] = (float(window[0]), float(window[1]))
         else:
             problems.append("device.calibration.time_window: expected [low, high]")

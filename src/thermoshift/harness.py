@@ -20,6 +20,7 @@ from .thermal import (
     EVENT_THROTTLE_ON,
     DeviceProfile,
     DeviceState,
+    HeatSource,
     advance,
 )
 from .workload import (
@@ -102,7 +103,9 @@ def emit_trace(trace: Trace, path) -> None:
         avg, grad, freq, latency, idle = r.avg_temp, r.grad, r.freq, r.inference_latency, r.idle
         row_format = _ROW_FORMATS[
             avg is None, grad is None, freq is None, latency is None, idle is None]
-        lines.append(row_format % (r.sim_time, r.cpu_temp, avg, grad, freq, r.mode.name,
+        # ``_name_`` is the member's plain instance attribute; ``.name`` is
+        # an enum property, a Python-level call on every row.
+        lines.append(row_format % (r.sim_time, r.cpu_temp, avg, grad, freq, r.mode._name_,
                                    latency, idle, r.event, r.overhead))
     try:
         with open(path, "w", newline="") as fh:
@@ -219,22 +222,25 @@ def run_scenario(scenario: Scenario) -> Trace:
     rng = random.Random(scenario.seed)
     device = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
     controller = ShiftController(scenario.controller) if scenario.controller else None
-    variant = scenario.large
+    # One heat source per power curve, with its governor bands solved once.
+    large_heat = HeatSource(profile, lambda f: power_draw(scenario.large, f, profile))
+    small_heat = HeatSource(profile, lambda f: power_draw(scenario.small, f, profile))
+    idle_heat = HeatSource(profile, lambda f: profile.idle_power)
+    variant, heat = scenario.large, large_heat
     trace = Trace()
     carried_events: list[str] = []  # governor events raised after the previous row was sampled
 
     while device.sim_time < scenario.duration:
-        active = variant
-        compute, idle = iteration_time(active, device.freq, profile, scenario.pacing)
+        compute, idle = iteration_time(variant, device.freq, profile, scenario.pacing)
         events = carried_events
         carried_events = []
 
-        events += advance(device, profile, lambda f: power_draw(active, f, profile), compute)
+        events += advance(device, profile, heat, compute)
         if idle > 0.0:
-            events += advance(device, profile, lambda f: profile.idle_power, idle)
+            events += advance(device, profile, idle_heat, idle)
         log_dt = logging_overhead(scenario.platform, rng, scenario.logging_enabled)
         if log_dt > 0.0:
-            events += advance(device, profile, lambda f: power_draw(active, f, profile), log_dt)
+            events += advance(device, profile, heat, log_dt)
 
         cpu_temp = device.temp
         freq_now = device.freq
@@ -247,15 +253,15 @@ def run_scenario(scenario: Scenario) -> Trace:
 
         overhead = 0.0
         if decision is not Decision.STAY:
-            variant = scenario.small if decision is Decision.SHIFT_TO_SMALL else scenario.large
+            if decision is Decision.SHIFT_TO_SMALL:
+                variant, heat = scenario.small, small_heat
+            else:
+                variant, heat = scenario.large, large_heat
             overhead = shift_overhead(variant, rng, scenario.weight_shared)
             if overhead > 0.0:
                 # Loading the incoming model is compute; events raised here
                 # belong to the next row (this one is already sampled).
-                target = variant
-                carried_events += advance(
-                    device, profile, lambda f: power_draw(target, f, profile), overhead
-                )
+                carried_events += advance(device, profile, heat, overhead)
 
         trace.append(TraceRecord(
             device.sim_time,

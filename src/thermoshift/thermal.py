@@ -6,10 +6,13 @@ Temperature follows newtonian heating/cooling,
 
 ``advance`` solves it exactly: on every governor band the right-hand side
 is linear in T, so the temperature relaxes exponentially and the time to
-the next governor threshold is one logarithm. ``thermal_step`` (constant
-power, no governor) keeps explicit Euler sub-steps capped at 0.1 s;
-stability needs dt < 2*C/k, and calibrated profiles keep the cap at least
-an order of magnitude below that.
+the next governor threshold is one logarithm. The constants of each band
+(rates, equilibria, band edges) depend only on the profile and the power
+curve, so a ``HeatSource`` solves them once per run and ``advance`` reads
+them from it on every call. ``thermal_step`` (constant power, no
+governor) keeps explicit Euler sub-steps capped at 0.1 s; stability needs
+dt < 2*C/k, and calibrated profiles keep the cap at least an order of
+magnitude below that.
 
 Two governor styles are modeled:
 
@@ -112,9 +115,13 @@ def governor_step(state: DeviceState, profile: DeviceProfile) -> str | None:
             return EVENT_THROTTLE_OFF
         return None
 
-    excess = max(0.0, state.temp - profile.t_throttle)
-    freq = profile.f_nominal - profile.pin_gain * excess
-    freq = min(profile.f_nominal, max(profile.f_throttled, freq))
+    excess = state.temp - profile.t_throttle
+    if excess > 0.0:
+        freq = profile.f_nominal - profile.pin_gain * excess
+        if freq < profile.f_throttled:
+            freq = profile.f_throttled
+    else:
+        freq = profile.f_nominal
     was_throttled = state.throttled
     state.freq = freq
     state.throttled = freq < profile.f_nominal - 1e-12
@@ -125,23 +132,51 @@ def governor_step(state: DeviceState, profile: DeviceProfile) -> str | None:
     return None
 
 
+class HeatSource:
+    """Input power as a function of frequency, with the governor bands of
+    one profile solved once.
+
+    Calling a source returns ``power_of_freq(freq)``. It also holds the
+    constants ``advance`` needs on each band: for phone-drop the
+    relaxation rate and the equilibrium at ``f_nominal`` and at
+    ``f_throttled``; for pi-pin the band edges, rates and equilibria of
+    ``_pin_constants``. Build one per power curve and run, and pass it to
+    every ``advance`` call of that run.
+    """
+
+    __slots__ = ("profile", "power_of_freq", "band", "constants")
+
+    def __init__(self, profile, power_of_freq):
+        self.profile = profile
+        self.power_of_freq = power_of_freq
+        if profile.governor is GovernorKind.PHONE_DROP:
+            self.band, self.constants = _drop_band, _drop_constants(profile, power_of_freq)
+        else:
+            self.band, self.constants = _pin_band, _pin_constants(profile, power_of_freq)
+
+    def __call__(self, freq):
+        return self.power_of_freq(freq)
+
+
 def advance(state, profile, power_of_freq, dt) -> list[str]:
     """Advance dt seconds exactly, with the governor acting continuously.
 
     ``power_of_freq`` maps a frequency to input power and must be affine
-    in frequency: phone-drop reads it at the current level, pi-pin at
-    f_nominal and f_throttled. On each governor band the temperature
-    relaxes in closed form; where it reaches the band's threshold it is
-    set to the threshold exactly and ``governor_step`` runs there, so a
-    mid-interval frequency drop also lowers the heat flowing in. The
-    governor runs once more at the end of the interval. Returns the
-    throttle events raised along the way, in order.
+    in frequency. A ``HeatSource`` built for this very ``profile`` object
+    is used as is; any other callable (a source built for another
+    profile included) is first wrapped in a new ``HeatSource``, so the
+    band constants are solved once per source rather than once per call.
+    On each governor band the temperature relaxes in closed form; where
+    it reaches the band's threshold it is set to the threshold exactly
+    and ``governor_step`` runs there, so a mid-interval frequency drop
+    also lowers the heat flowing in. The governor runs once more at the
+    end of the interval. Returns the throttle events raised along the
+    way, in order.
     """
     _check_dt(dt)
-    if profile.governor is GovernorKind.PHONE_DROP:
-        band, consts = _drop_band, (profile, power_of_freq)
-    else:
-        band, consts = _pin_band, _pin_constants(profile, power_of_freq)
+    if not isinstance(power_of_freq, HeatSource) or power_of_freq.profile is not profile:
+        power_of_freq = HeatSource(profile, power_of_freq)
+    band, consts = power_of_freq.band, power_of_freq.constants
     events = []
     left = dt
     while left > 0.0:
@@ -168,10 +203,25 @@ def _check_dt(dt):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
 
 
-def _drop_band(state, profile, power_of_freq):
+def _drop_constants(profile, power_of_freq):
+    """Phone-drop: the relaxation rate and the equilibrium at each level."""
+    k, amb = profile.dissipation, profile.ambient_temp
+    return (profile, k / profile.heat_capacity,
+            profile.f_nominal, amb + power_of_freq(profile.f_nominal) / k,
+            profile.f_throttled, amb + power_of_freq(profile.f_throttled) / k,
+            power_of_freq)
+
+
+def _drop_band(state, profile, rate, f_nominal, nominal_eq, f_throttled, throttled_eq,
+               power_of_freq):
     """Phone-drop: constant power at the current level until the next threshold."""
-    k = profile.dissipation
-    t_eq = profile.ambient_temp + power_of_freq(state.freq) / k
+    freq = state.freq
+    if freq == f_nominal:
+        t_eq = nominal_eq
+    elif freq == f_throttled:
+        t_eq = throttled_eq
+    else:
+        t_eq = profile.ambient_temp + power_of_freq(freq) / profile.dissipation
     if state.throttled:
         edge = profile.t_resume
         due = state.temp <= edge
@@ -179,7 +229,7 @@ def _drop_band(state, profile, power_of_freq):
         edge = profile.t_throttle
         due = state.temp >= edge
     # A state already past its threshold trips the governor at once.
-    return k / profile.heat_capacity, t_eq, state.temp if due else edge
+    return rate, t_eq, state.temp if due else edge
 
 
 def _pin_constants(profile, power_of_freq):
@@ -243,6 +293,13 @@ class CalibrationTargets:
     sticky_margin: float = 3.0        # phone-drop: throttled equilibrium this far above resume
     large_power: float | None = None  # W; overrides the derived large-model draw
     small_power: float | None = None  # W; overrides the draw implied by small_equilibrium
+
+    def __post_init__(self):
+        problems = non_finite_fields(self)
+        if not all(math.isfinite(end) for end in self.time_window):
+            problems.append(f"time_window must be finite, got {self.time_window}")
+        if problems:
+            raise CalibrationError("; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -343,3 +343,43 @@ class TestNonFiniteConfig:
         with pytest.raises(ConfigFileError) as err:
             build_scenario(base_config(device=device))
         assert any("heat_capacity must be finite" in p for p in err.value.problems)
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("large_power", math.inf, "inf"),
+        ("small_power", -math.inf, "-inf"),
+        ("dissipation", math.nan, "nan"),
+        ("trip_temp", math.nan, "nan"),
+        ("time_to_throttle", math.inf, "inf"),
+    ])
+    def test_non_finite_calibration_number_named(self, key, value, shown):
+        with pytest.raises(ConfigFileError) as err:
+            build_scenario(base_config(device={"calibration": {key: value}}))
+        assert err.value.problems == [f"device.calibration: {key} must be finite, got {shown}"]
+
+    @pytest.mark.parametrize("window", [[math.nan, 900.0], [300.0, math.inf]])
+    def test_non_finite_calibration_window_named(self, window):
+        with pytest.raises(ConfigFileError) as err:
+            build_scenario(base_config(device={"calibration": {"time_window": window}}))
+        assert err.value.problems == [
+            f"device.calibration: time_window must be finite, got {tuple(window)}"]
+
+    def test_non_finite_calibration_from_json_literal(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"suite": "slimmable-resnet50-phone", "duration": 900, '
+                        '"device": {"calibration": {"large_power": Infinity}}}')
+        with pytest.raises(ConfigFileError) as err:
+            load_scenario(str(path))
+        assert err.value.problems == ["device.calibration: large_power must be finite, got inf"]
+
+
+class TestCalibrationWindowType:
+    @pytest.mark.parametrize("window", [[True, 900], [300, False]])
+    def test_boolean_window_end_rejected(self, window):
+        with pytest.raises(ConfigFileError) as err:
+            build_scenario(base_config(device={"calibration": {"time_window": window}}))
+        assert err.value.problems == ["device.calibration.time_window: expected [low, high]"]
+
+    def test_integer_window_accepted(self):
+        scenario = build_scenario(base_config(
+            device={"calibration": {"time_to_throttle": 450, "time_window": [300, 900]}}))
+        assert scenario.profile.heat_capacity > 0

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import phone_scenario, pi_scenario
 
+from thermoshift import harness
 from thermoshift.controller import Mode
 from thermoshift.errors import ScenarioError
 from thermoshift.errors import TraceFormatError
@@ -19,7 +20,8 @@ from thermoshift.harness import (
     run_scenario,
 )
 from thermoshift.sensors import ReplaySource, live_run
-from thermoshift.thermal import EVENT_THROTTLE_ON
+from thermoshift.suites import SUITE_NAMES, SUITES, default_profile
+from thermoshift.thermal import EVENT_THROTTLE_ON, HeatSource, advance
 from thermoshift.workload import PacingPolicy
 
 
@@ -288,3 +290,58 @@ class TestNonFiniteScenario:
     def test_non_finite_duration_rejected_before_running(self, duration):
         with pytest.raises(ScenarioError, match="duration must be finite"):
             phone_scenario(duration=duration).validate()
+
+
+class TestHeatSourcesInRun:
+    """``run_scenario`` with its per-run heat sources equals the per-call path."""
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    @pytest.mark.parametrize("suite_name", SUITE_NAMES)
+    def test_same_trace_as_plain_callables(self, monkeypatch, suite_name, baseline):
+        suite = SUITES[suite_name]
+        scenario = harness.Scenario(
+            profile=default_profile(suite.platform), large=suite.large, small=suite.small,
+            controller=None if baseline else suite.controller, pacing=suite.pacing,
+            duration=600.0, seed=3, platform=suite.platform)
+        fast = run_scenario(scenario)
+
+        def per_call(state, profile, power_of_freq, dt):
+            # Pass the bare power curve, so advance re-solves the band
+            # constants on every call.
+            assert isinstance(power_of_freq, HeatSource)
+            return advance(state, profile, power_of_freq.power_of_freq, dt)
+
+        monkeypatch.setattr(harness, "advance", per_call)
+        slow = run_scenario(scenario)
+        assert fast.records == slow.records
+        assert any(r.event == EVENT_THROTTLE_ON for r in fast) == baseline
+
+    def test_every_interval_draws_its_phase_power(self, monkeypatch, phone_suite):
+        # Per row: compute and logging at the running model's power, idle at
+        # idle power, and a shift's load stall at the incoming model's power.
+        calls = []
+
+        def record(state, profile, power_of_freq, dt):
+            calls.append((power_of_freq, dt))
+            return advance(state, profile, power_of_freq, dt)
+
+        monkeypatch.setattr(harness, "advance", record)
+        scenario = phone_scenario(duration=900.0)
+        trace = run_scenario(scenario)
+        assert len({id(source) for source, _ in calls}) == 3
+        power = {Mode.LARGE: phone_suite.large.power_nominal,
+                 Mode.SMALL: phone_suite.small.power_nominal}
+        expected, running = [], Mode.LARGE
+        for r in trace:
+            expected.append((power[running], r.inference_latency))
+            if r.idle > 0.0:
+                expected.append((scenario.profile.idle_power, r.idle))
+            if r.log_time > 0.0:
+                expected.append((power[running], r.log_time))
+            if r.overhead > 0.0:
+                expected.append((power[r.mode], r.overhead))
+            running = r.mode
+        f_nominal = scenario.profile.f_nominal
+        assert [(source(f_nominal), dt) for source, dt in calls] == expected
+        assert any(r.overhead > 0.0 and r.mode is Mode.LARGE for r in trace)
+        assert any(r.idle > 0.0 for r in trace)

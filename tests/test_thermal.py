@@ -12,6 +12,7 @@ from thermoshift.thermal import (
     DeviceProfile,
     DeviceState,
     GovernorKind,
+    HeatSource,
     advance,
     calibrate_profile,
     equilibrium_temp,
@@ -414,3 +415,192 @@ class TestNonFinite:
     def test_profile_rejects_non_finite_constants(self, kwarg, field, value):
         with pytest.raises(ProfileError, match=f"{field} must be finite"):
             profile(**{kwarg: value})
+
+
+class TestHeatSource:
+    """A ``HeatSource`` gives bit for bit what a plain callable gives."""
+
+    def pin_profile(self):
+        return profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN,
+                       t_throttle=78.0, t_resume=73.0,
+                       f_nominal=1.5, f_throttled=0.6, pin_gain=0.14)
+
+    def run_both(self, p, power_of_freq, start, dts, freq=None, throttled=False,
+                 source_profile=None):
+        """Advance a plain-callable state and a HeatSource state through dts."""
+        source = HeatSource(source_profile or p, power_of_freq)
+        ends = []
+        for heat in (power_of_freq, source):
+            state = DeviceState(temp=start, freq=p.f_nominal if freq is None else freq,
+                                throttled=throttled)
+            events = []
+            for dt in dts:
+                events += advance(state, p, heat, dt)
+            ends.append((state.temp, state.freq, state.throttled, state.sim_time, events))
+        return ends
+
+    def test_source_is_its_power_curve(self):
+        p = profile()
+        source = HeatSource(p, lambda f: 15.0 * f / p.f_nominal)
+        assert source(p.f_throttled) == 15.0 * p.f_throttled / p.f_nominal
+
+    @pytest.mark.parametrize("dts", [[3000.0], [0.205] * 3000, [7.0, 0.1, 993.0, 2000.0]])
+    @pytest.mark.parametrize("start, throttled", [
+        (22.0, False),   # several crossings in one call
+        (77.0, False),   # on the trip edge
+        (72.0, True),    # on the resume edge, throttled
+        (80.0, False),   # already past the trip point
+    ])
+    def test_phone_drop_matches_plain_callable(self, start, throttled, dts):
+        p = profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
+        freq = p.f_throttled if throttled else p.f_nominal
+        plain, source = self.run_both(p, lambda f: 15.0 * f / p.f_nominal, start, dts,
+                                      freq=freq, throttled=throttled)
+        assert source == plain
+        assert len(plain[4]) >= 2
+
+    @pytest.mark.parametrize("throttled, start, power", [
+        (False, 60.0, 18.0),  # 15.7 W at 2.5 GHz: T_eq 84.9 C, trips
+        (True, 75.0, 10.0),   # 8.7 W at 2.5 GHz: T_eq 57.0 C, resumes
+    ])
+    def test_phone_drop_start_at_neither_level(self, throttled, start, power):
+        # 2.5 GHz is neither f_nominal nor f_throttled: the source must read
+        # the power curve there instead of using a stored level.
+        p = profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
+        plain, source = self.run_both(p, lambda f: power * f / p.f_nominal, start,
+                                      [1.0, 50.0, 3000.0], freq=2.5, throttled=throttled)
+        assert source == plain
+        assert plain[4]
+
+    @pytest.mark.parametrize("power", [3.0, 5.9, 20.0])
+    @pytest.mark.parametrize("start", ["ambient", "trip", "floor"])
+    @pytest.mark.parametrize("dts", [[20000.0], [1.1] * 500, [100.0] * 200])
+    def test_pi_pin_matches_plain_callable(self, start, power, dts):
+        p = self.pin_profile()
+        floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
+        temp = {"ambient": p.ambient_temp, "trip": p.t_throttle, "floor": floor}[start]
+        plain, source = self.run_both(p, lambda f: power * f / p.f_nominal, temp, dts)
+        assert source == plain
+
+    def test_pi_pin_idle_curve_matches_plain_callable(self):
+        # A curve flat in frequency (idle power) has no shedding band.
+        p = self.pin_profile()
+        plain, source = self.run_both(p, lambda f: 1.0, 85.0, [0.5] * 100 + [500.0])
+        assert source == plain
+
+    @pytest.mark.parametrize("kind", ["phone-drop", "pi-pin"])
+    def test_source_for_another_profile_is_rebuilt(self, kind):
+        hot = profile(C=50.0, k=0.25)
+        if kind == "phone-drop":
+            p, power = profile(C=30.0, k=0.2, f_nominal=2.5, f_throttled=1.5), 15.0
+        else:
+            p, power = self.pin_profile(), 5.9
+        power_of_freq = lambda f: power * f / p.f_nominal
+        plain, source = self.run_both(p, power_of_freq, 22.0, [600.0, 0.3, 2000.0],
+                                      source_profile=hot)
+        assert source == plain
+        assert plain[4]
+
+    def test_pi_pin_source_rejects_power_falling_with_frequency(self):
+        with pytest.raises(ValueError, match="must not fall"):
+            HeatSource(self.pin_profile(), lambda f: 10.0 - f)
+
+
+class TestOneBandExact:
+    """Within one governor band ``advance`` is the textbook relaxation,
+    ``T_eq + (T0 - T_eq) * exp(-rate * dt)``, to the last bit, whether the
+    caller passes a plain callable or a reused ``HeatSource``."""
+
+    def relax(self, t_eq, rate, start, dt):
+        return t_eq + (start - t_eq) * math.exp(-rate * dt)
+
+    def both(self, p, power_of_freq, start, freq, throttled, dt):
+        source = HeatSource(p, power_of_freq)
+        temps = []
+        for heat in (power_of_freq, source, source):
+            state = DeviceState(temp=start, freq=freq, throttled=throttled)
+            assert advance(state, p, heat, dt) == []
+            assert state.throttled == throttled
+            temps.append(state.temp)
+        return temps
+
+    @pytest.mark.parametrize("level, start, throttled", [
+        ("nominal", 30.0, False), ("throttled", 76.0, True),
+        ("between", 30.0, False), ("between", 76.0, True)])
+    def test_phone_drop_level(self, level, start, throttled):
+        p = profile(C=50.0, k=0.12, f_nominal=2.86, f_throttled=2.0)
+        freq = {"nominal": p.f_nominal, "throttled": p.f_throttled, "between": 2.5}[level]
+        power_of_freq = lambda f: 15.0 * f / p.f_nominal
+        t_eq = p.ambient_temp + power_of_freq(freq) / p.dissipation
+        expected = self.relax(t_eq, p.dissipation / p.heat_capacity, start, 20.0)
+        assert self.both(p, power_of_freq, start, freq, throttled, 20.0) == [expected] * 3
+
+    @pytest.mark.parametrize("band", ["below", "pinned", "above"])
+    def test_pi_pin_band(self, band):
+        p = profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN, t_throttle=78.0,
+                    t_resume=73.0, f_nominal=1.5, f_throttled=0.6, pin_gain=0.14)
+        c, k, amb, trip = p.heat_capacity, p.dissipation, p.ambient_temp, p.t_throttle
+        power_of_freq = lambda f: 5.9 * f / p.f_nominal
+        p_nom, p_thr = power_of_freq(p.f_nominal), power_of_freq(p.f_throttled)
+        span = p.f_nominal - p.f_throttled
+        shed = p.pin_gain * (p_nom - p_thr) / span
+        floor = trip + span / p.pin_gain
+        if band == "below":
+            start, rate, t_eq = 40.0, k / c, amb + p_nom / k
+        elif band == "pinned":
+            start, rate = trip + 0.5, (k + shed) / c
+            t_eq = (p_nom + shed * trip + k * amb) / (k + shed)
+        else:
+            start, rate, t_eq = floor + 30.0, k / c, amb + p_thr / k
+        expected = self.relax(t_eq, rate, start, 2.0)
+        state = DeviceState(temp=start, freq=p.f_nominal)
+        governor_step(state, p)
+        temps = self.both(p, power_of_freq, start, state.freq, state.throttled, 2.0)
+        assert temps == [expected] * 3
+
+
+class TestPinGovernorRule:
+    """The branch form of the pi-pin rule equals the clamp form bit for bit."""
+
+    @staticmethod
+    def clamp_rule(p, temp):
+        return min(p.f_nominal,
+                   max(p.f_throttled, p.f_nominal - p.pin_gain * max(0.0, temp - p.t_throttle)))
+
+    @pytest.mark.parametrize("gain", [0.14, 0.5512479436442783, 3.0])
+    def test_matches_clamp_rule(self, gain):
+        p = profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN, t_throttle=78.0,
+                    t_resume=73.0, f_nominal=1.5, f_throttled=0.6, pin_gain=gain)
+        trip = p.t_throttle
+        floor = trip + (p.f_nominal - p.f_throttled) / gain
+        temps = [22.0, trip - 1.0, floor + 1.0, 200.0, -40.0]
+        for edge in (trip, floor):
+            temps += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        temps += [trip - 2.0 + i * (floor - trip + 4.0) / 997 for i in range(998)]
+        for temp in temps:
+            state = DeviceState(temp=temp, freq=p.f_nominal)
+            governor_step(state, p)
+            expected = self.clamp_rule(p, temp)
+            assert state.freq == expected, temp
+            assert state.throttled == (expected < p.f_nominal - 1e-12), temp
+
+
+class TestCalibrationTargetsFinite:
+    @pytest.mark.parametrize("field", ["ambient", "dissipation", "large_power", "small_power",
+                                       "latency_rise"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, field, value):
+        with pytest.raises(CalibrationError, match=f"^{field} must be finite, got {value}$"):
+            CalibrationTargets(**{field: value})
+
+    @pytest.mark.parametrize("window", [(math.nan, 900.0), (300.0, math.inf),
+                                        (-math.inf, 900.0)])
+    def test_non_finite_window_named(self, window):
+        with pytest.raises(CalibrationError, match="^time_window must be finite"):
+            CalibrationTargets(time_window=window)
+
+    def test_every_problem_reported(self):
+        with pytest.raises(CalibrationError) as err:
+            CalibrationTargets(ambient=math.nan, time_window=(0.0, math.inf))
+        assert str(err.value) == ("ambient must be finite, got nan; "
+                                  "time_window must be finite, got (0.0, inf)")
