@@ -1,13 +1,15 @@
 """Scenario config files: JSON schema, strict validation, scenario build.
 
-Unknown keys are rejected (every offending key is reported in one pass),
-units are fixed per field (seconds, watts, GHz, degrees C), and the
-loaded scenario is fully deterministic given its seed.
+Unknown keys are rejected and every offending key is reported in one
+pass. Units are fixed per field (seconds, watts, GHz, degrees C), and
+the loaded scenario is fully deterministic given its seed. The keys and
+value types of the variant, profile, calibration, controller and pacing
+objects are the fields of their dataclasses.
 
 Schema sketch::
 
     {
-      "suite": "slimmable-resnet50-phone"            // or {"large": {...}, "small": {...}}
+      "suite": "slimmable-resnet50-phone",           // or {"large": {...}, "small": {...}}
       "duration": 3600,                              // seconds, required
       "seed": 0,
       "platform": "phone",                           // required for inline suites
@@ -22,79 +24,118 @@ Schema sketch::
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 from .controller import ControllerConfig
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    ConfigFileError,
-    ProfileError,
-    ScenarioError,
-)
+from .errors import ConfigFileError, ScenarioError, ThermoshiftError
 from .harness import Scenario
 from .suites import default_profile, get_profile, get_suite
 from .thermal import CalibrationTargets, DeviceProfile, GovernorKind, calibrate_profile
 from .workload import ModelVariant, PacingPolicy, Platform
 
-_TOP_KEYS = {
-    "suite", "duration", "seed", "platform", "device", "controller",
-    "pacing", "weight_sharing", "logging_overhead",
-}
-_VARIANT_KEYS = {"name", "base_latency", "power_nominal", "accuracy", "shift_mean", "shift_std"}
-_CONTROLLER_KEYS = {
-    "temp_smoothing", "grad_smoothing", "temp_threshold", "grad_threshold",
-    "per_second", "literal_init",
-}
-_PACING_KEYS = {"target_period", "latency_multiplier"}
-_PROFILE_KEYS = {
-    "heat_capacity", "dissipation", "ambient_temp", "f_nominal", "f_throttled",
-    "t_throttle", "t_resume", "governor", "pin_gain", "idle_power",
-}
-_CALIBRATION_KEYS = {
-    "ambient", "trip_temp", "temp_threshold", "time_to_throttle", "time_window",
-    "small_equilibrium", "governor", "f_nominal", "f_throttled", "resume_temp",
-    "dissipation", "latency_rise", "sticky_margin", "large_power", "small_power",
-}
+_TOP_KEYS = {"suite", "duration", "seed", "platform", "device", "controller", "pacing",
+             "weight_sharing", "logging_overhead"}
 
 
 def _check_keys(section, data, allowed, problems):
-    for key in sorted(set(data) - allowed):
+    for key in sorted(set(data) - set(allowed)):
         problems.append(f"{section}.{key}: unknown key" if section else f"{key}: unknown key")
 
 
-def _number(section, data, key, problems, required=False, default=None):
-    if key not in data:
-        if required:
-            problems.append(f"{section}.{key}: missing required key" if section
-                            else f"{key}: missing required key")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{section}.{key}: expected a number, got {value!r}" if section
-                        else f"{key}: expected a number, got {value!r}")
-        return default
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# A value check returns the value to build with, or None after appending
+# a problem that names ``key``.
+
+def _number(key, value, problems, expected="a number"):
+    if not _is_number(value):
+        problems.append(f"{key}: expected {expected}, got {value!r}")
+        return None
+    try:
+        float(value)
+    except OverflowError:  # an integer literal past the float range
+        problems.append(f"{key}: integer too large for a float")
+        return None
     return value
 
 
-def _variant(section, data, problems):
+def _instance(kind, expected):
+    def check(key, value, problems):
+        if isinstance(value, kind):
+            return value
+        problems.append(f"{key}: expected {expected}")
+        return None
+    return check
+
+
+def _governor(key, value, problems):
+    try:
+        return GovernorKind(value)
+    except ValueError:
+        problems.append(f"{key}: expected one of {[g.value for g in GovernorKind]}, got {value!r}")
+        return None
+
+
+def _window(key, value, problems):
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
+        problems.append(f"{key}: expected [low, high]")
+        return None
+    ends = [_number(key, end, problems) for end in value]
+    return None if None in ends else (float(ends[0]), float(ends[1]))
+
+
+_CHECKS = {
+    float: _number, float | None: _number, GovernorKind: _governor,
+    bool: _instance(bool, "a boolean"), str: _instance(str, "a string"),
+    tuple[float, float]: _window,
+}
+
+
+def _schema(cls):
+    """{field name: (value check, required)} of a dataclass, in field order."""
+    hints = get_type_hints(cls)
+    return {f.name: (_CHECKS[hints[f.name]],
+                     f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+# Built at import: a field type missing from _CHECKS fails the import.
+_SCHEMAS = {cls: _schema(cls) for cls in (
+    ModelVariant, DeviceProfile, CalibrationTargets, ControllerConfig, PacingPolicy)}
+
+
+def _section(section, data, cls, problems, required=(), gated=False, then=None):
+    """Check the config object ``data`` against the fields of ``cls`` and build one.
+
+    Reports unknown keys, then in field order every bad value and every
+    missing required key (a field without a default, or one named in
+    ``required``). ``cls`` is built, and passed to ``then`` if given, only
+    if none of its values was bad or missing and, when ``gated``, only if
+    no problem at all has been reported yet; a ThermoshiftError raised
+    there becomes ``"<section>: <message>"``. Returns None if nothing was
+    built.
+    """
     if not isinstance(data, dict):
         problems.append(f"{section}: expected an object")
         return None
-    _check_keys(section, data, _VARIANT_KEYS, problems)
-    name = data.get("name")
-    if not isinstance(name, str):
-        problems.append(f"{section}.name: expected a string")
-        return None
-    kwargs = {"name": name}
-    for key in ("base_latency", "power_nominal", "accuracy"):
-        kwargs[key] = _number(section, data, key, problems, required=True)
-    for key in ("shift_mean", "shift_std"):
-        kwargs[key] = _number(section, data, key, problems, default=0.0)
-    if any(v is None for v in kwargs.values()):
+    schema = _SCHEMAS[cls]
+    _check_keys(section, data, schema, problems)
+    clean = len(problems)
+    kwargs = {}
+    for key, (check, needed) in schema.items():
+        if key in data:
+            kwargs[key] = check(f"{section}.{key}", data[key], problems)
+        elif needed or key in required:
+            problems.append(f"{section}.{key}: missing required key")
+    if len(problems) > clean or (gated and problems):
         return None
     try:
-        return ModelVariant(**kwargs)
-    except ScenarioError as exc:
+        built = cls(**kwargs)
+        return then(built) if then else built
+    except ThermoshiftError as exc:
         problems.append(f"{section}: {exc}")
         return None
 
@@ -111,72 +152,20 @@ def _device(data, platform, problems):
         problems.append("device: give exactly one of builtin / profile / calibration")
         return None
     if modes[0] == "builtin":
+        name = data["builtin"]
+        if not isinstance(name, str):
+            problems.append(f"device.builtin: expected a name, got {name!r}")
+            return None
         try:
-            return get_profile(data["builtin"])
-        except (ValueError, TypeError) as exc:
+            return get_profile(name)
+        except ValueError as exc:
             problems.append(f"device.builtin: {exc}")
             return None
     if modes[0] == "profile":
-        section = data["profile"]
-        if not isinstance(section, dict):
-            problems.append("device.profile: expected an object")
-            return None
-        _check_keys("device.profile", section, _PROFILE_KEYS, problems)
-        kwargs = {}
-        for key in _PROFILE_KEYS - {"governor"}:
-            if key in section:
-                value = _number("device.profile", section, key, problems)
-                if value is not None:
-                    kwargs[key] = value
-        if "governor" in section:
-            try:
-                kwargs["governor"] = GovernorKind(section["governor"])
-            except ValueError:
-                problems.append(
-                    f"device.profile.governor: expected one of "
-                    f"{[g.value for g in GovernorKind]}, got {section['governor']!r}"
-                )
-        missing = {"heat_capacity", "dissipation", "ambient_temp", "f_nominal",
-                   "f_throttled", "t_throttle", "t_resume"} - set(kwargs)
-        if missing:
-            problems.append("device.profile: missing required keys: " + ", ".join(sorted(missing)))
-            return None
-        try:
-            return DeviceProfile(**kwargs)
-        except ProfileError as exc:
-            problems.append(f"device.profile: {exc}")
-            return None
-    section = data["calibration"]
-    if not isinstance(section, dict):
-        problems.append("device.calibration: expected an object")
-        return None
-    _check_keys("device.calibration", section, _CALIBRATION_KEYS, problems)
-    kwargs = {}
-    for key in _CALIBRATION_KEYS - {"governor", "time_window"}:
-        if key in section:
-            value = _number("device.calibration", section, key, problems)
-            if value is not None:
-                kwargs[key] = value
-    if "governor" in section:
-        try:
-            kwargs["governor"] = GovernorKind(section["governor"])
-        except ValueError:
-            problems.append(f"device.calibration.governor: bad value {section['governor']!r}")
-    if "time_window" in section:
-        window = section["time_window"]
-        if (isinstance(window, list) and len(window) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        for v in window)):
-            kwargs["time_window"] = (float(window[0]), float(window[1]))
-        else:
-            problems.append("device.calibration.time_window: expected [low, high]")
-    if problems:
-        return None
-    try:
-        return calibrate_profile(CalibrationTargets(**kwargs)).profile
-    except CalibrationError as exc:
-        problems.append(f"device.calibration: {exc}")
-        return None
+        return _section("device.profile", data["profile"], DeviceProfile, problems)
+    # Gated: calibrating is the slow step of a load; skip it once the config fails.
+    return _section("device.calibration", data["calibration"], CalibrationTargets, problems,
+                    gated=True, then=lambda targets: calibrate_profile(targets).profile)
 
 
 def _controller(data, suite_default, problems):
@@ -189,29 +178,9 @@ def _controller(data, suite_default, problems):
     if not isinstance(data, dict):
         problems.append('controller: expected an object, "default", or omit for baseline')
         return None
-    _check_keys("controller", data, _CONTROLLER_KEYS, problems)
-    kwargs = {}
-    for key in ("temp_smoothing", "grad_smoothing"):
-        value = _number("controller", data, key, problems)
-        if value is not None:
-            kwargs[key] = value
-    for key in ("temp_threshold", "grad_threshold"):
-        value = _number("controller", data, key, problems, required=True)
-        if value is not None:
-            kwargs[key] = value
-    for key in ("per_second", "literal_init"):
-        if key in data:
-            if not isinstance(data[key], bool):
-                problems.append(f"controller.{key}: expected a boolean")
-            else:
-                kwargs[key] = data[key]
-    if problems:
-        return None
-    try:
-        return ControllerConfig(**kwargs)
-    except ConfigError as exc:
-        problems.append(f"controller: {exc}")
-        return None
+    # The dataclass defaults the thresholds; a config file must set them.
+    return _section("controller", data, ControllerConfig, problems,
+                    required=("temp_threshold", "grad_threshold"), gated=True)
 
 
 def _pacing(data, large, suite_default, multiplier_default, problems):
@@ -220,15 +189,15 @@ def _pacing(data, large, suite_default, multiplier_default, problems):
     if not isinstance(data, dict):
         problems.append("pacing: expected an object")
         return None
-    _check_keys("pacing", data, _PACING_KEYS, problems)
-    multiplier = _number("pacing", data, "latency_multiplier", problems,
-                         default=multiplier_default)
+    _check_keys("pacing", data, _SCHEMAS[PacingPolicy], problems)
+    multiplier = _number("pacing.latency_multiplier",
+                         data.get("latency_multiplier", multiplier_default), problems)
     target = data.get("target_period")
     if target == "large":
-        target = large.base_latency * multiplier if large is not None else None
-    elif target is not None and (isinstance(target, bool) or not isinstance(target, (int, float))):
-        problems.append(f'pacing.target_period: expected a number, "large", or null, got {target!r}')
-        target = None
+        target = None if None in (large, multiplier) else large.base_latency * multiplier
+    elif target is not None:
+        target = _number("pacing.target_period", target, problems,
+                         expected='a number, "large", or null')
     if problems:
         return None
     try:
@@ -244,7 +213,7 @@ def load_config(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigFileError([f"cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the str-digits limit
         raise ConfigFileError([f"{path}: not valid JSON: {exc}"]) from exc
 
 
@@ -271,17 +240,14 @@ def build_scenario(cfg: dict) -> Scenario:
         except ValueError as exc:
             problems.append(f"suite: {exc}")
     elif isinstance(cfg["suite"], dict):
-        extra = set(cfg["suite"]) - {"large", "small"}
-        for key in sorted(extra):
-            problems.append(f"suite.{key}: unknown key")
-        if "large" in cfg["suite"]:
-            large = _variant("suite.large", cfg["suite"]["large"], problems)
-        else:
-            problems.append("suite.large: missing required key")
-        if "small" in cfg["suite"]:
-            small = _variant("suite.small", cfg["suite"]["small"], problems)
-        else:
-            problems.append("suite.small: missing required key")
+        _check_keys("suite", cfg["suite"], ("large", "small"), problems)
+        variants = {}
+        for key in ("large", "small"):
+            if key in cfg["suite"]:
+                variants[key] = _section(f"suite.{key}", cfg["suite"][key], ModelVariant, problems)
+            else:
+                problems.append(f"suite.{key}: missing required key")
+        large, small = variants.get("large"), variants.get("small")
     else:
         problems.append(f"suite: expected a name or an object, got {cfg['suite']!r}")
 
@@ -293,7 +259,11 @@ def build_scenario(cfg: dict) -> Scenario:
     if platform is None:
         problems.append("platform: required when the suite is not a built-in name")
 
-    duration = _number("", cfg, "duration", problems, required=True)
+    duration = None
+    if "duration" not in cfg:
+        problems.append("duration: missing required key")
+    else:
+        duration = _number("duration", cfg["duration"], problems)
     if duration is not None and duration <= 0:
         problems.append(f"duration: must be > 0, got {duration}")
 
