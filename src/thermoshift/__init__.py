@@ -67,7 +67,6 @@ from .thermal import (
     calibrate_profile,
     equilibrium_temp,
     governor_step,
-    thermal_step,
 )
 from .workload import (
     ModelVariant,

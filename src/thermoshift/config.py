@@ -87,8 +87,13 @@ def _window(key, value, problems):
     return None if None in ends else (float(ends[0]), float(ends[1]))
 
 
+def _optional_number(key, value, problems):
+    # null is the dataclass default of a float | None field
+    return None if value is None else _number(key, value, problems)
+
+
 _CHECKS = {
-    float: _number, float | None: _number, GovernorKind: _governor,
+    float: _number, float | None: _optional_number, GovernorKind: _governor,
     bool: _instance(bool, "a boolean"), str: _instance(str, "a string"),
     tuple[float, float]: _window,
 }
@@ -163,7 +168,7 @@ def _device(data, platform, problems):
             return None
     if modes[0] == "profile":
         return _section("device.profile", data["profile"], DeviceProfile, problems)
-    # Gated: calibrating is the slow step of a load; skip it once the config fails.
+    # Gated: a config that already failed is not calibrated.
     return _section("device.calibration", data["calibration"], CalibrationTargets, problems,
                     gated=True, then=lambda targets: calibrate_profile(targets).profile)
 

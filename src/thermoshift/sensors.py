@@ -13,7 +13,7 @@ import time
 from .controller import ControllerConfig, Decision, ShiftController, TemperatureSample
 from .errors import LiveRunError, SampleError, SensorReadError, SourceExhausted
 from .harness import Trace, TraceRecord, pick_event, parse_trace
-from .thermal import DeviceProfile, DeviceState, thermal_step
+from .thermal import DeviceProfile, DeviceState, HeatSource, advance
 
 DEFAULT_MAX_CONSECUTIVE_ERRORS = 5
 
@@ -66,19 +66,27 @@ class ReplaySource:
 
 
 class SimulatedSource:
-    """Advances a thermal model by a fixed interval per read."""
+    """Advances a thermal model by a fixed interval per read.
+
+    Each read is one ``advance`` at constant power, so it is exact: the
+    temperature relaxes toward ``ambient + power / dissipation`` with time
+    constant ``heat_capacity / dissipation``. The profile's governor still
+    runs on ``state`` but cannot change the power.
+    """
 
     def __init__(self, profile: DeviceProfile, power: float, dt: float, start_temp=None):
+        if power < 0:
+            raise ValueError(f"power must be >= 0, got {power}")
         self.profile = profile
-        self.power = power
         self.dt = dt
+        self.heat = HeatSource(profile, lambda freq: power)
         self.state = DeviceState(
             temp=profile.ambient_temp if start_temp is None else start_temp,
             freq=profile.f_nominal,
         )
 
     def read_now(self) -> TemperatureSample:
-        thermal_step(self.state, self.profile, self.power, self.dt)
+        advance(self.state, self.profile, self.heat, self.dt)
         return TemperatureSample(time_s=self.state.sim_time, celsius=self.state.temp)
 
 

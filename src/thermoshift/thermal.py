@@ -9,10 +9,13 @@ is linear in T, so the temperature relaxes exponentially and the time to
 the next governor threshold is one logarithm. The constants of each band
 (rates, equilibria, band edges) depend only on the profile and the power
 curve, so a ``HeatSource`` solves them once per run and ``advance`` reads
-them from it on every call. ``thermal_step`` (constant power, no
-governor) keeps explicit Euler sub-steps capped at 0.1 s; stability needs
-dt < 2*C/k, and calibrated profiles keep the cap at least an order of
-magnitude below that.
+them from it on every call. ``advance`` is the only integrator the
+package runs; the constant-power Euler stepper further down is kept as
+public API only (see its docstring).
+
+Calibration needs no simulation for the heat capacity: below the trip
+point the model is linear, so the time the large model takes to reach
+the trip point from ambient has a closed form.
 
 Two governor styles are modeled:
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CalibrationError, ProfileError, non_finite_fields
 
@@ -87,7 +90,13 @@ class DeviceState:
 
 
 def thermal_step(state: DeviceState, profile: DeviceProfile, power: float, dt: float) -> DeviceState:
-    """Advance the temperature by dt seconds at constant input power."""
+    """Advance the temperature by dt seconds at constant input power.
+
+    Explicit Euler, sub-steps of at most ``MAX_SUBSTEP_S``; stable while a
+    sub-step stays under 2*C/k. Nothing in the package calls it: it stays
+    because tests pin it and the benchmark wraps it by name in this
+    module. ``advance`` is exact and runs the governor too.
+    """
     _check_dt(dt)
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
@@ -313,54 +322,28 @@ class CalibrationResult:
     latency_rise: float | None = None
 
 
-def _simulate_crossing(capacity, targets, power, limit_s):
-    """Seconds for constant power to push the temperature up to the trip point."""
-    profile = DeviceProfile(
-        heat_capacity=capacity,
-        dissipation=targets.dissipation,
-        ambient_temp=targets.ambient,
-        f_nominal=targets.f_nominal,
-        f_throttled=targets.f_throttled,
-        t_throttle=targets.trip_temp,
-        t_resume=targets.trip_temp - 5.0,
-        governor=GovernorKind.PHONE_DROP,
-    )
-    state = DeviceState(temp=targets.ambient, freq=targets.f_nominal)
-    step = 0.5
-    while state.sim_time < limit_s:
-        thermal_step(state, profile, power, step)
-        if state.temp >= targets.trip_temp:
-            return state.sim_time
-    return None
-
-
-def _simulate_pin(targets, capacity, pin_gain, large_power):
-    """Run the pi-pin governor to equilibrium; returns (temp, freq) there."""
-    profile = DeviceProfile(
-        heat_capacity=capacity,
-        dissipation=targets.dissipation,
-        ambient_temp=targets.ambient,
-        f_nominal=targets.f_nominal,
-        f_throttled=targets.f_throttled,
-        t_throttle=targets.trip_temp,
-        t_resume=targets.trip_temp - 5.0,
-        governor=GovernorKind.PI_PIN,
-        pin_gain=pin_gain,
-    )
-    state = DeviceState(temp=targets.ambient, freq=targets.f_nominal)
-    horizon = 10.0 * capacity / targets.dissipation
-    advance(state, profile, lambda f: large_power * f / targets.f_nominal, horizon)
+def _settle(profile, large_power):
+    """(temp, freq) after ten time constants of the large model on a
+    pi-pin profile, its power scaling with frequency."""
+    state = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
+    advance(state, profile, lambda f: large_power * f / profile.f_nominal,
+            10.0 * profile.heat_capacity / profile.dissipation)
     return state.temp, state.freq
 
 
 def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     """Solve device constants so the simulated device matches the targets.
 
-    The heat capacity is found by bisection on the simulated
-    time-to-throttle of the large model; the pi-pin gain, when relevant,
-    by bisection on the simulated equilibrium latency rise. Raises
-    CalibrationError for infeasible targets (small model unable to cool
-    the device, small power above large power, unreachable window).
+    The heat capacity is solved in closed form. Below the trip point the
+    large model heats the device toward its equilibrium T_eq with time
+    constant C/k, so it reaches the trip point from ambient after
+    (C/k) * ln((T_eq - T_amb) / (T_eq - T_trip)) seconds; setting that to
+    ``time_to_throttle`` gives C. The pi-pin gain, when relevant, is found
+    by bisection on the equilibrium latency rise, each probe one
+    ``advance`` run. Raises CalibrationError for infeasible targets (small
+    model unable to cool the device, small power above large power, a
+    time to throttle that is not positive or outside its window, a trip
+    point the large model cannot cross or ambient already reaches).
     """
     k = targets.dissipation
     amb = targets.ambient
@@ -404,6 +387,8 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
             f"small-model equilibrium {small_eq} C must sit at least "
             f"2 C below the shift threshold {targets.temp_threshold} C"
         )
+    if targets.time_to_throttle <= 0:
+        raise CalibrationError(f"time_to_throttle must be > 0 s, got {targets.time_to_throttle}")
     lo_t, hi_t = targets.time_window
     if not (lo_t <= targets.time_to_throttle <= hi_t):
         raise CalibrationError(
@@ -413,51 +398,14 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         raise CalibrationError(
             f"large-model equilibrium {eq_large:.1f} C cannot cross trip {targets.trip_temp} C"
         )
-
-    # Bisect heat capacity: crossing time grows monotonically with it.
-    lo, hi = 0.5, 2.0e5
-    limit = 20.0 * hi_t
-    if _simulate_crossing(lo, targets, large_power, limit) is None:
-        raise CalibrationError("trip point unreachable even with minimal heat capacity")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        crossed = _simulate_crossing(mid, targets, large_power, limit)
-        if crossed is None or crossed > targets.time_to_throttle:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-3:
-            break
-    capacity = 0.5 * (lo + hi)
-    achieved = _simulate_crossing(capacity, targets, large_power, limit)
-    if achieved is None or not (lo_t <= achieved <= hi_t):
+    if amb >= targets.trip_temp:
         raise CalibrationError(
-            f"calibrated crossing time {achieved} s outside window {targets.time_window}"
+            f"ambient {amb} C must sit below the trip point {targets.trip_temp} C"
         )
 
-    pin_gain = 0.0
-    pinned_temp = None
-    rise = None
-    if targets.governor is GovernorKind.PI_PIN:
-        # More gain sheds more frequency per degree, so the equilibrium
-        # latency rise grows monotonically with it.
-        glo, ghi = 1e-4, 50.0
-        for _ in range(60):
-            gmid = 0.5 * (glo + ghi)
-            _, freq = _simulate_pin(targets, capacity, gmid, large_power)
-            if targets.f_nominal / freq - 1.0 > targets.latency_rise:
-                ghi = gmid
-            else:
-                glo = gmid
-        pin_gain = 0.5 * (glo + ghi)
-        pinned_temp, freq = _simulate_pin(targets, capacity, pin_gain, large_power)
-        rise = targets.f_nominal / freq - 1.0
-        if abs(pinned_temp - targets.trip_temp) > 1.0:
-            raise CalibrationError(
-                f"pinned equilibrium {pinned_temp:.2f} C is more than 1 C from trip "
-                f"{targets.trip_temp} C; reduce the latency-rise target"
-            )
-
+    crossing_log = math.log((eq_large - amb) / (eq_large - targets.trip_temp))
+    capacity = k * targets.time_to_throttle / crossing_log
+    # A pi-pin device takes its governor once the gain is solved.
     profile = DeviceProfile(
         heat_capacity=capacity,
         dissipation=k,
@@ -466,15 +414,37 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         f_throttled=targets.f_throttled,
         t_throttle=targets.trip_temp,
         t_resume=resume,
-        governor=targets.governor,
-        pin_gain=pin_gain,
-        idle_power=1.0,
     )
+    pinned_temp = None
+    rise = None
+    if targets.governor is GovernorKind.PI_PIN:
+        def pinned(gain):
+            return replace(profile, governor=GovernorKind.PI_PIN, pin_gain=gain)
+
+        # More gain sheds more frequency per degree, so the equilibrium
+        # latency rise grows monotonically with it.
+        glo, ghi = 1e-4, 50.0
+        for _ in range(60):
+            gmid = 0.5 * (glo + ghi)
+            _, freq = _settle(pinned(gmid), large_power)
+            if targets.f_nominal / freq - 1.0 > targets.latency_rise:
+                ghi = gmid
+            else:
+                glo = gmid
+        profile = pinned(0.5 * (glo + ghi))
+        pinned_temp, freq = _settle(profile, large_power)
+        rise = targets.f_nominal / freq - 1.0
+        if abs(pinned_temp - targets.trip_temp) > 1.0:
+            raise CalibrationError(
+                f"pinned equilibrium {pinned_temp:.2f} C is more than 1 C from trip "
+                f"{targets.trip_temp} C; reduce the latency-rise target"
+            )
+
     return CalibrationResult(
         profile=profile,
         large_power=large_power,
         small_power=small_power,
-        time_to_throttle=achieved,
+        time_to_throttle=targets.time_to_throttle,
         small_equilibrium=small_eq,
         pinned_temp=pinned_temp,
         latency_rise=rise,

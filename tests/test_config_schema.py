@@ -19,7 +19,7 @@ from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_scenario
 from thermoshift.errors import ConfigFileError
 from thermoshift.suites import PHONE_PROFILE, PROFILES, SUITES
-from thermoshift.thermal import CalibrationTargets, GovernorKind
+from thermoshift.thermal import CalibrationTargets, GovernorKind, calibrate_profile
 
 SUITE = "slimmable-resnet50-phone"
 BIG = {"name": "big", "base_latency": 0.4, "power_nominal": 7.0, "accuracy": 0.8}
@@ -98,6 +98,26 @@ class TestRoundTrip:
         monkeypatch.setattr(config, "calibrate_profile", calibrate)
         build_scenario(base(device={"calibration": as_json(targets)}))
         assert seen == [targets]
+
+    def test_calibration_nulls_are_the_defaults(self, monkeypatch, tmp_path):
+        # asdict keeps the None of the float | None fields: they load as JSON null.
+        data = json.loads(json.dumps(asdict(CalibrationTargets()),
+                                     default=lambda member: member.value))
+        assert [key for key, value in data.items() if value is None] == [
+            "resume_temp", "large_power", "small_power"]
+        seen = []
+
+        def calibrate(built):
+            seen.append(built)
+            return calibrate_profile(built)
+
+        monkeypatch.setattr(config, "calibrate_profile", calibrate)
+        path = tmp_path / "nulls.json"
+        path.write_text(json.dumps(base(device={"calibration": data})))
+        assert '"large_power": null' in path.read_text()
+        with_nulls = load_scenario(str(path)).profile
+        assert seen == [CalibrationTargets()]
+        assert with_nulls == build_scenario(base(device={"calibration": {}})).profile
 
 
 # Each row is a config and its exact problem list. Where a row differs

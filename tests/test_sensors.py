@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -24,7 +25,7 @@ from thermoshift.sensors import (
     live_run,
     read_sysfs_temp,
 )
-from thermoshift.suites import PHONE_PROFILE
+from thermoshift.suites import PHONE_PROFILE, PI_PROFILE, get_suite
 
 NOSLEEP = lambda s: None
 
@@ -93,6 +94,21 @@ class TestSimulatedSource:
         assert temps[0] > PHONE_PROFILE.ambient_temp
         assert temps[-1] == pytest.approx(22.0 + 6.0 / 0.12, abs=2.0)
         assert all(a <= b + 1e-9 for a, b in zip(temps, temps[1:]))
+
+    @pytest.mark.parametrize("platform_profile, suite", [
+        (PHONE_PROFILE, "slimmable-resnet50-phone"), (PI_PROFILE, "slimmable-resnet50-pi")])
+    def test_matches_closed_form(self, platform_profile, suite):
+        power = get_suite(suite).large.power_nominal
+        src = SimulatedSource(platform_profile, power, dt=1.0)
+        k, c = platform_profile.dissipation, platform_profile.heat_capacity
+        for _ in range(1200):
+            s = src.read_now()
+            exact = platform_profile.ambient_temp + power / k * (1.0 - math.exp(-k * s.time_s / c))
+            assert s.celsius == pytest.approx(exact, abs=1e-9)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="power must be >= 0"):
+            SimulatedSource(PHONE_PROFILE, power=-1.0, dt=1.0)
 
 
 class TestLiveRun:

@@ -251,6 +251,49 @@ class TestCalibration:
         assert 0.02 <= result.latency_rise <= 0.10
 
 
+PI_PIN_TARGETS = CalibrationTargets(
+    governor=GovernorKind.PI_PIN, trip_temp=78.0, time_to_throttle=600.0,
+    small_equilibrium=60.0, f_nominal=1.5, f_throttled=0.6, dissipation=0.10)
+
+
+class TestClosedFormCapacity:
+    """The solved heat capacity puts the large model's crossing exactly on
+    ``time_to_throttle``, measured by ``advance``."""
+
+    @staticmethod
+    def heated(result, seconds):
+        p = result.profile
+        state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
+        advance(state, p, lambda f: result.large_power * f / p.f_nominal, seconds)
+        return state
+
+    @pytest.mark.parametrize("targets", [
+        CalibrationTargets(),
+        PI_PIN_TARGETS,
+        CalibrationTargets(large_power=8.0, small_power=5.0),
+        CalibrationTargets(time_to_throttle=1.0, time_window=(0.0, 900.0)),
+    ], ids=["phone-drop-defaults", "pi-pin", "explicit-large-power", "one-second"])
+    def test_trip_reached_at_target(self, targets):
+        result = calibrate_profile(targets)
+        t = targets.time_to_throttle
+        assert result.time_to_throttle == t
+        assert self.heated(result, t).temp == pytest.approx(targets.trip_temp, rel=1e-9)
+        early = self.heated(result, t * (1.0 - 1e-9))
+        assert early.temp < targets.trip_temp and not early.throttled
+        assert self.heated(result, t * (1.0 + 1e-9)).throttled
+
+    @pytest.mark.parametrize("t", [0.0, -5.0])
+    def test_non_positive_time_rejected_by_name(self, t):
+        with pytest.raises(CalibrationError, match=r"time_to_throttle must be > 0"):
+            calibrate_profile(CalibrationTargets(time_to_throttle=t, time_window=(-10.0, 900.0)))
+
+    def test_ambient_at_trip_rejected(self):
+        targets = CalibrationTargets(ambient=77.0, large_power=8.0, small_power=-2.0,
+                                     governor=GovernorKind.PI_PIN)
+        with pytest.raises(CalibrationError, match="ambient 77.0 C must sit below"):
+            calibrate_profile(targets)
+
+
 class TestExactAdvance:
     """``advance`` follows the closed-form solution on every governor band."""
 
