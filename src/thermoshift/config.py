@@ -1,10 +1,10 @@
 """Scenario config files: JSON schema, strict validation, scenario build.
 
-Unknown keys are rejected and every offending key is reported in one
-pass. Units are fixed per field (seconds, watts, GHz, degrees C), and
-the loaded scenario is fully deterministic given its seed. The keys and
-value types of the variant, profile, calibration, controller and pacing
-objects are the fields of their dataclasses.
+Unknown keys are rejected and every offending key, in every section, is
+reported in one pass. Units are fixed per field (seconds, watts, GHz,
+degrees C), and the loaded scenario is fully deterministic given its
+seed. The keys and value types of the variant, profile, calibration,
+controller and pacing objects are the fields of their dataclasses.
 
 Schema sketch::
 
@@ -112,16 +112,15 @@ _SCHEMAS = {cls: _schema(cls) for cls in (
     ModelVariant, DeviceProfile, CalibrationTargets, ControllerConfig, PacingPolicy)}
 
 
-def _section(section, data, cls, problems, required=(), gated=False, then=None):
+def _section(section, data, cls, problems, required=(), then=None):
     """Check the config object ``data`` against the fields of ``cls`` and build one.
 
     Reports unknown keys, then in field order every bad value and every
     missing required key (a field without a default, or one named in
-    ``required``). ``cls`` is built, and passed to ``then`` if given, only
-    if none of its values was bad or missing and, when ``gated``, only if
-    no problem at all has been reported yet; a ThermoshiftError raised
-    there becomes ``"<section>: <message>"``. Returns None if nothing was
-    built.
+    ``required``). ``cls`` is built, and passed to ``then`` if given,
+    whenever none of its own values was bad or missing, whatever other
+    sections reported; a ThermoshiftError raised there becomes
+    ``"<section>: <message>"``. Returns None if nothing was built.
     """
     if not isinstance(data, dict):
         problems.append(f"{section}: expected an object")
@@ -135,7 +134,7 @@ def _section(section, data, cls, problems, required=(), gated=False, then=None):
             kwargs[key] = check(f"{section}.{key}", data[key], problems)
         elif needed or key in required:
             problems.append(f"{section}.{key}: missing required key")
-    if len(problems) > clean or (gated and problems):
+    if len(problems) > clean:
         return None
     try:
         built = cls(**kwargs)
@@ -168,9 +167,8 @@ def _device(data, platform, problems):
             return None
     if modes[0] == "profile":
         return _section("device.profile", data["profile"], DeviceProfile, problems)
-    # Gated: a config that already failed is not calibrated.
     return _section("device.calibration", data["calibration"], CalibrationTargets, problems,
-                    gated=True, then=lambda targets: calibrate_profile(targets).profile)
+                    then=lambda targets: calibrate_profile(targets).profile)
 
 
 def _controller(data, suite_default, problems):
@@ -185,25 +183,26 @@ def _controller(data, suite_default, problems):
         return None
     # The dataclass defaults the thresholds; a config file must set them.
     return _section("controller", data, ControllerConfig, problems,
-                    required=("temp_threshold", "grad_threshold"), gated=True)
+                    required=("temp_threshold", "grad_threshold"))
 
 
-def _pacing(data, large, suite_default, multiplier_default, problems):
+def _pacing(data, large, default, problems):
     if data is None:
-        return suite_default if suite_default is not None else PacingPolicy()
+        return default
     if not isinstance(data, dict):
         problems.append("pacing: expected an object")
         return None
     _check_keys("pacing", data, _SCHEMAS[PacingPolicy], problems)
+    clean = len(problems)
     multiplier = _number("pacing.latency_multiplier",
-                         data.get("latency_multiplier", multiplier_default), problems)
+                         data.get("latency_multiplier", default.latency_multiplier), problems)
     target = data.get("target_period")
     if target == "large":
         target = None if None in (large, multiplier) else large.base_latency * multiplier
     elif target is not None:
         target = _number("pacing.target_period", target, problems,
                          expected='a number, "large", or null')
-    if problems:
+    if len(problems) > clean:
         return None
     try:
         return PacingPolicy(target_period=target, latency_multiplier=multiplier)
@@ -281,14 +280,10 @@ def build_scenario(cfg: dict) -> Scenario:
         if key in cfg and not isinstance(cfg[key], bool):
             problems.append(f"{key}: expected a boolean")
 
-    profile = None
-    if platform is not None:
-        profile = _device(cfg.get("device"), platform, problems)
+    profile = _device(cfg.get("device"), platform, problems)
     controller = _controller(cfg.get("controller"),
                              suite.controller if suite else None, problems)
-    pacing = _pacing(cfg.get("pacing"), large,
-                     suite.pacing if suite else None,
-                     suite.pacing.latency_multiplier if suite else 1.0,
+    pacing = _pacing(cfg.get("pacing"), large, suite.pacing if suite else PacingPolicy(),
                      problems)
 
     if problems:

@@ -340,13 +340,17 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     (C/k) * ln((T_eq - T_amb) / (T_eq - T_trip)) seconds; setting that to
     ``time_to_throttle`` gives C. The pi-pin gain, when relevant, is found
     by bisection on the equilibrium latency rise, each probe one
-    ``advance`` run. Raises CalibrationError for infeasible targets (small
-    model unable to cool the device, small power above large power, a
-    time to throttle that is not positive or outside its window, a trip
-    point the large model cannot cross or ambient already reaches).
+    ``advance`` run. Raises CalibrationError for infeasible targets (a
+    dissipation that is not positive, small model unable to cool the
+    device, small power above large power or below zero, a time to
+    throttle that is not positive, outside its window or too short or
+    long for a heat capacity in (0, inf), a trip point the large model
+    cannot cross or ambient already reaches).
     """
     k = targets.dissipation
     amb = targets.ambient
+    if k <= 0:
+        raise CalibrationError(f"dissipation must be > 0 W/C, got {k}")
 
     resume = targets.resume_temp if targets.resume_temp is not None else targets.trip_temp - 5.0
     if targets.large_power is not None:
@@ -402,9 +406,23 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         raise CalibrationError(
             f"ambient {amb} C must sit below the trip point {targets.trip_temp} C"
         )
+    if small_power < 0:
+        if targets.small_power is not None:
+            raise CalibrationError(f"small_power must be >= 0 W, got {small_power}")
+        raise CalibrationError(
+            f"small_equilibrium {small_eq} C is below ambient {amb} C, "
+            f"so the small model would draw {small_power:.2f} W"
+        )
 
     crossing_log = math.log((eq_large - amb) / (eq_large - targets.trip_temp))
-    capacity = k * targets.time_to_throttle / crossing_log
+    # A log that rounds to 0 (a large-model equilibrium far above the trip
+    # point) means an unbounded capacity.
+    capacity = k * targets.time_to_throttle / crossing_log if crossing_log else math.inf
+    if not 0.0 < capacity < math.inf:
+        raise CalibrationError(
+            f"time_to_throttle {targets.time_to_throttle} s gives a heat capacity of "
+            f"{capacity} J/C, outside (0, inf)"
+        )
     # A pi-pin device takes its governor once the gain is solved.
     profile = DeviceProfile(
         heat_capacity=capacity,

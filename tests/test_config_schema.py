@@ -216,9 +216,12 @@ EXACT_PROBLEMS = [
       "device.calibration.large_power: expected a number, got False"]),
     ("calibration-unknown-key", base(device={"calibration": {"trip": 77}}),
      ["device.calibration.trip: unknown key"]),
+    # Each section is checked on its own values, so an earlier problem
+    # hides no later one.
     ("calibration-after-a-problem",
      base(zeta=1, device={"calibration": {"large_power": 5.0, "small_power": 6.0}}),
-     ["zeta: unknown key"]),
+     ["zeta: unknown key",
+      "device.calibration: small-model power 6.00 W is not below large-model power 5.00 W"]),
     ("calibration-infeasible", base(device={"calibration": {"large_power": 5.0,
                                                            "small_power": 6.0}}),
      ["device.calibration: small-model power 6.00 W is not below large-model power 5.00 W"]),
@@ -240,7 +243,8 @@ EXACT_PROBLEMS = [
     ("controller-after-a-problem",
      base(duration=0, controller={"temp_threshold": 73, "grad_threshold": -0.07,
                                   "temp_smoothing": 1.5}),
-     ["duration: must be > 0, got 0"]),
+     ["duration: must be > 0, got 0",
+      "controller: temp_smoothing must be in (0, 1), got 1.5"]),
     ("pacing-not-an-object", base(pacing=[1]), ["pacing: expected an object"]),
     ("pacing-target", base(pacing={"target_period": "small", "gap": 1}),
      ["pacing.gap: unknown key",
@@ -249,6 +253,22 @@ EXACT_PROBLEMS = [
      ["pacing: latency_multiplier must be >= 1, got 0.5"]),
     ("pacing-multiplier-string", base(pacing={"latency_multiplier": "2"}),
      ["pacing.latency_multiplier: expected a number, got '2'"]),
+    ("pacing-after-a-problem", base(duration=0, pacing={"latency_multiplier": 0.5}),
+     ["duration: must be > 0, got 0", "pacing: latency_multiplier must be >= 1, got 0.5"]),
+    # The platform picks only the default profile; a given one is checked.
+    ("profile-without-platform",
+     {"suite": {"large": BIG, "small": LITTLE}, "duration": 900,
+      "device": {"profile": {**PROFILE, "f_throttled": 3.0}}},
+     ["platform: required when the suite is not a built-in name",
+      "device.profile: need 0 < f_throttled < f_nominal, got 3.0 / 2.0"]),
+    ("every-section-bad",
+     base(duration=0, device={"calibration": {"dissipation": 0, "large_power": 5}},
+          controller={"temp_threshold": 73, "grad_threshold": -0.07, "temp_smoothing": 1.5},
+          pacing={"latency_multiplier": 0.5}),
+     ["duration: must be > 0, got 0",
+      "device.calibration: dissipation must be > 0 W/C, got 0",
+      "controller: temp_smoothing must be in (0, 1), got 1.5",
+      "pacing: latency_multiplier must be >= 1, got 0.5"]),
 ]
 
 

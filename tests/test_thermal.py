@@ -236,6 +236,30 @@ class TestCalibration:
         result = calibrate_profile(CalibrationTargets(large_power=8.0, small_power=5.0))
         assert result.small_equilibrium == pytest.approx(22.0 + 5.0 / 0.12)
 
+    @pytest.mark.parametrize("dissipation, powers", [
+        (0.0, {"large_power": 5.0}), (0.0, {"small_power": 5.0}), (0.0, {}), (-0.1, {}),
+    ], ids=["zero-with-large-power", "zero-with-small-power", "zero", "negative"])
+    def test_non_positive_dissipation_rejected_by_name(self, dissipation, powers):
+        with pytest.raises(CalibrationError,
+                           match=rf"^dissipation must be > 0 W/C, got {dissipation}$"):
+            calibrate_profile(CalibrationTargets(dissipation=dissipation, **powers))
+
+    def test_negative_small_power_rejected_by_name(self):
+        with pytest.raises(CalibrationError, match=r"^small_power must be >= 0 W, got -3.0$"):
+            calibrate_profile(CalibrationTargets(small_power=-3.0))
+
+    def test_small_equilibrium_below_ambient_rejected_by_name(self):
+        with pytest.raises(CalibrationError,
+                           match=r"^small_equilibrium 10.0 C is below ambient 22.0 C, "
+                                 r"so the small model would draw -1.44 W$"):
+            calibrate_profile(CalibrationTargets(small_equilibrium=10.0))
+
+    @pytest.mark.parametrize("targets", [
+        CalibrationTargets(small_power=0.0), CalibrationTargets(small_equilibrium=22.0),
+    ], ids=["small-power", "small-equilibrium-at-ambient"])
+    def test_zero_small_power_accepted(self, targets):
+        assert calibrate_profile(targets).small_power == 0.0
+
     def test_time_target_outside_window_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_profile(CalibrationTargets(time_to_throttle=1200.0))
@@ -286,6 +310,16 @@ class TestClosedFormCapacity:
     def test_non_positive_time_rejected_by_name(self, t):
         with pytest.raises(CalibrationError, match=r"time_to_throttle must be > 0"):
             calibrate_profile(CalibrationTargets(time_to_throttle=t, time_window=(-10.0, 900.0)))
+
+    @pytest.mark.parametrize("targets", [
+        CalibrationTargets(time_to_throttle=5e-324, time_window=(0.0, 900.0)),
+        CalibrationTargets(large_power=1e302),
+    ], ids=["underflow-to-zero", "log-rounds-to-zero"])
+    def test_capacity_outside_range_rejected_by_name(self, targets):
+        with pytest.raises(CalibrationError,
+                           match=r"^time_to_throttle \S+ s gives a heat capacity of "
+                                 r"(0\.0|inf) J/C, outside \(0, inf\)$"):
+            calibrate_profile(targets)
 
     def test_ambient_at_trip_rejected(self):
         targets = CalibrationTargets(ambient=77.0, large_power=8.0, small_power=-2.0,
