@@ -5,6 +5,14 @@ injected idle time, the logging stall, a temperature reading, the shift
 decision, and (on a shift) the model-load stall. The thermal model is
 solved exactly with the governor acting continuously, so throttling can
 land mid-iteration.
+
+``run_scenario`` reads everything that is fixed for a run once, before
+its loop: the scenario's fields, one ``thermal.HeatSource`` per power
+curve (its band constants and the profile's governor rule), each
+variant's ``(compute, idle)`` at the two fixed frequency levels, and the
+logging draw's mean, std and bound ``rng.gauss``. Each row then does only
+the work that varies: the ``advance`` calls, the draws, the controller's
+``observe`` and the record.
 """
 
 from __future__ import annotations
@@ -24,11 +32,12 @@ from .thermal import (
     advance,
 )
 from .workload import (
+    LOGGING_OVERHEAD,
     ModelVariant,
     PacingPolicy,
     Platform,
     iteration_time,
-    logging_overhead,
+    logging_overhead,  # noqa: F401 -- unused here; perfbench wraps harness.logging_overhead
     power_draw,
     shift_overhead,
 )
@@ -216,63 +225,92 @@ def run_scenario(scenario: Scenario) -> Trace:
 
     Deterministic: the only randomness (logging and model-load stalls)
     comes from a generator seeded with scenario.seed.
+
+    Everything that does not change from row to row is read once per run:
+    the scenario's fields, a ``HeatSource`` per power curve (band
+    constants and governor rule), each variant's ``(compute, idle)`` at
+    ``f_nominal`` and ``f_throttled``, the platform's logging mean and
+    std with the bound ``rng.gauss``, and the controller's bound
+    ``observe``. ``iteration_time`` is called only at any other
+    frequency (pi-pin's continuous sag); those values are not kept.
     """
     scenario.validate()
     profile = scenario.profile
+    duration, pacing, weight_shared = scenario.duration, scenario.pacing, scenario.weight_shared
+    large, small = scenario.large, scenario.small
     rng = random.Random(scenario.seed)
+    gauss = rng.gauss
+    logging_enabled = scenario.logging_enabled
+    if logging_enabled:
+        log_mean, log_std = LOGGING_OVERHEAD[scenario.platform]
     device = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
     controller = ShiftController(scenario.controller) if scenario.controller else None
+    observe = controller.observe if controller else None
     # One heat source per power curve, with its governor bands solved once.
-    large_heat = HeatSource(profile, lambda f: power_draw(scenario.large, f, profile))
-    small_heat = HeatSource(profile, lambda f: power_draw(scenario.small, f, profile))
+    large_heat = HeatSource(profile, lambda f: power_draw(large, f, profile))
+    small_heat = HeatSource(profile, lambda f: power_draw(small, f, profile))
     idle_heat = HeatSource(profile, lambda f: profile.idle_power)
-    variant, heat = scenario.large, large_heat
+    levels = (profile.f_nominal, profile.f_throttled)
+    large_times = {f: iteration_time(large, f, profile, pacing) for f in levels}
+    small_times = {f: iteration_time(small, f, profile, pacing) for f in levels}
+    variant, heat, times = large, large_heat, large_times
+    mode = Mode.LARGE
+    stay, to_small = Decision.STAY, Decision.SHIFT_TO_SMALL
     trace = Trace()
+    append = trace.records.append
     carried_events: list[str] = []  # governor events raised after the previous row was sampled
 
-    while device.sim_time < scenario.duration:
-        compute, idle = iteration_time(variant, device.freq, profile, scenario.pacing)
-        events = carried_events
-        carried_events = []
+    while device.sim_time < duration:
+        freq = device.freq
+        compute, idle = times.get(freq) or iteration_time(variant, freq, profile, pacing)
 
-        events += advance(device, profile, heat, compute)
+        events = advance(device, profile, heat, compute)
+        if carried_events:
+            events[:0] = carried_events
+            carried_events = []
         if idle > 0.0:
             events += advance(device, profile, idle_heat, idle)
-        log_dt = logging_overhead(scenario.platform, rng, scenario.logging_enabled)
+        log_dt = gauss(log_mean, log_std) if logging_enabled else 0.0
         if log_dt > 0.0:
             events += advance(device, profile, heat, log_dt)
+        else:
+            log_dt = 0.0  # the draw is clamped at zero
 
         cpu_temp = device.temp
         freq_now = device.freq
         avg = grad = None
-        decision = Decision.STAY
-        if controller is not None:
-            decision = controller.observe(TemperatureSample(device.sim_time, cpu_temp))
+        decision = stay
+        if observe is not None:
+            decision = observe(TemperatureSample(device.sim_time, cpu_temp))
             avg = controller.last_avg_temp
             grad = controller.last_grad
+            mode = controller.mode
 
         overhead = 0.0
-        if decision is not Decision.STAY:
-            if decision is Decision.SHIFT_TO_SMALL:
-                variant, heat = scenario.small, small_heat
+        if decision is stay:
+            event = pick_event(decision, events) if events else EVENT_NONE
+        else:
+            if decision is to_small:
+                variant, heat, times = small, small_heat, small_times
             else:
-                variant, heat = scenario.large, large_heat
-            overhead = shift_overhead(variant, rng, scenario.weight_shared)
+                variant, heat, times = large, large_heat, large_times
+            overhead = shift_overhead(variant, rng, weight_shared)
             if overhead > 0.0:
                 # Loading the incoming model is compute; events raised here
                 # belong to the next row (this one is already sampled).
-                carried_events += advance(device, profile, heat, overhead)
+                carried_events = advance(device, profile, heat, overhead)
+            event = pick_event(decision, events)
 
-        trace.append(TraceRecord(
+        append(TraceRecord(
             device.sim_time,
             cpu_temp,
             avg,
             grad,
             freq_now,
-            controller.mode if controller else Mode.LARGE,
+            mode,
             compute,
             idle,
-            pick_event(decision, events),
+            event,
             overhead,
             log_dt,
         ))

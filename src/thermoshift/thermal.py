@@ -9,9 +9,12 @@ is linear in T, so the temperature relaxes exponentially and the time to
 the next governor threshold is one logarithm. The constants of each band
 (rates, equilibria, band edges) depend only on the profile and the power
 curve, so a ``HeatSource`` solves them once per run and ``advance`` reads
-them from it on every call. ``advance`` is the only integrator the
-package runs; the constant-power Euler stepper further down is kept as
-public API only (see its docstring).
+them from it on every call. The source also holds the profile's governor
+rule, ``_drop_governor`` or ``_pin_governor``, which ``advance`` calls
+directly; ``governor_step`` is the public entry point to the same two
+rules. ``advance`` is the only integrator the package runs; the
+constant-power Euler stepper further down is kept as public API only
+(see its docstring).
 
 Calibration needs no simulation for the heat capacity: below the trip
 point the model is linear, so the time the large model takes to reach
@@ -97,7 +100,8 @@ def thermal_step(state: DeviceState, profile: DeviceProfile, power: float, dt: f
     because tests pin it and the benchmark wraps it by name in this
     module. ``advance`` is exact and runs the governor too.
     """
-    _check_dt(dt)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
     n = max(1, math.ceil(dt / MAX_SUBSTEP_S))
@@ -114,16 +118,27 @@ def thermal_step(state: DeviceState, profile: DeviceProfile, power: float, dt: f
 def governor_step(state: DeviceState, profile: DeviceProfile) -> str | None:
     """Apply the frequency governor once; returns a throttle event or None."""
     if profile.governor is GovernorKind.PHONE_DROP:
-        if not state.throttled and state.temp >= profile.t_throttle:
-            state.freq = profile.f_throttled
-            state.throttled = True
-            return EVENT_THROTTLE_ON
-        if state.throttled and state.temp <= profile.t_resume:
-            state.freq = profile.f_nominal
-            state.throttled = False
-            return EVENT_THROTTLE_OFF
-        return None
+        return _drop_governor(state, profile)
+    return _pin_governor(state, profile)
 
+
+def _drop_governor(state, profile):
+    """Phone-drop rule: drop to ``f_throttled`` at the trip point, back to
+    ``f_nominal`` at the release point."""
+    if not state.throttled and state.temp >= profile.t_throttle:
+        state.freq = profile.f_throttled
+        state.throttled = True
+        return EVENT_THROTTLE_ON
+    if state.throttled and state.temp <= profile.t_resume:
+        state.freq = profile.f_nominal
+        state.throttled = False
+        return EVENT_THROTTLE_OFF
+    return None
+
+
+def _pin_governor(state, profile):
+    """Pi-pin rule: shed ``pin_gain`` GHz per degree above the trip point,
+    down to the ``f_throttled`` floor."""
     excess = state.temp - profile.t_throttle
     if excess > 0.0:
         freq = profile.f_nominal - profile.pin_gain * excess
@@ -145,23 +160,27 @@ class HeatSource:
     """Input power as a function of frequency, with the governor bands of
     one profile solved once.
 
-    Calling a source returns ``power_of_freq(freq)``. It also holds the
-    constants ``advance`` needs on each band: for phone-drop the
-    relaxation rate and the equilibrium at ``f_nominal`` and at
-    ``f_throttled``; for pi-pin the band edges, rates and equilibria of
-    ``_pin_constants``. Build one per power curve and run, and pass it to
-    every ``advance`` call of that run.
+    Calling a source returns ``power_of_freq(freq)``. It also holds what
+    ``advance`` needs on each band: ``governor``, the profile's governor
+    rule (``_drop_governor`` or ``_pin_governor``, the two rules
+    ``governor_step`` dispatches to), and the band constants. For
+    phone-drop those are the relaxation rate and the equilibrium at
+    ``f_nominal`` and at ``f_throttled``; for pi-pin the band edges, rates
+    and equilibria of ``_pin_constants``. Build one per power curve and
+    run, and pass it to every ``advance`` call of that run.
     """
 
-    __slots__ = ("profile", "power_of_freq", "band", "constants")
+    __slots__ = ("profile", "power_of_freq", "band", "governor", "constants")
 
     def __init__(self, profile, power_of_freq):
         self.profile = profile
         self.power_of_freq = power_of_freq
         if profile.governor is GovernorKind.PHONE_DROP:
-            self.band, self.constants = _drop_band, _drop_constants(profile, power_of_freq)
+            self.band, self.governor = _drop_band, _drop_governor
+            self.constants = _drop_constants(profile, power_of_freq)
         else:
-            self.band, self.constants = _pin_band, _pin_constants(profile, power_of_freq)
+            self.band, self.governor = _pin_band, _pin_governor
+            self.constants = _pin_constants(profile, power_of_freq)
 
     def __call__(self, freq):
         return self.power_of_freq(freq)
@@ -177,15 +196,16 @@ def advance(state, profile, power_of_freq, dt) -> list[str]:
     band constants are solved once per source rather than once per call.
     On each governor band the temperature relaxes in closed form; where
     it reaches the band's threshold it is set to the threshold exactly
-    and ``governor_step`` runs there, so a mid-interval frequency drop
-    also lowers the heat flowing in. The governor runs once more at the
-    end of the interval. Returns the throttle events raised along the
-    way, in order.
+    and the source's governor rule (the one ``governor_step`` picks for
+    this profile) runs there, so a mid-interval frequency drop also
+    lowers the heat flowing in. The rule runs once more at the end of the
+    interval. Returns the throttle events raised along the way, in order.
     """
-    _check_dt(dt)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not isinstance(power_of_freq, HeatSource) or power_of_freq.profile is not profile:
         power_of_freq = HeatSource(profile, power_of_freq)
-    band, consts = power_of_freq.band, power_of_freq.constants
+    band, governor, consts = power_of_freq.band, power_of_freq.governor, power_of_freq.constants
     events = []
     left = dt
     while left > 0.0:
@@ -200,16 +220,11 @@ def advance(state, profile, power_of_freq, dt) -> list[str]:
         else:
             state.temp = edge
             left -= math.log((t_eq - temp) / (t_eq - edge)) / rate
-        event = governor_step(state, profile)
+        event = governor(state, profile)
         if event:
             events.append(event)
     state.sim_time += dt
     return events
-
-
-def _check_dt(dt):
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
 
 
 def _drop_constants(profile, power_of_freq):
@@ -345,7 +360,10 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     device, small power above large power or below zero, a time to
     throttle that is not positive, outside its window or too short or
     long for a heat capacity in (0, inf), a trip point the large model
-    cannot cross or ambient already reaches).
+    cannot cross or ambient already reaches, and, where the phone-drop
+    large-model power is derived from their ratio, an ``f_nominal`` or
+    ``f_throttled`` that is not > 0 or an ``f_throttled`` not below
+    ``f_nominal``).
     """
     k = targets.dissipation
     amb = targets.ambient
@@ -360,6 +378,12 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         # Size the large model's steady state so the post-throttle
         # equilibrium (power scales with frequency) stays inside the
         # hysteresis band: once tripped, the device stays hot and slow.
+        for key in ("f_nominal", "f_throttled"):
+            if not getattr(targets, key) > 0:
+                raise CalibrationError(f"{key} must be > 0 GHz, got {getattr(targets, key)}")
+        if targets.f_throttled >= targets.f_nominal:
+            raise CalibrationError(f"f_throttled {targets.f_throttled} GHz must sit below "
+                                   f"f_nominal {targets.f_nominal} GHz")
         ratio = targets.f_throttled / targets.f_nominal
         eq_large = amb + (resume + targets.sticky_margin - amb) / ratio
         large_power = k * (eq_large - amb)

@@ -1,12 +1,15 @@
 import itertools
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import phone_scenario, pi_scenario
 
 from thermoshift import harness
-from thermoshift.controller import Mode
+from thermoshift.config import build_scenario
+from thermoshift.controller import Decision, Mode, ShiftController, TemperatureSample
 from thermoshift.errors import ScenarioError
 from thermoshift.errors import TraceFormatError
 from thermoshift.harness import (
@@ -17,12 +20,21 @@ from thermoshift.harness import (
     TraceRecord,
     emit_trace,
     parse_trace,
+    pick_event,
     run_scenario,
 )
 from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import SUITE_NAMES, SUITES, default_profile
-from thermoshift.thermal import EVENT_THROTTLE_ON, HeatSource, advance
-from thermoshift.workload import PacingPolicy
+from thermoshift.thermal import EVENT_THROTTLE_ON, DeviceState, HeatSource, advance
+from thermoshift.workload import (
+    LOGGING_OVERHEAD,
+    PacingPolicy,
+    Platform,
+    iteration_time,
+    logging_overhead,
+    power_draw,
+    shift_overhead,
+)
 
 
 class TestScenarioValidation:
@@ -345,3 +357,124 @@ class TestHeatSourcesInRun:
         assert [(source(f_nominal), dt) for source, dt in calls] == expected
         assert any(r.overhead > 0.0 and r.mode is Mode.LARGE for r in trace)
         assert any(r.idle > 0.0 for r in trace)
+
+
+def reference_run(scenario):
+    """The row loop as it stood before per-run lookups: every row calls
+    ``iteration_time`` and ``logging_overhead`` and reads the scenario.
+    Kept as the oracle the lean loop in ``run_scenario`` must equal."""
+    scenario.validate()
+    profile = scenario.profile
+    rng = random.Random(scenario.seed)
+    device = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
+    controller = ShiftController(scenario.controller) if scenario.controller else None
+    # One heat source per power curve, with its governor bands solved once.
+    large_heat = HeatSource(profile, lambda f: power_draw(scenario.large, f, profile))
+    small_heat = HeatSource(profile, lambda f: power_draw(scenario.small, f, profile))
+    idle_heat = HeatSource(profile, lambda f: profile.idle_power)
+    variant, heat = scenario.large, large_heat
+    trace = Trace()
+    carried_events: list[str] = []  # governor events raised after the previous row was sampled
+
+    while device.sim_time < scenario.duration:
+        compute, idle = iteration_time(variant, device.freq, profile, scenario.pacing)
+        events = carried_events
+        carried_events = []
+
+        events += advance(device, profile, heat, compute)
+        if idle > 0.0:
+            events += advance(device, profile, idle_heat, idle)
+        log_dt = logging_overhead(scenario.platform, rng, scenario.logging_enabled)
+        if log_dt > 0.0:
+            events += advance(device, profile, heat, log_dt)
+
+        cpu_temp = device.temp
+        freq_now = device.freq
+        avg = grad = None
+        decision = Decision.STAY
+        if controller is not None:
+            decision = controller.observe(TemperatureSample(device.sim_time, cpu_temp))
+            avg = controller.last_avg_temp
+            grad = controller.last_grad
+
+        overhead = 0.0
+        if decision is not Decision.STAY:
+            if decision is Decision.SHIFT_TO_SMALL:
+                variant, heat = scenario.small, small_heat
+            else:
+                variant, heat = scenario.large, large_heat
+            overhead = shift_overhead(variant, rng, scenario.weight_shared)
+            if overhead > 0.0:
+                # Loading the incoming model is compute; events raised here
+                # belong to the next row (this one is already sampled).
+                carried_events += advance(device, profile, heat, overhead)
+
+        trace.append(TraceRecord(
+            device.sim_time,
+            cpu_temp,
+            avg,
+            grad,
+            freq_now,
+            controller.mode if controller else Mode.LARGE,
+            compute,
+            idle,
+            pick_event(decision, events),
+            overhead,
+            log_dt,
+        ))
+    return trace
+
+
+class TestLeanLoopMatchesReference:
+    """``run_scenario`` gives the reference loop's records bit for bit."""
+
+    @pytest.mark.parametrize("controller", [None, "default"])
+    @pytest.mark.parametrize("seed", [0, 8675309])
+    @pytest.mark.parametrize("suite_name", SUITE_NAMES)
+    def test_suite_hour(self, suite_name, seed, controller):
+        cfg = {"suite": suite_name, "seed": seed, "duration": 3600.0}
+        if controller:
+            cfg["controller"] = controller
+        scenario = build_scenario(cfg)
+        assert run_scenario(scenario).records == reference_run(scenario).records
+
+    @pytest.mark.parametrize("overrides", [
+        {"weight_shared": True}, {"logging_enabled": False}, {"pacing": PacingPolicy()},
+    ], ids=["weight-shared", "no-logging", "no-idle"])
+    def test_scenario_switches(self, overrides):
+        scenario = phone_scenario(duration=1800.0, **overrides)
+        records = run_scenario(scenario).records
+        assert records == reference_run(scenario).records
+        if "pacing" in overrides:
+            assert all(r.idle == 0.0 for r in records)
+
+    def test_events_carried_from_a_load_stall(self, pi_suite):
+        # With the shift trip at the pi-pin trip point, the governor acts
+        # during model-load stalls, and those events go to the next row.
+        controller = replace(pi_suite.controller, temp_threshold=78.0)
+        scenario = pi_scenario(duration=1800.0, controller=controller)
+        assert run_scenario(scenario).records == reference_run(scenario).records
+
+    def test_negative_logging_draws_clamp_to_zero(self, monkeypatch):
+        monkeypatch.setitem(LOGGING_OVERHEAD, Platform.PHONE, (0.0, 0.02))
+        scenario = phone_scenario(duration=600.0)
+        records = run_scenario(scenario).records
+        assert records == reference_run(scenario).records
+        assert any(r.log_time == 0.0 for r in records)
+
+    def test_pi_pin_sag_takes_the_fallback(self):
+        # A throttled pi-pin device runs at frequencies between its two
+        # levels, which the per-run table does not hold.
+        scenario = pi_scenario(duration=3600.0, baseline=True)
+        records = run_scenario(scenario).records
+        assert records == reference_run(scenario).records
+        levels = {scenario.profile.f_nominal, scenario.profile.f_throttled}
+        assert any(r.freq not in levels for r in records)
+
+    def test_emitted_csv_identical(self, tmp_path):
+        scenario = build_scenario({"suite": "slimmable-resnet50-phone", "seed": 0,
+                                   "duration": 3600.0, "controller": "default"})
+        lean, reference = tmp_path / "lean.csv", tmp_path / "reference.csv"
+        emit_trace(run_scenario(scenario), lean)
+        emit_trace(reference_run(scenario), reference)
+        assert lean.read_bytes() == reference.read_bytes()

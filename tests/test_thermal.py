@@ -260,6 +260,16 @@ class TestCalibration:
     def test_zero_small_power_accepted(self, targets):
         assert calibrate_profile(targets).small_power == 0.0
 
+    @pytest.mark.parametrize("key", ["f_nominal", "f_throttled"])
+    def test_zero_frequency_rejected_by_name(self, key):
+        with pytest.raises(CalibrationError, match=rf"^{key} must be > 0 GHz, got 0.0$"):
+            calibrate_profile(CalibrationTargets(**{key: 0.0}))
+
+    def test_throttled_level_not_below_nominal_rejected(self):
+        with pytest.raises(CalibrationError,
+                           match=r"^f_throttled 3.0 GHz must sit below f_nominal 2.86 GHz$"):
+            calibrate_profile(CalibrationTargets(f_throttled=3.0))
+
     def test_time_target_outside_window_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_profile(CalibrationTargets(time_to_throttle=1200.0))
@@ -660,6 +670,37 @@ class TestPinGovernorRule:
             expected = self.clamp_rule(p, temp)
             assert state.freq == expected, temp
             assert state.throttled == (expected < p.f_nominal - 1e-12), temp
+
+
+class TestGovernorEntryPoints:
+    """``governor_step`` and the rule a ``HeatSource`` holds are one governor."""
+
+    PROFILES = {
+        GovernorKind.PHONE_DROP: profile(),
+        GovernorKind.PI_PIN: profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN,
+                                     t_throttle=78.0, t_resume=73.0,
+                                     f_nominal=1.5, f_throttled=0.6, pin_gain=0.14),
+    }
+
+    @pytest.mark.parametrize("kind", list(GovernorKind))
+    def test_same_result_from_both(self, kind):
+        p = self.PROFILES[kind]
+        rule = HeatSource(p, lambda f: 5.0 * f / p.f_nominal).governor
+        floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain if p.pin_gain else None
+        temps = []
+        for edge in (p.t_resume, p.t_throttle, floor):
+            if edge is not None:
+                temps += [edge + d for d in (-1.0, -1e-9, 0.0, 1e-9, 1.0)]
+                temps += [math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        for temp in temps:
+            for throttled in (False, True):
+                freq = p.f_throttled if throttled else p.f_nominal
+                public = DeviceState(temp=temp, freq=freq, throttled=throttled)
+                stored = DeviceState(temp=temp, freq=freq, throttled=throttled)
+                event = governor_step(public, p)
+                assert rule(stored, p) == event, (temp, throttled)
+                assert (stored.temp, stored.freq, stored.throttled) == (
+                    public.temp, public.freq, public.throttled), (temp, throttled)
 
 
 class TestCalibrationTargetsFinite:
