@@ -9,10 +9,10 @@ well defined without pacing.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .controller import Mode
-from .errors import AnalysisError
+from .errors import AnalysisError, write_text
 from .harness import (
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
@@ -37,15 +37,8 @@ class Summary:
     max_temp: float
 
     def to_dict(self):
-        return {
-            "avg_latency": self.avg_latency,
-            "est_accuracy": self.est_accuracy,
-            "n_large": self.n_large,
-            "n_small": self.n_small,
-            "n_shifts": self.n_shifts,
-            "n_throttle_events": self.n_throttle_events,
-            "max_temp": self.max_temp,
-        }
+        """The fields as a dict, in declaration order."""
+        return asdict(self)
 
 
 def summarize(trace: Trace, large: ModelVariant, small: ModelVariant) -> Summary:
@@ -102,7 +95,7 @@ def stable_iteration_accuracy(trace, large, small, n_cycles: int = 2) -> float:
         raise AnalysisError(
             f"need {n_cycles} complete shift cycles, found {complete}"
         )
-    rows = trace.records[starts[0]:starts[n_cycles]]
+    rows = trace[starts[0]:starts[n_cycles]]
     n_large = sum(1 for r in rows if r.mode is Mode.LARGE)
     n_small = len(rows) - n_large
     return (n_large * large.accuracy + n_small * small.accuracy) / len(rows)
@@ -136,8 +129,7 @@ class AblationGrid:
                 v = self.values[gi][ti]
                 cells.append("%.6g" % v if v is not None else "insufficient-cycles")
             lines.append("%.6g," % g + ",".join(cells))
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n", "grid", AnalysisError)
 
     def format_table(self) -> str:
         width = 14

@@ -10,7 +10,7 @@ from dataclasses import replace
 from .analysis import ablation_grid, summarize
 from .config import load_scenario
 from .controller import ControllerConfig
-from .errors import ConfigFileError, ThermoshiftError
+from .errors import ConfigFileError, ThermoshiftError, write_text
 from .harness import emit_trace, parse_trace, run_scenario
 from .plots import emit_plots
 from .sensors import SysfsSource, live_run
@@ -25,9 +25,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _write_summary(summary, path):
-    with open(path, "w") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", "summary")
 
 
 def cmd_run(args) -> int:
@@ -62,8 +60,7 @@ def cmd_ablate(args) -> int:
     grid.to_csv(args.out)
     table = grid.format_table()
     table_path = args.out + ".txt"
-    with open(table_path, "w") as fh:
-        fh.write(table + "\n")
+    write_text(table_path, table + "\n", "table")
     print(table)
     print(f"wrote {args.out} and {table_path}")
     return 0
@@ -144,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sum = sub.add_parser("summarize", help="summarize an existing trace CSV")
     p_sum.add_argument("--trace", required=True)
-    p_sum.add_argument("--suite", required=True,
+    p_sum.add_argument("--suite", required=True, choices=SUITE_NAMES,
                        help="built-in suite name: " + ", ".join(SUITE_NAMES))
     p_sum.set_defaults(func=cmd_summarize)
 

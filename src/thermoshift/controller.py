@@ -8,7 +8,8 @@ second EMA, and a two-state machine drives the shifts:
 * in SMALL mode, a smoothed slope above ``grad_threshold`` (the cooling
   rate has flattened out; thresholds are negative) shifts back to LARGE.
 
-Both filters are cleared on every shift so each phase starts fresh.
+Both filters are cleared on every shift so each phase starts fresh, by
+the same ``reset_filters`` that seeds them at construction.
 """
 
 from __future__ import annotations
@@ -85,34 +86,26 @@ class ShiftController:
     def __init__(self, config: ControllerConfig):
         self.config = config
         self.mode = Mode.LARGE
-        self.grad = 0.0
-        self.samples_since_reset = 0
         # Telemetry: the most recent post-update filter values. These
         # survive the reset that follows a shift so the triggering values
         # can be logged.
         self.last_avg_temp: float | None = None
         self.last_grad: float | None = None
-        self._saw_cooling = False
-        self._last_time: float | None = None
-        if config.literal_init:
-            self.avg_temp: float | None = 0.0
-            self.prev_avg_temp: float | None = 0.0
-        else:
-            self.avg_temp = None
-            self.prev_avg_temp = None
+        self.reset_filters()
 
     def reset_filters(self) -> None:
-        """Clear the smoothing state; the current mode is preserved."""
+        """Clear the smoothing state and restart the warm-up; the mode is kept.
+
+        ``literal_init`` seeds both temperatures with 0, otherwise the next
+        sample seeds them. ``__init__`` calls this too.
+        """
         self.grad = 0.0
         self.samples_since_reset = 0
         self._saw_cooling = False
-        self._last_time = None
-        if self.config.literal_init:
-            self.avg_temp = 0.0
-            self.prev_avg_temp = 0.0
-        else:
-            self.avg_temp = None
-            self.prev_avg_temp = None
+        self._last_time: float | None = None
+        seed = 0.0 if self.config.literal_init else None
+        self.avg_temp: float | None = seed
+        self.prev_avg_temp: float | None = seed
 
     def estimate_derivative(self, new_avg: float, dt: float | None = None) -> float:
         """Fold one smoothed temperature into the slope estimate.
@@ -166,13 +159,11 @@ class ShiftController:
             self.mode = Mode.SMALL
             self.reset_filters()
             return Decision.SHIFT_TO_SMALL
-        if self.mode is Mode.SMALL and self.grad > cfg.grad_threshold and self._warmed_up():
+        # The warm-up guard, which literal_init drops.
+        if (self.mode is Mode.SMALL and self.grad > cfg.grad_threshold
+                and (cfg.literal_init or (self.samples_since_reset >= WARMUP_MIN_SAMPLES
+                                          and self._saw_cooling))):
             self.mode = Mode.LARGE
             self.reset_filters()
             return Decision.SHIFT_TO_LARGE
         return Decision.STAY
-
-    def _warmed_up(self) -> bool:
-        if self.config.literal_init:
-            return True
-        return self.samples_since_reset >= WARMUP_MIN_SAMPLES and self._saw_cooling

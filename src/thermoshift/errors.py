@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the non-finite number check."""
+"""Exception types shared across the package, the non-finite number check and the file writer."""
 
 import math
 
@@ -63,3 +63,12 @@ class ConfigFileError(ThermoshiftError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("invalid config: " + "; ".join(self.problems))
+
+
+def write_text(path, text: str, what: str, error=ThermoshiftError) -> None:
+    """Write ``text`` to ``path``; an OSError becomes ``error`` naming ``what`` and the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise error(f"cannot write {what} to {path}: {exc}") from exc

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .controller import ControllerConfig, Decision, Mode, ShiftController, TemperatureSample
-from .errors import ScenarioError, TraceFormatError, non_finite_fields
+from .errors import ScenarioError, TraceFormatError, non_finite_fields, write_text
 from .thermal import (
     EVENT_THROTTLE_OFF,
     EVENT_THROTTLE_ON,
@@ -43,8 +43,8 @@ from .workload import (
 )
 
 EVENT_NONE = "none"
-EVENT_SHIFT_SMALL = "shift_to_small"
-EVENT_SHIFT_LARGE = "shift_to_large"
+EVENT_SHIFT_SMALL = Decision.SHIFT_TO_SMALL.value
+EVENT_SHIFT_LARGE = Decision.SHIFT_TO_LARGE.value
 
 CSV_HEADER = "sim_time,cpu_temp,avg_temp,grad,freq,mode,inference_latency,idle,event,overhead"
 
@@ -72,26 +72,16 @@ class TraceRecord:
     log_time: float = 0.0  # carried in memory only; not a CSV column
 
 
-class Trace:
+class Trace(list):
     """An ordered list of TraceRecords."""
 
-    def __init__(self, records=None):
-        self.records = list(records) if records else []
-
-    def append(self, record: TraceRecord):
-        self.records.append(record)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, idx):
-        return self.records[idx]
+    @property
+    def records(self):
+        """The trace itself: ``shuffle(trace.records)`` shuffles the trace."""
+        return self
 
     def events(self, kind: str):
-        return [r for r in self.records if r.event == kind]
+        return [r for r in self if r.event == kind]
 
 
 def _row_format(blanks) -> str:
@@ -116,11 +106,7 @@ def emit_trace(trace: Trace, path) -> None:
         # an enum property, a Python-level call on every row.
         lines.append(row_format % (r.sim_time, r.cpu_temp, avg, grad, freq, r.mode._name_,
                                    latency, idle, r.event, r.overhead))
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise TraceFormatError(f"cannot write trace to {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n", "trace", TraceFormatError)
 
 
 _MODES = {mode.name: mode for mode in Mode}
@@ -139,7 +125,7 @@ def parse_trace(path) -> Trace:
     if lines[0] != CSV_HEADER:
         raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
     trace = Trace()
-    append = trace.records.append
+    append = trace.append
     for n, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -209,10 +195,8 @@ class Scenario:
 
 def pick_event(decision: Decision, governor_events) -> str:
     """The row's event: a shift decision wins over governor events."""
-    if decision is Decision.SHIFT_TO_SMALL:
-        return EVENT_SHIFT_SMALL
-    if decision is Decision.SHIFT_TO_LARGE:
-        return EVENT_SHIFT_LARGE
+    if decision is not Decision.STAY:
+        return decision._value_  # the plain attribute behind ``.value``
     if EVENT_THROTTLE_ON in governor_events:
         return EVENT_THROTTLE_ON
     if EVENT_THROTTLE_OFF in governor_events:
@@ -257,7 +241,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     mode = Mode.LARGE
     stay, to_small = Decision.STAY, Decision.SHIFT_TO_SMALL
     trace = Trace()
-    append = trace.records.append
+    append = trace.append
     carried_events: list[str] = []  # governor events raised after the previous row was sampled
 
     while device.sim_time < duration:

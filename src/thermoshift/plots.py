@@ -7,7 +7,7 @@ lines and shift-event markers.
 
 from __future__ import annotations
 
-from .errors import AnalysisError
+from .errors import AnalysisError, write_text
 from .harness import EVENT_SHIFT_LARGE, EVENT_SHIFT_SMALL, Trace
 
 WIDTH = 960
@@ -20,6 +20,7 @@ MARGIN_B = 40
 SERIES_COLORS = ("#1f77b4", "#d62728")
 REF_COLOR = "#777777"
 MARKER_COLOR = "#2ca02c"
+OVERLAY_MARKER_COLOR = "#9467bd"
 
 
 def axis_range(lo: float, hi: float, margin: float = 0.05):
@@ -32,104 +33,88 @@ def axis_range(lo: float, hi: float, margin: float = 0.05):
     return lo - margin * span, hi + margin * span
 
 
-class _Chart:
-    def __init__(self, title, y_label):
-        self.title = title
-        self.y_label = y_label
-        self.series = []   # (label, xs, ys)
-        self.refs = []     # (label, y)
-        self.marks = []    # (x, color)
+def _render(title, y_label, series, refs, marks) -> str:
+    """One SVG chart from ``(label, xs, ys)`` series, ``(label, y)`` horizontal
+    reference lines and ``(x, color)`` vertical event marks."""
+    if not series:
+        raise AnalysisError(f"chart {title!r} has no data")
+    all_x = [x for _, xs, _ in series for x in xs]
+    all_y = [y for _, _, ys in series for y in ys]
+    for _, y in refs:
+        all_y.append(y)
+    x0, x1 = axis_range(min(all_x), max(all_x))
+    y0, y1 = axis_range(min(all_y), max(all_y))
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def add_series(self, label, xs, ys):
-        if xs and ys:
-            self.series.append((label, list(xs), list(ys)))
+    def sx(x):
+        return MARGIN_L + (x - x0) / (x1 - x0) * plot_w
 
-    def add_ref(self, label, y):
-        self.refs.append((label, y))
+    def sy(y):
+        return MARGIN_T + plot_h - (y - y0) / (y1 - y0) * plot_h
 
-    def add_marks(self, xs, color=MARKER_COLOR):
-        self.marks.extend((x, color) for x in xs)
-
-    def render(self) -> str:
-        if not self.series:
-            raise AnalysisError(f"chart {self.title!r} has no data")
-        all_x = [x for _, xs, _ in self.series for x in xs]
-        all_y = [y for _, _, ys in self.series for y in ys]
-        for _, y in self.refs:
-            all_y.append(y)
-        x0, x1 = axis_range(min(all_x), max(all_x))
-        y0, y1 = axis_range(min(all_y), max(all_y))
-        plot_w = WIDTH - MARGIN_L - MARGIN_R
-        plot_h = HEIGHT - MARGIN_T - MARGIN_B
-
-        def sx(x):
-            return MARGIN_L + (x - x0) / (x1 - x0) * plot_w
-
-        def sy(y):
-            return MARGIN_T + plot_h - (y - y0) / (y1 - y0) * plot_h
-
-        out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-            f'<text x="{MARGIN_L}" y="18" font-size="14" font-family="sans-serif">{self.title}</text>',
-            f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-            f'fill="none" stroke="#cccccc"/>',
-        ]
-        # y ticks: bottom, middle, top of the padded range
-        for frac in (0.0, 0.5, 1.0):
-            yv = y0 + frac * (y1 - y0)
-            ypix = sy(yv)
-            out.append(
-                f'<line x1="{MARGIN_L - 4}" y1="{ypix:.2f}" x2="{MARGIN_L}" y2="{ypix:.2f}" stroke="#888888"/>'
-            )
-            out.append(
-                f'<text x="{MARGIN_L - 8}" y="{ypix + 4:.2f}" font-size="11" '
-                f'font-family="sans-serif" text-anchor="end">{yv:.4g}</text>'
-            )
-        for frac in (0.0, 0.5, 1.0):
-            xv = x0 + frac * (x1 - x0)
-            xpix = sx(xv)
-            out.append(
-                f'<text x="{xpix:.2f}" y="{HEIGHT - 18}" font-size="11" '
-                f'font-family="sans-serif" text-anchor="middle">{xv:.5g}</text>'
-            )
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{MARGIN_L}" y="18" font-size="14" font-family="sans-serif">{title}</text>',
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
+        f'fill="none" stroke="#cccccc"/>',
+    ]
+    # y ticks: bottom, middle, top of the padded range
+    for frac in (0.0, 0.5, 1.0):
+        yv = y0 + frac * (y1 - y0)
+        ypix = sy(yv)
         out.append(
-            f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 4}" font-size="12" '
-            f'font-family="sans-serif" text-anchor="middle">time (s)</text>'
+            f'<line x1="{MARGIN_L - 4}" y1="{ypix:.2f}" x2="{MARGIN_L}" y2="{ypix:.2f}" stroke="#888888"/>'
         )
         out.append(
-            f'<text x="14" y="{MARGIN_T + plot_h / 2:.2f}" font-size="12" font-family="sans-serif" '
-            f'text-anchor="middle" transform="rotate(-90 14 {MARGIN_T + plot_h / 2:.2f})">{self.y_label}</text>'
+            f'<text x="{MARGIN_L - 8}" y="{ypix + 4:.2f}" font-size="11" '
+            f'font-family="sans-serif" text-anchor="end">{yv:.4g}</text>'
         )
-        for x, color in self.marks:
-            xpix = sx(x)
-            out.append(
-                f'<line x1="{xpix:.2f}" y1="{MARGIN_T}" x2="{xpix:.2f}" y2="{MARGIN_T + plot_h}" '
-                f'stroke="{color}" stroke-width="0.6" stroke-dasharray="2,3"/>'
-            )
-        for label, y in self.refs:
-            ypix = sy(y)
-            out.append(
-                f'<line x1="{MARGIN_L}" y1="{ypix:.2f}" x2="{MARGIN_L + plot_w}" y2="{ypix:.2f}" '
-                f'stroke="{REF_COLOR}" stroke-dasharray="6,4"/>'
-            )
-            out.append(
-                f'<text x="{MARGIN_L + plot_w - 4}" y="{ypix - 4:.2f}" font-size="11" '
-                f'font-family="sans-serif" text-anchor="end" fill="{REF_COLOR}">{label}</text>'
-            )
-        for i, (label, xs, ys) in enumerate(self.series):
-            color = SERIES_COLORS[i % len(SERIES_COLORS)]
-            points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-            out.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>'
-            )
-            out.append(
-                f'<text x="{MARGIN_L + 8}" y="{MARGIN_T + 16 + 14 * i}" font-size="11" '
-                f'font-family="sans-serif" fill="{color}">{label}</text>'
-            )
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+    for frac in (0.0, 0.5, 1.0):
+        xv = x0 + frac * (x1 - x0)
+        xpix = sx(xv)
+        out.append(
+            f'<text x="{xpix:.2f}" y="{HEIGHT - 18}" font-size="11" '
+            f'font-family="sans-serif" text-anchor="middle">{xv:.5g}</text>'
+        )
+    out.append(
+        f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 4}" font-size="12" '
+        f'font-family="sans-serif" text-anchor="middle">time (s)</text>'
+    )
+    out.append(
+        f'<text x="14" y="{MARGIN_T + plot_h / 2:.2f}" font-size="12" font-family="sans-serif" '
+        f'text-anchor="middle" transform="rotate(-90 14 {MARGIN_T + plot_h / 2:.2f})">{y_label}</text>'
+    )
+    for x, color in marks:
+        xpix = sx(x)
+        out.append(
+            f'<line x1="{xpix:.2f}" y1="{MARGIN_T}" x2="{xpix:.2f}" y2="{MARGIN_T + plot_h}" '
+            f'stroke="{color}" stroke-width="0.6" stroke-dasharray="2,3"/>'
+        )
+    for label, y in refs:
+        ypix = sy(y)
+        out.append(
+            f'<line x1="{MARGIN_L}" y1="{ypix:.2f}" x2="{MARGIN_L + plot_w}" y2="{ypix:.2f}" '
+            f'stroke="{REF_COLOR}" stroke-dasharray="6,4"/>'
+        )
+        out.append(
+            f'<text x="{MARGIN_L + plot_w - 4}" y="{ypix - 4:.2f}" font-size="11" '
+            f'font-family="sans-serif" text-anchor="end" fill="{REF_COLOR}">{label}</text>'
+        )
+    for i, (label, xs, ys) in enumerate(series):
+        color = SERIES_COLORS[i % len(SERIES_COLORS)]
+        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        out.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>'
+        )
+        out.append(
+            f'<text x="{MARGIN_L + 8}" y="{MARGIN_T + 16 + 14 * i}" font-size="11" '
+            f'font-family="sans-serif" fill="{color}">{label}</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 def _column(trace, getter):
@@ -158,32 +143,24 @@ def emit_plots(trace: Trace, path_prefix, overlay: Trace | None = None,
     if len(trace) == 0:
         raise AnalysisError("cannot plot an empty trace")
 
+    temp_refs = [(label, y) for label, y in (("shift threshold", temp_threshold),
+                                             ("throttle trip", trip_temp)) if y is not None]
     charts = [
-        ("temperature", "CPU temperature (C)", lambda r: r.cpu_temp),
-        ("frequency", "CPU frequency (GHz)", lambda r: r.freq),
-        ("latency", "inference latency (s)", lambda r: r.inference_latency),
+        ("temperature", "CPU temperature (C)", lambda r: r.cpu_temp, temp_refs),
+        ("frequency", "CPU frequency (GHz)", lambda r: r.freq, []),
+        ("latency", "inference latency (s)", lambda r: r.inference_latency, []),
     ]
+    runs = [(labels[0], trace)]
+    marks = [(x, MARKER_COLOR) for x in _shift_times(trace)]
+    if overlay:
+        runs.append((labels[1], overlay))
+        marks += [(x, OVERLAY_MARKER_COLOR) for x in _shift_times(overlay)]
     paths = []
-    for key, y_label, getter in charts:
-        chart = _Chart(f"{key} vs time", y_label)
-        xs, ys = _column(trace, getter)
-        chart.add_series(labels[0], xs, ys)
-        if overlay is not None and len(overlay):
-            xs2, ys2 = _column(overlay, getter)
-            chart.add_series(labels[1], xs2, ys2)
-        if key == "temperature":
-            if temp_threshold is not None:
-                chart.add_ref("shift threshold", temp_threshold)
-            if trip_temp is not None:
-                chart.add_ref("throttle trip", trip_temp)
-        chart.add_marks(_shift_times(trace))
-        if overlay is not None:
-            chart.add_marks(_shift_times(overlay), color="#9467bd")
+    for key, y_label, getter, refs in charts:
+        columns = ((label, *_column(run, getter)) for label, run in runs)
+        series = [(label, xs, ys) for label, xs, ys in columns if xs]
         path = f"{path_prefix}_{key}.svg"
-        try:
-            with open(path, "w") as fh:
-                fh.write(chart.render())
-        except OSError as exc:
-            raise AnalysisError(f"cannot write chart to {path}: {exc}") from exc
+        write_text(path, _render(f"{key} vs time", y_label, series, refs, marks),
+                   "chart", AnalysisError)
         paths.append(path)
     return paths

@@ -8,6 +8,7 @@ only observes and signals shifts; it never touches frequencies.
 
 from __future__ import annotations
 
+import math
 import time
 
 from .controller import ControllerConfig, Decision, ShiftController, TemperatureSample
@@ -99,11 +100,17 @@ def live_run(source, config: ControllerConfig, period: float,
     ``on_shift(decision, sample)`` runs on the polling loop and must be
     non-blocking; hand long work off elsewhere. Read errors leave the
     controller untouched; ``max_errors`` consecutive failures abort with a
-    diagnostic. Stops at ``duration`` seconds of wall clock, on source
-    exhaustion, or on an interrupt, returning what was collected.
+    diagnostic. Stops at ``duration`` seconds of wall clock (``None`` or
+    ``inf``: never), on source exhaustion, or on an interrupt, returning
+    what was collected. ``period`` must be finite and > 0 and ``duration``
+    must not be NaN or negative; both are checked before the first poll.
     """
+    if not math.isfinite(period):
+        raise LiveRunError(f"period must be finite, got {period}")
     if period <= 0:
         raise LiveRunError(f"period must be > 0, got {period}")
+    if duration is not None and not duration >= 0:
+        raise LiveRunError(f"duration must be >= 0 (inf: until interrupted), got {duration}")
     controller = ShiftController(config)
     trace = Trace()
     consecutive = 0
@@ -124,22 +131,22 @@ def live_run(source, config: ControllerConfig, period: float,
                     raise LiveRunError(
                         f"aborting after {consecutive} consecutive read errors; last: {exc}"
                     ) from exc
-                sleep(max(0.0, period - (clock() - loop_began)))
-                continue
-            consecutive = 0
-            trace.append(TraceRecord(
-                sample.time_s,
-                sample.celsius,
-                controller.last_avg_temp,
-                controller.last_grad,
-                None,
-                controller.mode,
-                None,
-                None,
-                pick_event(decision, ()),
-            ))
-            if decision is not Decision.STAY and on_shift is not None:
-                on_shift(decision, sample)
+            else:
+                consecutive = 0
+                trace.append(TraceRecord(
+                    sample.time_s,
+                    sample.celsius,
+                    controller.last_avg_temp,
+                    controller.last_grad,
+                    None,
+                    controller.mode,
+                    None,
+                    None,
+                    pick_event(decision, ()),
+                ))
+                if decision is not Decision.STAY and on_shift is not None:
+                    on_shift(decision, sample)
+            # One pacing sleep per poll, after a reading or a read error.
             sleep(max(0.0, period - (clock() - loop_began)))
     except KeyboardInterrupt:
         pass
