@@ -10,7 +10,7 @@ from dataclasses import replace
 from .analysis import ablation_grid, summarize
 from .config import load_scenario
 from .controller import ControllerConfig
-from .errors import ConfigFileError, ThermoshiftError, write_text
+from .errors import ConfigFileError, ThermoshiftError, check_writable, write_text
 from .harness import emit_trace, parse_trace, run_scenario
 from .plots import emit_plots
 from .sensors import SysfsSource, live_run
@@ -29,6 +29,9 @@ def _write_summary(summary, path):
 
 
 def cmd_run(args) -> int:
+    summary_path = args.out + ".summary.json"
+    check_writable(args.out, "trace")
+    check_writable(summary_path, "summary")
     scenario = load_scenario(args.config)
     if args.baseline:
         scenario = replace(scenario, controller=None)
@@ -42,7 +45,6 @@ def cmd_run(args) -> int:
     trace = run_scenario(scenario)
     emit_trace(trace, args.out)
     summary = summarize(trace, scenario.large, scenario.small)
-    summary_path = args.out + ".summary.json"
     _write_summary(summary, summary_path)
     print(f"wrote {len(trace)} rows to {args.out}")
     print(f"wrote summary to {summary_path}")
@@ -52,6 +54,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    table_path = args.out + ".txt"
+    check_writable(args.out, "grid")
+    check_writable(table_path, "table")
     scenario = load_scenario(args.config)
     if scenario.controller is None:
         print("error: ablation needs a controller section in the config", file=sys.stderr)
@@ -59,7 +64,6 @@ def cmd_ablate(args) -> int:
     grid = ablation_grid(scenario, args.tlims, args.glims, duration=args.duration)
     grid.to_csv(args.out)
     table = grid.format_table()
-    table_path = args.out + ".txt"
     write_text(table_path, table + "\n", "table")
     print(table)
     print(f"wrote {args.out} and {table_path}")
@@ -87,6 +91,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_live(args) -> int:
+    if args.out:
+        check_writable(args.out, "trace")
     config = ControllerConfig(
         temp_smoothing=args.alpha,
         grad_smoothing=args.beta,

@@ -10,6 +10,12 @@ second EMA, and a two-state machine drives the shifts:
 
 Both filters are cleared on every shift so each phase starts fresh, by
 the same ``reset_filters`` that seeds them at construction.
+
+``ShiftController.observe`` runs on every poll, so it does the whole
+update in one pass on locals. ``ema_update`` and
+``ShiftController.estimate_derivative`` are the reference forms of its
+two filters: ``observe`` must match them bit for bit, in the same float
+operations and order, and a lockstep test compares the two.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ class Decision(enum.Enum):
     STAY = "stay"
     SHIFT_TO_SMALL = "shift_to_small"
     SHIFT_TO_LARGE = "shift_to_large"
+
+
+# Module-level names for the members ``observe`` reads on every sample.
+_LARGE, _SMALL = Mode.LARGE, Mode.SMALL
+_STAY, _TO_SMALL, _TO_LARGE = Decision.STAY, Decision.SHIFT_TO_SMALL, Decision.SHIFT_TO_LARGE
 
 
 @dataclass(frozen=True)
@@ -142,28 +153,45 @@ class ShiftController:
         if t < ABSOLUTE_ZERO_C:
             raise SampleError(f"temperature below absolute zero: {t} C")
 
+        # ema_update and estimate_derivative, inline on locals.
         cfg = self.config
-        dt = None if self._last_time is None else sample.time_s - self._last_time
-        if self.avg_temp is None:
+        avg = self.avg_temp
+        if avg is None:
             new_avg = float(t)  # first sample after a reset seeds the filter
         else:
-            new_avg = ema_update(self.avg_temp, t, cfg.temp_smoothing)
-        self.avg_temp = new_avg
-        self.estimate_derivative(new_avg, dt)
-        self.samples_since_reset += 1
-        self._last_time = sample.time_s
+            coeff = cfg.temp_smoothing
+            new_avg = coeff * avg + (1.0 - coeff) * t
+        prev = self.prev_avg_temp
+        if prev is None:
+            raw = 0.0
+        else:
+            raw = new_avg - prev
+            if cfg.per_second and self._last_time is not None:
+                dt = sample.time_s - self._last_time
+                if dt > 0.0:
+                    raw /= dt
+        coeff = cfg.grad_smoothing
+        grad = coeff * self.grad + (1.0 - coeff) * raw
         self.last_avg_temp = new_avg
-        self.last_grad = self.grad
+        self.last_grad = grad
 
-        if self.mode is Mode.LARGE and t > cfg.temp_threshold:
-            self.mode = Mode.SMALL
-            self.reset_filters()
-            return Decision.SHIFT_TO_SMALL
+        # A shift resets every filter attribute, so only STAY writes them.
+        saw_cooling = raw < 0.0 or self._saw_cooling
+        if self.mode is _LARGE:
+            if t > cfg.temp_threshold:
+                self.mode = _SMALL
+                self.reset_filters()
+                return _TO_SMALL
         # The warm-up guard, which literal_init drops.
-        if (self.mode is Mode.SMALL and self.grad > cfg.grad_threshold
-                and (cfg.literal_init or (self.samples_since_reset >= WARMUP_MIN_SAMPLES
-                                          and self._saw_cooling))):
-            self.mode = Mode.LARGE
+        elif grad > cfg.grad_threshold and (
+                cfg.literal_init
+                or (self.samples_since_reset + 1 >= WARMUP_MIN_SAMPLES and saw_cooling)):
+            self.mode = _LARGE
             self.reset_filters()
-            return Decision.SHIFT_TO_LARGE
-        return Decision.STAY
+            return _TO_LARGE
+        self.avg_temp = self.prev_avg_temp = new_avg
+        self.grad = grad
+        self.samples_since_reset += 1
+        self._saw_cooling = saw_cooling
+        self._last_time = sample.time_s
+        return _STAY

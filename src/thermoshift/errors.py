@@ -1,6 +1,7 @@
 """Exception types shared across the package, the non-finite number check and the file writer."""
 
 import math
+import os
 
 
 def non_finite_fields(obj) -> list[str]:
@@ -72,3 +73,21 @@ def write_text(path, text: str, what: str, error=ThermoshiftError) -> None:
             fh.write(text)
     except OSError as exc:
         raise error(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def check_writable(path, what: str) -> None:
+    """Fail now, as ``write_text`` would later, if ``path`` cannot be opened for writing.
+
+    Commands call this for every output before they simulate or poll, so
+    a bad path costs no work and leaves no other output behind. The check
+    opens ``path`` for appending, which keeps an existing file's contents,
+    and removes the file again if the check created it.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ThermoshiftError(f"cannot write {what} to {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)

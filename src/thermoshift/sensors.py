@@ -13,7 +13,7 @@ import time
 
 from .controller import ControllerConfig, Decision, ShiftController, TemperatureSample
 from .errors import LiveRunError, SampleError, SensorReadError, SourceExhausted
-from .harness import Trace, TraceRecord, pick_event, parse_trace
+from .harness import EVENT_NONE, Trace, TraceRecord, parse_trace
 from .thermal import DeviceProfile, DeviceState, HeatSource, advance
 
 DEFAULT_MAX_CONSECUTIVE_ERRORS = 5
@@ -113,6 +113,10 @@ def live_run(source, config: ControllerConfig, period: float,
         raise LiveRunError(f"duration must be >= 0 (inf: until interrupted), got {duration}")
     controller = ShiftController(config)
     trace = Trace()
+    # Bound after the controller exists, so wrappers set on the class or the
+    # source beforehand still see every call.
+    read_now, observe, append = source.read_now, controller.observe, trace.append
+    stay = Decision.STAY
     consecutive = 0
     started = clock()
     try:
@@ -121,8 +125,8 @@ def live_run(source, config: ControllerConfig, period: float,
                 break
             loop_began = clock()
             try:
-                sample = source.read_now()
-                decision = controller.observe(sample)
+                sample = read_now()
+                decision = observe(sample)
             except SourceExhausted:
                 break
             except (SensorReadError, SampleError) as exc:
@@ -133,7 +137,8 @@ def live_run(source, config: ControllerConfig, period: float,
                     ) from exc
             else:
                 consecutive = 0
-                trace.append(TraceRecord(
+                # The event is pick_event(decision, ()): no governor runs here.
+                append(TraceRecord(
                     sample.time_s,
                     sample.celsius,
                     controller.last_avg_temp,
@@ -142,12 +147,14 @@ def live_run(source, config: ControllerConfig, period: float,
                     controller.mode,
                     None,
                     None,
-                    pick_event(decision, ()),
+                    EVENT_NONE if decision is stay else decision._value_,
                 ))
-                if decision is not Decision.STAY and on_shift is not None:
+                if decision is not stay and on_shift is not None:
                     on_shift(decision, sample)
-            # One pacing sleep per poll, after a reading or a read error.
-            sleep(max(0.0, period - (clock() - loop_began)))
+            # One pacing sleep per poll, after a reading or a read error;
+            # the same value as max(0.0, pause) without the builtin call.
+            pause = period - (clock() - loop_began)
+            sleep(pause if pause > 0.0 else 0.0)
     except KeyboardInterrupt:
         pass
     return trace

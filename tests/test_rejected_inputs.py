@@ -1,14 +1,16 @@
 """Inputs that must be refused with a message, not a traceback or a hang:
-non-finite live pacing, an unknown suite and unwritable output paths."""
+non-finite live pacing, an unknown suite and unwritable output paths,
+the last refused before any work starts."""
 
 import json
 import math
 
 import pytest
 
+from thermoshift import cli
 from thermoshift.cli import main
 from thermoshift.controller import ControllerConfig, TemperatureSample
-from thermoshift.errors import LiveRunError
+from thermoshift.errors import LiveRunError, ThermoshiftError, check_writable, write_text
 from thermoshift.sensors import live_run
 
 QUICK = {"suite": "slimmable-resnet50-phone", "seed": 0, "controller": "default",
@@ -127,3 +129,60 @@ class TestUnwritableOutputs:
         assert main(["plot", "--trace", trace, "--out", prefix]) == 1
         err = capsys.readouterr().err
         assert "error: cannot write chart to " + prefix + "_temperature.svg" in err
+
+
+class TestOutputsCheckedUpFront:
+    """Every output path is checked before any simulation or polling starts,
+    so a bad path costs no work and leaves no other output behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the output paths were checked")
+
+        for name in ("load_scenario", "run_scenario", "ablation_grid", "SysfsSource",
+                     "live_run"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def command(self, kind, out):
+        if kind == "run":
+            return ["run", "--config", "unused.json", "--out", out]
+        if kind == "ablate":
+            return ["ablate", "--config", "unused.json", "--tlims", "75,73,70,65",
+                    "--glims=-0.07,-0.1,-0.15,-0.2", "--duration", "360000", "--out", out]
+        return ["live", "--zone", "unused", "--tlim", "73", "--glim", "-0.07",
+                "--duration", "1", "--out", out]
+
+    @pytest.mark.parametrize("kind,what", [("run", "trace"), ("ablate", "grid"),
+                                           ("live", "trace")])
+    def test_output_in_missing_directory(self, tmp_path, capsys, kind, what):
+        out = str(tmp_path / "missing" / "o.csv")
+        assert main(self.command(kind, out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {what} to {out}: ")
+
+    @pytest.mark.parametrize("kind,suffix,what", [("run", ".summary.json", "summary"),
+                                                  ("ablate", ".txt", "table")])
+    def test_second_output_is_a_directory(self, tmp_path, capsys, kind, suffix, what):
+        out = tmp_path / "o.csv"
+        (tmp_path / ("o.csv" + suffix)).mkdir()
+        assert main(self.command(kind, str(out))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {what} to {out}{suffix}: ")
+        assert not out.exists()
+
+    def test_existing_output_is_left_as_it_was(self, tmp_path):
+        out = tmp_path / "o.csv"
+        out.write_text("earlier run\n")
+        (tmp_path / "o.csv.summary.json").mkdir()
+        assert main(self.command("run", str(out))) == 1
+        assert out.read_text() == "earlier run\n"
+
+
+class TestCheckWritable:
+    def test_directory_is_refused_like_write_text(self, tmp_path):
+        with pytest.raises(ThermoshiftError) as checked:
+            check_writable(tmp_path, "grid")
+        with pytest.raises(ThermoshiftError) as written:
+            write_text(tmp_path, "", "grid")
+        assert str(checked.value) == str(written.value)

@@ -1,9 +1,11 @@
 """Pins for ideas that live in one place: the controller's filter reset,
-``Trace`` as a list, ``Summary.to_dict``, the shift event names and the
-live loop's pacing sleep."""
+``Trace`` as a list, ``Summary.to_dict``, the shift event names, the live
+loop's pacing sleep, and the one-pass ``observe`` and ``live_run`` loop
+against their reference forms."""
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +13,15 @@ import pytest
 from conftest import phone_scenario
 
 from thermoshift.analysis import Summary, summarize
-from thermoshift.controller import ControllerConfig, Decision, ShiftController, TemperatureSample
+from thermoshift.controller import (
+    WARMUP_MIN_SAMPLES,
+    ControllerConfig,
+    Decision,
+    Mode,
+    ShiftController,
+    TemperatureSample,
+    ema_update,
+)
 from thermoshift.errors import SensorReadError, SourceExhausted
 from thermoshift.harness import (
     EVENT_SHIFT_LARGE,
@@ -19,6 +29,7 @@ from thermoshift.harness import (
     Trace,
     emit_trace,
     parse_trace,
+    pick_event,
     run_scenario,
 )
 from thermoshift.sensors import ReplaySource, live_run
@@ -123,3 +134,100 @@ class TestLivePacing:
         assert len(sleeps) == 10
         # Each poll reads the clock twice (start, then before sleeping): 1 s apart.
         assert sleeps == [4.0] * 10
+
+
+def reference_observe(ctl, sample):
+    """``observe`` stepped by hand with the reference filter forms."""
+    t = sample.celsius
+    cfg = ctl.config
+    dt = None if ctl._last_time is None else sample.time_s - ctl._last_time
+    if ctl.avg_temp is None:
+        new_avg = float(t)
+    else:
+        new_avg = ema_update(ctl.avg_temp, t, cfg.temp_smoothing)
+    ctl.avg_temp = new_avg
+    ctl.estimate_derivative(new_avg, dt)
+    ctl.samples_since_reset += 1
+    ctl._last_time = sample.time_s
+    ctl.last_avg_temp = new_avg
+    ctl.last_grad = ctl.grad
+    if ctl.mode is Mode.LARGE and t > cfg.temp_threshold:
+        ctl.mode = Mode.SMALL
+        ctl.reset_filters()
+        return Decision.SHIFT_TO_SMALL
+    if (ctl.mode is Mode.SMALL and ctl.grad > cfg.grad_threshold
+            and (cfg.literal_init or (ctl.samples_since_reset >= WARMUP_MIN_SAMPLES
+                                      and ctl._saw_cooling))):
+        ctl.mode = Mode.LARGE
+        ctl.reset_filters()
+        return Decision.SHIFT_TO_LARGE
+    return Decision.STAY
+
+
+def bits(ctl):
+    """Every attribute, floats as their exact bits (so -0.0 != 0.0)."""
+    return {k: (type(v), v.hex() if isinstance(v, float) else v) for k, v in vars(ctl).items()}
+
+
+def random_samples(seed, n=3000):
+    """A noisy oscillation through the thresholds, with zero, repeated,
+    negative and irregular time steps and some integer readings."""
+    rng = random.Random(seed)
+    time_s, samples = 0.0, []
+    for i in range(n):
+        time_s += rng.choice((0.0, 0.25, 0.25, 1.0, -0.5, rng.uniform(0.0, 2.0)))
+        temp = 70.0 + 9.0 * math.sin(i / 40.0) + rng.gauss(0.0, 0.6)
+        samples.append(TemperatureSample(time_s, round(temp) if rng.random() < 0.1 else temp))
+    return samples
+
+
+class TestObserveLockstep:
+    @pytest.mark.parametrize("per_second", [False, True])
+    @pytest.mark.parametrize("literal_init", [False, True])
+    @pytest.mark.parametrize("seed", [0, 8675309])
+    def test_bit_equal_to_reference(self, per_second, literal_init, seed):
+        cfg = ControllerConfig(temp_smoothing=0.8, grad_smoothing=0.7, temp_threshold=74.0,
+                               grad_threshold=-0.05, per_second=per_second,
+                               literal_init=literal_init)
+        fast, slow = ShiftController(cfg), ShiftController(cfg)
+        seen = set()
+        for sample in random_samples(seed):
+            decision = fast.observe(sample)
+            assert decision is reference_observe(slow, sample)
+            assert bits(fast) == bits(slow)
+            seen.add(decision)
+        assert seen == set(Decision)
+
+
+class TestLiveRunSubstitutions:
+    def test_wrappers_set_before_the_run_see_every_call(self, monkeypatch):
+        scenario = phone_scenario(duration=600.0)  # heats past the threshold
+        samples = [TemperatureSample(r.sim_time, r.cpu_temp) for r in run_scenario(scenario)]
+        decisions = []
+        observe = ShiftController.observe
+
+        def counting_observe(self, sample):
+            decisions.append(observe(self, sample))
+            return decisions[-1]
+
+        monkeypatch.setattr(ShiftController, "observe", counting_observe)
+        source = ReplaySource(samples)
+        polls = errors = 0
+        read_now = source.read_now
+
+        def counting_read():
+            nonlocal polls, errors
+            polls += 1
+            if polls % 5 == 0:
+                errors += 1
+                raise SensorReadError("blip")
+            return read_now()
+
+        source.read_now = counting_read
+        trace = live_run(source, scenario.controller, period=0.25,
+                         sleep=lambda s: None, clock=fake_clock())
+        # One observe per successful poll; the last poll finds the replay exhausted.
+        assert len(trace) == len(decisions) == len(samples)
+        assert polls == len(samples) + errors + 1 and errors > 0
+        assert [r.event for r in trace] == [pick_event(d, ()) for d in decisions]
+        assert {EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE} <= {r.event for r in trace}
