@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
-from .analysis import ablation_grid, summarize
+from .analysis import DEFAULT_CELL_DURATION, ablation_grid, summarize
 from .config import load_scenario
 from .controller import ControllerConfig
 from .errors import ConfigFileError, ThermoshiftError, check_writable, write_text
@@ -17,11 +18,27 @@ from .sensors import SysfsSource, live_run
 from .suites import SUITE_NAMES, get_suite
 
 
-def _float_list(text: str) -> list[float]:
+def _finite(text: str) -> float:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    """``--tlims``/``--glims``: comma-separated finite numbers, no empty entry."""
+    return [_finite(part) for part in text.split(",")]
+
+
+def _cell_duration(text: str) -> float:
+    """``ablate --duration``: finite simulated seconds > 0."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
 
 
 def _write_summary(summary, path):
@@ -141,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated derivative thresholds; use --glims=-0.07,-0.10 "
                             "so the leading dash is not read as a flag")
     p_abl.add_argument("--out", required=True, help="grid CSV output path")
-    p_abl.add_argument("--duration", type=float, default=1800.0,
-                       help="simulated seconds per cell (default 1800)")
+    p_abl.add_argument("--duration", type=_cell_duration,
+                       default=DEFAULT_CELL_DURATION,
+                       help=f"simulated seconds per cell (default {DEFAULT_CELL_DURATION:g})")
     p_abl.set_defaults(func=cmd_ablate)
 
     p_sum = sub.add_parser("summarize", help="summarize an existing trace CSV")

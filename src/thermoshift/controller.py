@@ -41,7 +41,7 @@ class Mode(enum.Enum):
 
 
 class Decision(enum.Enum):
-    STAY = "stay"
+    STAY = "none"  # each value is the trace event of the row the decision is made on
     SHIFT_TO_SMALL = "shift_to_small"
     SHIFT_TO_LARGE = "shift_to_large"
 

@@ -8,7 +8,7 @@ land mid-iteration.
 
 ``run_scenario`` reads everything that is fixed for a run once, before
 its loop: the scenario's fields, one ``thermal.HeatSource`` per power
-curve (its band constants and the profile's governor rule), each
+curve (its band closure and the profile's governor rule), each
 variant's ``(compute, idle)`` at the two fixed frequency levels, and the
 logging draw's mean, std and bound ``rng.gauss``. Each row then does only
 the work that varies: the ``advance`` calls, the draws, the controller's
@@ -37,12 +37,11 @@ from .workload import (
     PacingPolicy,
     Platform,
     iteration_time,
-    logging_overhead,  # noqa: F401 -- unused here; perfbench wraps harness.logging_overhead
     power_draw,
     shift_overhead,
 )
 
-EVENT_NONE = "none"
+EVENT_NONE = Decision.STAY.value
 EVENT_SHIFT_SMALL = Decision.SHIFT_TO_SMALL.value
 EVENT_SHIFT_LARGE = Decision.SHIFT_TO_LARGE.value
 
@@ -195,13 +194,12 @@ class Scenario:
 
 def pick_event(decision: Decision, governor_events) -> str:
     """The row's event: a shift decision wins over governor events."""
-    if decision is not Decision.STAY:
-        return decision._value_  # the plain attribute behind ``.value``
-    if EVENT_THROTTLE_ON in governor_events:
-        return EVENT_THROTTLE_ON
-    if EVENT_THROTTLE_OFF in governor_events:
-        return EVENT_THROTTLE_OFF
-    return EVENT_NONE
+    if decision is Decision.STAY:
+        if EVENT_THROTTLE_ON in governor_events:
+            return EVENT_THROTTLE_ON
+        if EVENT_THROTTLE_OFF in governor_events:
+            return EVENT_THROTTLE_OFF
+    return decision._value_  # the plain attribute behind ``.value``
 
 
 def run_scenario(scenario: Scenario) -> Trace:
@@ -212,7 +210,7 @@ def run_scenario(scenario: Scenario) -> Trace:
 
     Everything that does not change from row to row is read once per run:
     the scenario's fields, a ``HeatSource`` per power curve (band
-    constants and governor rule), each variant's ``(compute, idle)`` at
+    closure and governor rule), each variant's ``(compute, idle)`` at
     ``f_nominal`` and ``f_throttled``, the platform's logging mean and
     std with the bound ``rng.gauss``, and the controller's bound
     ``observe``. ``iteration_time`` is called only at any other
@@ -271,9 +269,7 @@ def run_scenario(scenario: Scenario) -> Trace:
             mode = controller.mode
 
         overhead = 0.0
-        if decision is stay:
-            event = pick_event(decision, events) if events else EVENT_NONE
-        else:
+        if decision is not stay:
             if decision is to_small:
                 variant, heat, times = small, small_heat, small_times
             else:
@@ -283,7 +279,7 @@ def run_scenario(scenario: Scenario) -> Trace:
                 # Loading the incoming model is compute; events raised here
                 # belong to the next row (this one is already sampled).
                 carried_events = advance(device, profile, heat, overhead)
-            event = pick_event(decision, events)
+        event = pick_event(decision, events) if events else decision._value_
 
         append(TraceRecord(
             device.sim_time,

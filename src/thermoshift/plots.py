@@ -23,21 +23,19 @@ MARKER_COLOR = "#2ca02c"
 OVERLAY_MARKER_COLOR = "#9467bd"
 
 
-def axis_range(lo: float, hi: float, margin: float = 0.05):
-    """Pad [lo, hi] by ``margin`` of its span on each side (span 1 if flat)."""
+def axis_range(lo: float, hi: float):
+    """Pad [lo, hi] by 5% of its span on each side (span 1 if flat)."""
     if hi < lo:
         lo, hi = hi, lo
     span = hi - lo
     if span == 0.0:
         span = 1.0
-    return lo - margin * span, hi + margin * span
+    return lo - 0.05 * span, hi + 0.05 * span
 
 
 def _render(title, y_label, series, refs, marks) -> str:
-    """One SVG chart from ``(label, xs, ys)`` series, ``(label, y)`` horizontal
-    reference lines and ``(x, color)`` vertical event marks."""
-    if not series:
-        raise AnalysisError(f"chart {title!r} has no data")
+    """One SVG chart from non-empty ``(label, xs, ys)`` series, ``(label, y)``
+    horizontal reference lines and ``(x, color)`` vertical event marks."""
     all_x = [x for _, xs, _ in series for x in xs]
     all_y = [y for _, _, ys in series for y in ys]
     for _, y in refs:
@@ -133,12 +131,13 @@ def _shift_times(trace):
 
 def emit_plots(trace: Trace, path_prefix, overlay: Trace | None = None,
                temp_threshold: float | None = None,
-               trip_temp: float | None = None,
-               labels=("run", "overlay")) -> list[str]:
-    """Write temperature/frequency/latency charts; returns the paths.
+               trip_temp: float | None = None) -> list[str]:
+    """Write temperature/frequency/latency charts; returns the paths written.
 
     ``overlay`` adds a second series to every chart (e.g. baseline vs
-    shifting). Shift events are marked with vertical dashes.
+    shifting). Shift events are marked with vertical dashes. A chart whose
+    column is blank in every row of both traces is skipped: a live trace
+    records no frequency or latency, so it gets the temperature chart only.
     """
     if len(trace) == 0:
         raise AnalysisError("cannot plot an empty trace")
@@ -150,15 +149,17 @@ def emit_plots(trace: Trace, path_prefix, overlay: Trace | None = None,
         ("frequency", "CPU frequency (GHz)", lambda r: r.freq, []),
         ("latency", "inference latency (s)", lambda r: r.inference_latency, []),
     ]
-    runs = [(labels[0], trace)]
+    runs = [("run", trace)]
     marks = [(x, MARKER_COLOR) for x in _shift_times(trace)]
     if overlay:
-        runs.append((labels[1], overlay))
+        runs.append(("overlay", overlay))
         marks += [(x, OVERLAY_MARKER_COLOR) for x in _shift_times(overlay)]
     paths = []
     for key, y_label, getter, refs in charts:
         columns = ((label, *_column(run, getter)) for label, run in runs)
         series = [(label, xs, ys) for label, xs, ys in columns if xs]
+        if not series:
+            continue
         path = f"{path_prefix}_{key}.svg"
         write_text(path, _render(f"{key} vs time", y_label, series, refs, marks),
                    "chart", AnalysisError)

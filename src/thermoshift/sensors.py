@@ -13,10 +13,10 @@ import time
 
 from .controller import ControllerConfig, Decision, ShiftController, TemperatureSample
 from .errors import LiveRunError, SampleError, SensorReadError, SourceExhausted
-from .harness import EVENT_NONE, Trace, TraceRecord, parse_trace
+from .harness import Trace, TraceRecord, parse_trace
 from .thermal import DeviceProfile, DeviceState, HeatSource, advance
 
-DEFAULT_MAX_CONSECUTIVE_ERRORS = 5
+MAX_CONSECUTIVE_ERRORS = 5
 
 
 def read_sysfs_temp(path) -> float:
@@ -75,16 +75,13 @@ class SimulatedSource:
     runs on ``state`` but cannot change the power.
     """
 
-    def __init__(self, profile: DeviceProfile, power: float, dt: float, start_temp=None):
+    def __init__(self, profile: DeviceProfile, power: float, dt: float):
         if power < 0:
             raise ValueError(f"power must be >= 0, got {power}")
         self.profile = profile
         self.dt = dt
         self.heat = HeatSource(profile, lambda freq: power)
-        self.state = DeviceState(
-            temp=profile.ambient_temp if start_temp is None else start_temp,
-            freq=profile.f_nominal,
-        )
+        self.state = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
 
     def read_now(self) -> TemperatureSample:
         advance(self.state, self.profile, self.heat, self.dt)
@@ -93,17 +90,17 @@ class SimulatedSource:
 
 def live_run(source, config: ControllerConfig, period: float,
              on_shift=None, duration: float | None = None,
-             max_errors: int = DEFAULT_MAX_CONSECUTIVE_ERRORS,
              sleep=time.sleep, clock=time.monotonic) -> Trace:
     """Poll a source, drive the controller, and log one row per reading.
 
     ``on_shift(decision, sample)`` runs on the polling loop and must be
     non-blocking; hand long work off elsewhere. Read errors leave the
-    controller untouched; ``max_errors`` consecutive failures abort with a
-    diagnostic. Stops at ``duration`` seconds of wall clock (``None`` or
-    ``inf``: never), on source exhaustion, or on an interrupt, returning
-    what was collected. ``period`` must be finite and > 0 and ``duration``
-    must not be NaN or negative; both are checked before the first poll.
+    controller untouched; ``MAX_CONSECUTIVE_ERRORS`` consecutive failures
+    abort with a diagnostic. Stops at ``duration`` seconds of wall clock
+    (``None`` or ``inf``: never), on source exhaustion, or on an
+    interrupt, returning what was collected. ``period`` must be finite
+    and > 0 and ``duration`` must not be NaN or negative; both are
+    checked before the first poll. Each poll reads ``clock`` twice.
     """
     if not math.isfinite(period):
         raise LiveRunError(f"period must be finite, got {period}")
@@ -111,6 +108,8 @@ def live_run(source, config: ControllerConfig, period: float,
         raise LiveRunError(f"period must be > 0, got {period}")
     if duration is not None and not duration >= 0:
         raise LiveRunError(f"duration must be >= 0 (inf: until interrupted), got {duration}")
+    if duration is None:
+        duration = math.inf
     controller = ShiftController(config)
     trace = Trace()
     # Bound after the controller exists, so wrappers set on the class or the
@@ -121,9 +120,9 @@ def live_run(source, config: ControllerConfig, period: float,
     started = clock()
     try:
         while True:
-            if duration is not None and clock() - started >= duration:
-                break
             loop_began = clock()
+            if loop_began - started >= duration:
+                break
             try:
                 sample = read_now()
                 decision = observe(sample)
@@ -131,13 +130,13 @@ def live_run(source, config: ControllerConfig, period: float,
                 break
             except (SensorReadError, SampleError) as exc:
                 consecutive += 1
-                if consecutive >= max_errors:
+                if consecutive >= MAX_CONSECUTIVE_ERRORS:
                     raise LiveRunError(
                         f"aborting after {consecutive} consecutive read errors; last: {exc}"
                     ) from exc
             else:
                 consecutive = 0
-                # The event is pick_event(decision, ()): no governor runs here.
+                # No governor runs here, so the decision alone is the event.
                 append(TraceRecord(
                     sample.time_s,
                     sample.celsius,
@@ -147,7 +146,7 @@ def live_run(source, config: ControllerConfig, period: float,
                     controller.mode,
                     None,
                     None,
-                    EVENT_NONE if decision is stay else decision._value_,
+                    decision._value_,
                 ))
                 if decision is not stay and on_shift is not None:
                     on_shift(decision, sample)

@@ -8,13 +8,13 @@ Temperature follows newtonian heating/cooling,
 is linear in T, so the temperature relaxes exponentially and the time to
 the next governor threshold is one logarithm. The constants of each band
 (rates, equilibria, band edges) depend only on the profile and the power
-curve, so a ``HeatSource`` solves them once per run and ``advance`` reads
-them from it on every call. The source also holds the profile's governor
-rule, ``_drop_governor`` or ``_pin_governor``, which ``advance`` calls
-directly; ``governor_step`` is the public entry point to the same two
-rules. ``advance`` is the only integrator the package runs; the
-constant-power Euler stepper further down is kept as public API only
-(see its docstring).
+curve, so a ``HeatSource`` solves them once per run into a band closure
+that ``advance`` calls on every band. ``_GOVERNORS`` maps each governor
+kind to its rule and its band solver; ``governor_step`` and
+``HeatSource`` both read it, so the kind is dispatched in one place.
+``advance`` is the only integrator the package runs; the constant-power
+Euler stepper further down is kept as public API only (see its
+docstring).
 
 Calibration needs no simulation for the heat capacity: below the trip
 point the model is linear, so the time the large model takes to reach
@@ -97,8 +97,8 @@ def thermal_step(state: DeviceState, profile: DeviceProfile, power: float, dt: f
 
     Explicit Euler, sub-steps of at most ``MAX_SUBSTEP_S``; stable while a
     sub-step stays under 2*C/k. Nothing in the package calls it: it stays
-    because tests pin it and the benchmark wraps it by name in this
-    module. ``advance`` is exact and runs the governor too.
+    as public API that the tests pin. ``advance`` is exact and runs the
+    governor too.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
@@ -117,9 +117,7 @@ def thermal_step(state: DeviceState, profile: DeviceProfile, power: float, dt: f
 
 def governor_step(state: DeviceState, profile: DeviceProfile) -> str | None:
     """Apply the frequency governor once; returns a throttle event or None."""
-    if profile.governor is GovernorKind.PHONE_DROP:
-        return _drop_governor(state, profile)
-    return _pin_governor(state, profile)
+    return _GOVERNORS[profile.governor][0](state, profile)
 
 
 def _drop_governor(state, profile):
@@ -162,25 +160,19 @@ class HeatSource:
 
     Calling a source returns ``power_of_freq(freq)``. It also holds what
     ``advance`` needs on each band: ``governor``, the profile's governor
-    rule (``_drop_governor`` or ``_pin_governor``, the two rules
-    ``governor_step`` dispatches to), and the band constants. For
-    phone-drop those are the relaxation rate and the equilibrium at
-    ``f_nominal`` and at ``f_throttled``; for pi-pin the band edges, rates
-    and equilibria of ``_pin_constants``. Build one per power curve and
-    run, and pass it to every ``advance`` call of that run.
+    rule, and ``band(state) -> (rate, t_eq, edge)``, a closure over the
+    band constants giving the relaxation rate (1/s), the equilibrium and
+    the threshold ahead of the temperature (None if none). Build one per
+    power curve and run, and pass it to every ``advance`` call of that run.
     """
 
-    __slots__ = ("profile", "power_of_freq", "band", "governor", "constants")
+    __slots__ = ("profile", "power_of_freq", "band", "governor")
 
     def __init__(self, profile, power_of_freq):
         self.profile = profile
         self.power_of_freq = power_of_freq
-        if profile.governor is GovernorKind.PHONE_DROP:
-            self.band, self.governor = _drop_band, _drop_governor
-            self.constants = _drop_constants(profile, power_of_freq)
-        else:
-            self.band, self.governor = _pin_band, _pin_governor
-            self.constants = _pin_constants(profile, power_of_freq)
+        self.governor, solve = _GOVERNORS[profile.governor]
+        self.band = solve(profile, power_of_freq)
 
     def __call__(self, freq):
         return self.power_of_freq(freq)
@@ -205,13 +197,11 @@ def advance(state, profile, power_of_freq, dt) -> list[str]:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not isinstance(power_of_freq, HeatSource) or power_of_freq.profile is not profile:
         power_of_freq = HeatSource(profile, power_of_freq)
-    band, governor, consts = power_of_freq.band, power_of_freq.governor, power_of_freq.constants
+    band, governor = power_of_freq.band, power_of_freq.governor
     events = []
     left = dt
     while left > 0.0:
-        # The band's relaxation rate (1/s), its equilibrium, and the
-        # threshold ahead of the temperature, if any.
-        rate, t_eq, edge = band(state, *consts)
+        rate, t_eq, edge = band(state)
         temp = state.temp
         end = t_eq + (temp - t_eq) * math.exp(-rate * left)
         if edge is None or edge == t_eq or (edge - temp) * (end - edge) < 0.0:
@@ -227,36 +217,35 @@ def advance(state, profile, power_of_freq, dt) -> list[str]:
     return events
 
 
-def _drop_constants(profile, power_of_freq):
-    """Phone-drop: the relaxation rate and the equilibrium at each level."""
-    k, amb = profile.dissipation, profile.ambient_temp
-    return (profile, k / profile.heat_capacity,
-            profile.f_nominal, amb + power_of_freq(profile.f_nominal) / k,
-            profile.f_throttled, amb + power_of_freq(profile.f_throttled) / k,
-            power_of_freq)
-
-
-def _drop_band(state, profile, rate, f_nominal, nominal_eq, f_throttled, throttled_eq,
-               power_of_freq):
+def _drop_bands(profile, power_of_freq):
     """Phone-drop: constant power at the current level until the next threshold."""
-    freq = state.freq
-    if freq == f_nominal:
-        t_eq = nominal_eq
-    elif freq == f_throttled:
-        t_eq = throttled_eq
-    else:
-        t_eq = profile.ambient_temp + power_of_freq(freq) / profile.dissipation
-    if state.throttled:
-        edge = profile.t_resume
-        due = state.temp <= edge
-    else:
-        edge = profile.t_throttle
-        due = state.temp >= edge
-    # A state already past its threshold trips the governor at once.
-    return rate, t_eq, state.temp if due else edge
+    k, amb = profile.dissipation, profile.ambient_temp
+    rate = k / profile.heat_capacity
+    f_nominal, f_throttled = profile.f_nominal, profile.f_throttled
+    nominal_eq = amb + power_of_freq(f_nominal) / k
+    throttled_eq = amb + power_of_freq(f_throttled) / k
+
+    def band(state):
+        freq = state.freq
+        if freq == f_nominal:
+            t_eq = nominal_eq
+        elif freq == f_throttled:
+            t_eq = throttled_eq
+        else:
+            t_eq = amb + power_of_freq(freq) / k
+        if state.throttled:
+            edge = profile.t_resume
+            due = state.temp <= edge
+        else:
+            edge = profile.t_throttle
+            due = state.temp >= edge
+        # A state already past its threshold trips the governor at once.
+        return rate, t_eq, state.temp if due else edge
+
+    return band
 
 
-def _pin_constants(profile, power_of_freq):
+def _pin_bands(profile, power_of_freq):
     """Pi-pin bands: nominal power below the trip point, throttled power
     above the frequency floor, and power affine in T in between, shedding
     ``pin_gain * dP/df`` watts per degree above the trip point."""
@@ -269,28 +258,31 @@ def _pin_constants(profile, power_of_freq):
                          f"f_nominal and {p_thr} W at f_throttled")
     span = profile.f_nominal - profile.f_throttled
     shed = profile.pin_gain * (p_nom - p_thr) / span
-    return (trip, trip + span / profile.pin_gain, k / c, amb + p_nom / k, amb + p_thr / k,
-            (k + shed) / c, (p_nom + shed * trip + k * amb) / (k + shed))
+    floor = trip + span / profile.pin_gain
+    free_rate, below_eq, above_eq = k / c, amb + p_nom / k, amb + p_thr / k
+    pinned_eq = (p_nom + shed * trip + k * amb) / (k + shed)
+    pinned_edge = trip if pinned_eq < trip else floor if pinned_eq > floor else None
+    pinned = ((k + shed) / c, pinned_eq, pinned_edge)
+
+    def band(state):
+        # The band the temperature is in or, on a band edge, moving into. An
+        # edge counts as ahead only when the temperature is strictly short
+        # of it, so every crossing makes progress.
+        temp = state.temp
+        if temp < trip or (temp == trip and pinned_eq <= trip):
+            return free_rate, below_eq, trip if temp < trip and below_eq > trip else None
+        if temp > floor or (temp == floor and pinned_eq >= floor):
+            return free_rate, above_eq, floor if temp > floor and above_eq < floor else None
+        return pinned
+
+    return band
 
 
-def _pin_band(state, trip, floor, free_rate, below_eq, above_eq, pinned_rate, pinned_eq):
-    """The pi-pin band the temperature is in or, on a band edge, moving into.
-
-    An edge counts as ahead only when the temperature is strictly short of
-    it, so every crossing makes progress.
-    """
-    temp = state.temp
-    if temp < trip or (temp == trip and pinned_eq <= trip):
-        return free_rate, below_eq, trip if temp < trip and below_eq > trip else None
-    if temp > floor or (temp == floor and pinned_eq >= floor):
-        return free_rate, above_eq, floor if temp > floor and above_eq < floor else None
-    if pinned_eq < trip:
-        edge = trip
-    elif pinned_eq > floor:
-        edge = floor
-    else:
-        edge = None
-    return pinned_rate, pinned_eq, edge
+# Each governor kind's rule and band solver; the one dispatch on the kind.
+_GOVERNORS = {
+    GovernorKind.PHONE_DROP: (_drop_governor, _drop_bands),
+    GovernorKind.PI_PIN: (_pin_governor, _pin_bands),
+}
 
 
 def equilibrium_temp(profile: DeviceProfile, power: float) -> float:

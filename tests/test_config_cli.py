@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import thermoshift
 from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_scenario
 from thermoshift.errors import ConfigFileError
-from thermoshift.harness import parse_trace
+from thermoshift.harness import emit_trace, parse_trace, run_scenario
 from thermoshift.thermal import GovernorKind
 from thermoshift.workload import Platform
 
@@ -178,6 +179,18 @@ class TestCliRun:
         cfg_path = write_config(tmp_path, cfg)
         out = str(tmp_path / "trace.csv")
         assert main(["run", "--config", cfg_path, "--out", out, "--literal-init"]) == 2
+
+    def test_literal_init_runs_the_zero_seeded_controller(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config())
+        out, plain = str(tmp_path / "literal.csv"), str(tmp_path / "plain.csv")
+        assert main(["run", "--config", cfg_path, "--out", out, "--literal-init"]) == 0
+        assert main(["run", "--config", cfg_path, "--out", plain]) == 0
+        scenario = load_scenario(cfg_path)
+        literal = replace(scenario, controller=replace(scenario.controller, literal_init=True))
+        expected = str(tmp_path / "expected.csv")
+        emit_trace(run_scenario(literal), expected)
+        assert open(out, "rb").read() == open(expected, "rb").read()
+        assert open(out, "rb").read() != open(plain, "rb").read()
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(bogus=True))

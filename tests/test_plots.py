@@ -4,9 +4,12 @@ import pytest
 
 from conftest import phone_scenario
 
+from thermoshift.cli import main
+from thermoshift.controller import ControllerConfig, TemperatureSample
 from thermoshift.errors import AnalysisError
-from thermoshift.harness import Trace, run_scenario
+from thermoshift.harness import Trace, emit_trace, run_scenario
 from thermoshift.plots import HEIGHT, WIDTH, axis_range, emit_plots
+from thermoshift.sensors import ReplaySource, live_run
 
 
 class TestAxisRange:
@@ -81,3 +84,27 @@ class TestEmitPlots:
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(AnalysisError):
             emit_plots(Trace(), str(tmp_path / "x"))
+
+
+class TestLiveTracePlot:
+    """A live trace has blank frequency and latency columns: plotting it
+    writes the temperature chart only."""
+
+    @pytest.fixture
+    def live_trace(self):
+        samples = [TemperatureSample(float(i), 60.0 + 0.1 * i) for i in range(20)]
+        return live_run(ReplaySource(samples), ControllerConfig(), period=0.25,
+                        sleep=lambda s: None)
+
+    def test_writes_only_the_temperature_chart(self, live_trace, tmp_path):
+        paths = emit_plots(live_trace, str(tmp_path / "live"))
+        assert paths == [str(tmp_path / "live_temperature.svg")]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["live_temperature.svg"]
+
+    def test_cli_plot_exits_0(self, live_trace, tmp_path, capsys):
+        trace = tmp_path / "live.csv"
+        emit_trace(live_trace, trace)
+        assert main(["plot", "--trace", str(trace), "--out", str(tmp_path / "p")]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'p'}_temperature.svg\n"
+        assert not (tmp_path / "p_frequency.svg").exists()
+        assert not (tmp_path / "p_latency.svg").exists()

@@ -1,17 +1,48 @@
 """Inputs that must be refused with a message, not a traceback or a hang:
-non-finite live pacing, an unknown suite and unwritable output paths,
-the last refused before any work starts."""
+non-finite live pacing, bad ablate flags, an unknown suite, unwritable
+output paths (refused before any work starts), and the profile,
+calibration, workload, analysis and config checks that no run in the
+other test files reaches."""
 
 import json
 import math
 
 import pytest
 
+from conftest import phone_scenario
+
 from thermoshift import cli
+from thermoshift.analysis import (
+    DEFAULT_CELL_DURATION,
+    ablation_grid,
+    stable_iteration_accuracy,
+)
 from thermoshift.cli import main
+from thermoshift.config import build_scenario, load_config
 from thermoshift.controller import ControllerConfig, TemperatureSample
-from thermoshift.errors import LiveRunError, ThermoshiftError, check_writable, write_text
+from thermoshift.errors import (
+    AnalysisError,
+    CalibrationError,
+    ConfigFileError,
+    LiveRunError,
+    ProfileError,
+    ScenarioError,
+    ThermoshiftError,
+    check_writable,
+    write_text,
+)
+from thermoshift.harness import run_scenario
 from thermoshift.sensors import live_run
+from thermoshift.suites import PHONE_PROFILE, get_suite
+from thermoshift.thermal import (
+    CalibrationTargets,
+    DeviceProfile,
+    DeviceState,
+    GovernorKind,
+    calibrate_profile,
+    thermal_step,
+)
+from thermoshift.workload import ModelVariant, power_draw
 
 QUICK = {"suite": "slimmable-resnet50-phone", "seed": 0, "controller": "default",
          "duration": 60}
@@ -186,3 +217,119 @@ class TestCheckWritable:
         with pytest.raises(ThermoshiftError) as written:
             write_text(tmp_path, "", "grid")
         assert str(checked.value) == str(written.value)
+
+
+class TestAblateFlags:
+    """Bad ``--tlims``/``--glims`` entries and cell durations are refused by
+    argparse (exit 2, naming the flag) before the config is even read."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the config was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_scenario", refuse)
+
+    def ablate(self, tmp_path, **flags):
+        args = {"--tlims": "73", "--glims": "-0.07", "--duration": "60"}
+        args.update(flags)
+        return ["ablate", "--config", "unused.json", "--out", str(tmp_path / "g.csv")] + [
+            f"{flag}={value}" for flag, value in args.items()]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tlims", "73,,70"), ("--tlims", "73,"), ("--tlims", ""), ("--tlims", "73,nan"),
+        ("--tlims", "inf"), ("--glims", "-0.07,-inf"), ("--glims", "NaN"),
+        ("--tlims", "73,abc"),
+        ("--duration", "nan"), ("--duration", "0"), ("--duration", "-5"),
+        ("--duration", "inf"), ("--duration", "ten"),
+    ])
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ablate(tmp_path, **{flag: value}))
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_default_duration_is_the_analysis_default(self):
+        args = cli.build_parser().parse_args(
+            ["ablate", "--config", "c.json", "--tlims", "73", "--glims=-0.07", "--out", "g"])
+        assert args.duration == DEFAULT_CELL_DURATION == 1800.0
+
+
+class TestModelChecks:
+    def test_negative_idle_power(self):
+        with pytest.raises(ProfileError, match="idle_power must be >= 0, got -1.0"):
+            DeviceProfile(heat_capacity=20.0, dissipation=0.1, ambient_temp=22.0,
+                          f_nominal=2.0, f_throttled=1.0, t_throttle=77.0, t_resume=70.0,
+                          idle_power=-1.0)
+
+    def test_thermal_step_negative_power(self):
+        state = DeviceState(temp=30.0, freq=PHONE_PROFILE.f_nominal)
+        with pytest.raises(ValueError, match="power must be >= 0, got -2.0"):
+            thermal_step(state, PHONE_PROFILE, power=-2.0, dt=1.0)
+        assert state.temp == 30.0 and state.sim_time == 0.0
+
+    def test_zero_nominal_power(self):
+        with pytest.raises(ScenarioError, match="power_nominal must be > 0, got 0.0"):
+            ModelVariant(name="dead", base_latency=0.1, power_nominal=0.0, accuracy=0.5)
+
+    @pytest.mark.parametrize("freq", [0.0, -1.0])
+    def test_power_draw_at_a_stopped_clock(self, freq):
+        large = get_suite("slimmable-resnet50-phone").large
+        with pytest.raises(ValueError, match=f"freq must be > 0, got {freq}"):
+            power_draw(large, freq, PHONE_PROFILE)
+
+
+PI_TARGETS = dict(governor=GovernorKind.PI_PIN, trip_temp=78.0, time_to_throttle=600.0,
+                  small_equilibrium=60.0, f_nominal=1.5, f_throttled=0.6, dissipation=0.10)
+
+
+class TestCalibrationChecks:
+    def test_small_equilibrium_too_near_the_shift_threshold(self):
+        with pytest.raises(CalibrationError, match="small-model equilibrium 72.0 C must sit "
+                                                   "at least 2 C below the shift threshold 73.0"):
+            calibrate_profile(CalibrationTargets(small_equilibrium=72.0, temp_threshold=73.0))
+
+    def test_large_model_cannot_cross_the_trip_point(self):
+        # 22 C + 6.5 W / 0.12 W/C = 76.2 C, short of 77 C + 0.5 C.
+        with pytest.raises(CalibrationError,
+                           match="large-model equilibrium 76.2 C cannot cross trip 77.0 C"):
+            calibrate_profile(CalibrationTargets(large_power=6.5, small_equilibrium=60.0))
+
+    def test_pinned_equilibrium_far_from_the_trip_point(self):
+        # 10 W settles near 118 C: no gain in range holds the pin within 1 C.
+        with pytest.raises(CalibrationError, match="pinned equilibrium .* is more than 1 C "
+                                                   "from trip 78.0 C"):
+            calibrate_profile(CalibrationTargets(**PI_TARGETS, large_power=10.0))
+
+
+class TestAnalysisChecks:
+    @pytest.mark.parametrize("n_cycles", [0, -1])
+    def test_fewer_than_one_cycle(self, n_cycles):
+        suite = get_suite("slimmable-resnet50-phone")
+        trace = run_scenario(phone_scenario(duration=60.0))
+        with pytest.raises(AnalysisError, match=f"n_cycles must be >= 1, got {n_cycles}"):
+            stable_iteration_accuracy(trace, suite.large, suite.small, n_cycles)
+
+    @pytest.mark.parametrize("temps,grads", [([], [-0.07]), ([73.0], []), ([], [])])
+    def test_empty_threshold_lists(self, temps, grads):
+        with pytest.raises(AnalysisError, match="threshold lists must be non-empty"):
+            ablation_grid(phone_scenario(duration=60.0), temps, grads)
+
+
+class TestConfigFileChecks:
+    def test_unreadable_config_path(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(ConfigFileError) as exc:
+            load_config(path)
+        assert exc.value.problems[0].startswith(f"cannot read {path}: ")
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert f"cannot read {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "42", '"suite"', "null"])
+    def test_top_level_not_an_object(self, tmp_path, text):
+        with pytest.raises(ConfigFileError) as exc:
+            build_scenario(json.loads(text))
+        assert exc.value.problems == ["top level: expected a JSON object"]

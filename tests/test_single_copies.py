@@ -1,7 +1,8 @@
 """Pins for ideas that live in one place: the controller's filter reset,
-``Trace`` as a list, ``Summary.to_dict``, the shift event names, the live
-loop's pacing sleep, and the one-pass ``observe`` and ``live_run`` loop
-against their reference forms."""
+``Trace`` as a list, ``Summary.to_dict``, the decision values as row
+events, the live loop's pacing sleep and clock reads, the governor
+table, and the one-pass ``observe`` and ``live_run`` loop against their
+reference forms."""
 
 import dataclasses
 import itertools
@@ -24,6 +25,7 @@ from thermoshift.controller import (
 )
 from thermoshift.errors import SensorReadError, SourceExhausted
 from thermoshift.harness import (
+    EVENT_NONE,
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
     Trace,
@@ -33,6 +35,8 @@ from thermoshift.harness import (
     run_scenario,
 )
 from thermoshift.sensors import ReplaySource, live_run
+from thermoshift.suites import PHONE_PROFILE, PI_PROFILE
+from thermoshift.thermal import DeviceState, HeatSource
 
 # Attributes that are not filter state: the config, the mode and the
 # telemetry that survives a reset.
@@ -108,6 +112,11 @@ class TestShiftEventNames:
         assert EVENT_SHIFT_SMALL == Decision.SHIFT_TO_SMALL.value
         assert EVENT_SHIFT_LARGE == Decision.SHIFT_TO_LARGE.value
 
+    def test_every_decision_value_is_its_row_event(self):
+        assert EVENT_NONE == Decision.STAY.value == "none"
+        for decision in Decision:
+            assert pick_event(decision, ()) == decision.value
+
 
 class TestLivePacing:
     def test_one_sleep_per_poll_error_polls_included(self):
@@ -134,6 +143,17 @@ class TestLivePacing:
         assert len(sleeps) == 10
         # Each poll reads the clock twice (start, then before sleeping): 1 s apart.
         assert sleeps == [4.0] * 10
+
+    @pytest.mark.parametrize("duration", [None, math.inf, 1e9])
+    def test_two_clock_reads_per_poll_with_or_without_a_duration(self, duration):
+        reads = itertools.count()
+        samples = [TemperatureSample(float(i), 60.0) for i in range(100)]
+        trace = live_run(ReplaySource(samples), ControllerConfig(), period=5.0,
+                         duration=duration, sleep=lambda s: None,
+                         clock=lambda: float(next(reads)))
+        assert len(trace) == 100
+        # One read before the loop, two per poll, one for the exhausted 101st.
+        assert next(reads) == 202
 
 
 def reference_observe(ctl, sample):
@@ -231,3 +251,31 @@ class TestLiveRunSubstitutions:
         assert polls == len(samples) + errors + 1 and errors > 0
         assert [r.event for r in trace] == [pick_event(d, ()) for d in decisions]
         assert {EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE} <= {r.event for r in trace}
+
+
+class TestGovernorTable:
+    """A ``HeatSource`` holds one band closure over constants solved once."""
+
+    def test_phone_drop_band(self):
+        p = PHONE_PROFILE
+        watts = {p.f_nominal: 6.0, p.f_throttled: 4.3}
+        source = HeatSource(p, lambda f: watts[f])
+        rate = p.dissipation / p.heat_capacity
+        nominal_eq = p.ambient_temp + 6.0 / p.dissipation
+        throttled_eq = p.ambient_temp + 4.3 / p.dissipation
+        state = DeviceState(temp=50.0, freq=p.f_nominal)
+        assert source.band(state) == (rate, nominal_eq, p.t_throttle)
+        state.temp, state.freq, state.throttled = 70.0, p.f_throttled, True
+        assert source.band(state) == (rate, throttled_eq, p.t_resume)
+        state.temp = p.t_resume - 1.0  # past its threshold: due at once
+        assert source.band(state) == (rate, throttled_eq, state.temp)
+
+    def test_pi_pin_band(self):
+        p = PI_PROFILE
+        source = HeatSource(p, lambda f: 8.0 * f / p.f_nominal)
+        rate = p.dissipation / p.heat_capacity
+        state = DeviceState(temp=40.0, freq=p.f_nominal)
+        assert source.band(state) == (rate, p.ambient_temp + 8.0 / p.dissipation, p.t_throttle)
+        state.temp = p.t_throttle + 0.5
+        pinned_rate, pinned_eq, edge = source.band(state)
+        assert pinned_rate > rate and p.t_throttle < pinned_eq and edge is None
