@@ -41,6 +41,14 @@ def _cell_duration(text: str) -> float:
     return value
 
 
+def _coefficient(text: str) -> float:
+    """``live --alpha``/``--beta``: an EMA coefficient in (0, 1)."""
+    value = _finite(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
+    return value
+
+
 def _write_summary(summary, path):
     write_text(path, json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", "summary")
 
@@ -180,11 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_live = sub.add_parser("live", help="poll a Linux thermal zone and signal shifts")
     p_live.add_argument("--zone", required=True,
                         help="thermal zone file, e.g. /sys/class/thermal/thermal_zone0/temp")
-    p_live.add_argument("--tlim", required=True, type=float, help="temperature threshold, C")
-    p_live.add_argument("--glim", required=True, type=float,
+    p_live.add_argument("--tlim", required=True, type=_finite, help="temperature threshold, C")
+    p_live.add_argument("--glim", required=True, type=_finite,
                         help="derivative threshold, C per sample (usually negative)")
-    p_live.add_argument("--alpha", type=float, default=0.995, help="temperature EMA coefficient")
-    p_live.add_argument("--beta", type=float, default=0.99, help="derivative EMA coefficient")
+    p_live.add_argument("--alpha", type=_coefficient, default=0.995,
+                        help="temperature EMA coefficient, in (0, 1)")
+    p_live.add_argument("--beta", type=_coefficient, default=0.99,
+                        help="derivative EMA coefficient, in (0, 1)")
     p_live.add_argument("--period", type=float, default=0.25, help="polling period, seconds")
     p_live.add_argument("--duration", type=float, help="stop after this many seconds")
     p_live.add_argument("--out", help="write the collected trace CSV here")

@@ -11,11 +11,14 @@ second EMA, and a two-state machine drives the shifts:
 Both filters are cleared on every shift so each phase starts fresh, by
 the same ``reset_filters`` that seeds them at construction.
 
-``ShiftController.observe`` runs on every poll, so it does the whole
-update in one pass on locals. ``ema_update`` and
-``ShiftController.estimate_derivative`` are the reference forms of its
-two filters: ``observe`` must match them bit for bit, in the same float
-operations and order, and a lockstep test compares the two.
+``ShiftController.observe_reading(time_s, celsius)`` runs on every
+poll or simulated row, so it takes plain numbers and does the whole
+update in one pass on locals. ``observe(sample)`` is the same update for
+a ``TemperatureSample`` (what the temperature sources return) and only
+unpacks it. ``ema_update`` and ``ShiftController.estimate_derivative``
+are the reference forms of the two filters: ``observe_reading`` must
+match them bit for bit, in the same float operations and order, and a
+lockstep test compares the two.
 """
 
 from __future__ import annotations
@@ -139,7 +142,11 @@ class ShiftController:
         return self.grad
 
     def observe(self, sample: TemperatureSample) -> Decision:
-        """Consume one temperature sample and return the shift decision.
+        """Consume one temperature sample: ``observe_reading`` of its fields."""
+        return self.observe_reading(sample.time_s, sample.celsius)
+
+    def observe_reading(self, time_s: float, celsius: float) -> Decision:
+        """Consume one reading taken at ``time_s`` and return the shift decision.
 
         Update order: smooth the temperature, update the slope, then
         evaluate the mode transitions (the LARGE -> SMALL trigger compares
@@ -147,27 +154,26 @@ class ShiftController:
         below-absolute-zero readings raise SampleError with no state
         change.
         """
-        t = sample.celsius
-        if not (isinstance(t, (int, float)) and math.isfinite(t)):
-            raise SampleError(f"non-finite temperature reading: {t!r}")
-        if t < ABSOLUTE_ZERO_C:
-            raise SampleError(f"temperature below absolute zero: {t} C")
+        if not (isinstance(celsius, (int, float)) and math.isfinite(celsius)):
+            raise SampleError(f"non-finite temperature reading: {celsius!r}")
+        if celsius < ABSOLUTE_ZERO_C:
+            raise SampleError(f"temperature below absolute zero: {celsius} C")
 
         # ema_update and estimate_derivative, inline on locals.
         cfg = self.config
         avg = self.avg_temp
         if avg is None:
-            new_avg = float(t)  # first sample after a reset seeds the filter
+            new_avg = float(celsius)  # first sample after a reset seeds the filter
         else:
             coeff = cfg.temp_smoothing
-            new_avg = coeff * avg + (1.0 - coeff) * t
+            new_avg = coeff * avg + (1.0 - coeff) * celsius
         prev = self.prev_avg_temp
         if prev is None:
             raw = 0.0
         else:
             raw = new_avg - prev
             if cfg.per_second and self._last_time is not None:
-                dt = sample.time_s - self._last_time
+                dt = time_s - self._last_time
                 if dt > 0.0:
                     raw /= dt
         coeff = cfg.grad_smoothing
@@ -178,7 +184,7 @@ class ShiftController:
         # A shift resets every filter attribute, so only STAY writes them.
         saw_cooling = raw < 0.0 or self._saw_cooling
         if self.mode is _LARGE:
-            if t > cfg.temp_threshold:
+            if celsius > cfg.temp_threshold:
                 self.mode = _SMALL
                 self.reset_filters()
                 return _TO_SMALL
@@ -193,5 +199,5 @@ class ShiftController:
         self.grad = grad
         self.samples_since_reset += 1
         self._saw_cooling = saw_cooling
-        self._last_time = sample.time_s
+        self._last_time = time_s
         return _STAY

@@ -12,7 +12,9 @@ curve (its band closure and the profile's governor rule), each
 variant's ``(compute, idle)`` at the two fixed frequency levels, and the
 logging draw's mean, std and bound ``rng.gauss``. Each row then does only
 the work that varies: the ``advance`` calls, the draws, the controller's
-``observe`` and the record.
+update and the record. The controller gets the reading as two plain
+numbers through its bound ``observe_reading``; no ``TemperatureSample``
+is built per row.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .controller import ControllerConfig, Decision, Mode, ShiftController, TemperatureSample
+from .controller import ControllerConfig, Decision, Mode, ShiftController
 from .errors import ScenarioError, TraceFormatError, non_finite_fields, write_text
 from .thermal import (
     EVENT_THROTTLE_OFF,
@@ -213,7 +215,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     closure and governor rule), each variant's ``(compute, idle)`` at
     ``f_nominal`` and ``f_throttled``, the platform's logging mean and
     std with the bound ``rng.gauss``, and the controller's bound
-    ``observe``. ``iteration_time`` is called only at any other
+    ``observe_reading``. ``iteration_time`` is called only at any other
     frequency (pi-pin's continuous sag); those values are not kept.
     """
     scenario.validate()
@@ -227,7 +229,7 @@ def run_scenario(scenario: Scenario) -> Trace:
         log_mean, log_std = LOGGING_OVERHEAD[scenario.platform]
     device = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
     controller = ShiftController(scenario.controller) if scenario.controller else None
-    observe = controller.observe if controller else None
+    observe = controller.observe_reading if controller else None
     # One heat source per power curve, with its governor bands solved once.
     large_heat = HeatSource(profile, lambda f: power_draw(large, f, profile))
     small_heat = HeatSource(profile, lambda f: power_draw(small, f, profile))
@@ -263,7 +265,7 @@ def run_scenario(scenario: Scenario) -> Trace:
         avg = grad = None
         decision = stay
         if observe is not None:
-            decision = observe(TemperatureSample(device.sim_time, cpu_temp))
+            decision = observe(device.sim_time, cpu_temp)
             avg = controller.last_avg_temp
             grad = controller.last_grad
             mode = controller.mode

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import chain
 
 from .controller import ControllerConfig, Decision, ShiftController, TemperatureSample
 from .errors import LiveRunError, SampleError, SensorReadError, SourceExhausted
@@ -43,12 +44,29 @@ class SysfsSource:
         return TemperatureSample(time_s=self._clock(), celsius=read_sysfs_temp(self.path))
 
 
+class _Exhausted:
+    """An endless iterator whose every step raises SourceExhausted."""
+
+    def __init__(self, count):
+        self._message = f"replay finished after {count} samples"
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise SourceExhausted(self._message)
+
+
 class ReplaySource:
     """Feeds back the cpu_temp column of a recorded trace, in order."""
 
     def __init__(self, samples):
-        self._samples = list(samples)
-        self._next = 0
+        samples = list(samples)
+        # ``read_now() -> TemperatureSample`` is one C-level step of an
+        # iterator over the samples and then ``_Exhausted``: ``chain`` keeps
+        # an iterator that raised as its current one, so every read after
+        # the last sample raises SourceExhausted again.
+        self.read_now = chain(samples, _Exhausted(len(samples))).__next__
 
     @classmethod
     def from_trace(cls, trace):
@@ -57,13 +75,6 @@ class ReplaySource:
     @classmethod
     def from_csv(cls, path):
         return cls.from_trace(parse_trace(path))
-
-    def read_now(self) -> TemperatureSample:
-        if self._next >= len(self._samples):
-            raise SourceExhausted(f"replay finished after {len(self._samples)} samples")
-        sample = self._samples[self._next]
-        self._next += 1
-        return sample
 
 
 class SimulatedSource:

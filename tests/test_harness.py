@@ -478,3 +478,23 @@ class TestLeanLoopMatchesReference:
         emit_trace(run_scenario(scenario), lean)
         emit_trace(reference_run(scenario), reference)
         assert lean.read_bytes() == reference.read_bytes()
+
+
+class TestNoSamplePerRow:
+    """``run_scenario`` hands the controller plain numbers: it builds no
+    ``TemperatureSample``, and the records are those of an unpatched run."""
+
+    @pytest.mark.parametrize("suite_name", SUITE_NAMES)
+    def test_runs_with_sample_construction_refused(self, monkeypatch, suite_name):
+        scenario = build_scenario({"suite": suite_name, "seed": 0, "duration": 600.0,
+                                   "controller": "default"})
+        unpatched = run_scenario(scenario)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("run_scenario built a TemperatureSample")
+
+        monkeypatch.setattr(TemperatureSample, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            TemperatureSample(0.0, 60.0)
+        assert run_scenario(scenario).records == unpatched.records
+        assert len(unpatched) > 0

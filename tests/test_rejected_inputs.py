@@ -1,5 +1,5 @@
 """Inputs that must be refused with a message, not a traceback or a hang:
-non-finite live pacing, bad ablate flags, an unknown suite, unwritable
+non-finite live pacing, bad live and ablate flags, an unknown suite, unwritable
 output paths (refused before any work starts), and the profile,
 calibration, workload, analysis and config checks that no run in the
 other test files reaches."""
@@ -253,6 +253,42 @@ class TestAblateFlags:
         args = cli.build_parser().parse_args(
             ["ablate", "--config", "c.json", "--tlims", "73", "--glims=-0.07", "--out", "g"])
         assert args.duration == DEFAULT_CELL_DURATION == 1800.0
+
+
+class TestLiveFlags:
+    """``live``'s thresholds and EMA coefficients are refused by argparse
+    (exit 2, naming the flag) before the zone is opened."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the zone was opened before the flags were checked")
+
+        for name in ("SysfsSource", "live_run"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def live(self, **flags):
+        args = {"--tlim": "73", "--glim": "-0.07", "--duration": "1"}
+        args.update(flags)
+        return ["live", "--zone", "unused"] + [f"{flag}={value}" for flag, value in args.items()]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tlim", "nan"), ("--tlim", "inf"), ("--tlim", "hot"),
+        ("--glim", "-inf"), ("--glim", "NaN"),
+        ("--alpha", "1.5"), ("--alpha", "1"), ("--alpha", "0"), ("--alpha", "nan"),
+        ("--beta", "-0.5"), ("--beta", "inf"), ("--beta", "x"),
+    ])
+    def test_exits_2_naming_the_flag(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(self.live(**{flag: value}))
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_good_values_parse(self):
+        args = cli.build_parser().parse_args(self.live(**{"--alpha": "0.9", "--beta": "0.5"}))
+        assert (args.tlim, args.glim, args.alpha, args.beta) == (73.0, -0.07, 0.9, 0.5)
+        defaults = cli.build_parser().parse_args(self.live())
+        assert (defaults.alpha, defaults.beta) == (0.995, 0.99)
 
 
 class TestModelChecks:

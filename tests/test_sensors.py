@@ -78,6 +78,34 @@ class TestReplaySource:
         with pytest.raises(SourceExhausted):
             src.read_now()
 
+    def test_every_read_after_the_end_raises_with_the_same_count(self):
+        src = ReplaySource([TemperatureSample(0.0, 50.0), TemperatureSample(1.0, 51.0)])
+        src.read_now()
+        src.read_now()
+        for _ in range(3):
+            with pytest.raises(SourceExhausted, match=r"^replay finished after 2 samples$"):
+                src.read_now()
+
+    def test_empty_replay_raises_on_the_first_read(self):
+        with pytest.raises(SourceExhausted, match=r"^replay finished after 0 samples$"):
+            ReplaySource([]).read_now()
+
+    def test_a_generator_is_consumed_once(self):
+        pulled = []
+
+        def samples():
+            for i in range(3):
+                pulled.append(i)
+                yield TemperatureSample(float(i), 50.0 + i)
+
+        gen = samples()
+        src = ReplaySource(gen)
+        assert [src.read_now().celsius for _ in range(3)] == [50.0, 51.0, 52.0]
+        with pytest.raises(SourceExhausted, match=r"after 3 samples$"):
+            src.read_now()
+        assert pulled == [0, 1, 2]
+        assert next(gen, None) is None
+
     def test_from_csv(self, tmp_path):
         trace = run_scenario(phone_scenario(duration=120.0, baseline=True))
         path = tmp_path / "t.csv"

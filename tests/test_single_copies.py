@@ -1,8 +1,8 @@
 """Pins for ideas that live in one place: the controller's filter reset,
 ``Trace`` as a list, ``Summary.to_dict``, the decision values as row
 events, the live loop's pacing sleep and clock reads, the governor
-table, and the one-pass ``observe`` and ``live_run`` loop against their
-reference forms."""
+table, and the one-pass controller update (through both entry points)
+and ``live_run`` loop against their reference forms."""
 
 import dataclasses
 import itertools
@@ -23,7 +23,7 @@ from thermoshift.controller import (
     TemperatureSample,
     ema_update,
 )
-from thermoshift.errors import SensorReadError, SourceExhausted
+from thermoshift.errors import SampleError, SensorReadError, SourceExhausted
 from thermoshift.harness import (
     EVENT_NONE,
     EVENT_SHIFT_LARGE,
@@ -217,6 +217,46 @@ class TestObserveLockstep:
             assert bits(fast) == bits(slow)
             seen.add(decision)
         assert seen == set(Decision)
+
+    @staticmethod
+    def config(per_second, literal_init):
+        return ControllerConfig(temp_smoothing=0.8, grad_smoothing=0.7, temp_threshold=74.0,
+                                grad_threshold=-0.05, per_second=per_second,
+                                literal_init=literal_init)
+
+    @pytest.mark.parametrize("per_second", [False, True])
+    @pytest.mark.parametrize("literal_init", [False, True])
+    @pytest.mark.parametrize("seed", [0, 8675309])
+    def test_both_entry_points_bit_equal_to_reference(self, per_second, literal_init, seed):
+        """``observe_reading(t, c)`` and ``observe(TemperatureSample(t, c))``,
+        alternated on one controller, are one update."""
+        fast = ShiftController(self.config(per_second, literal_init))
+        slow = ShiftController(self.config(per_second, literal_init))
+        seen = {"observe": set(), "observe_reading": set()}
+        for i, sample in enumerate(random_samples(seed)):
+            if i % 2:
+                entry, decision = "observe", fast.observe(sample)
+            else:
+                entry = "observe_reading"
+                decision = fast.observe_reading(sample.time_s, sample.celsius)
+            assert decision is reference_observe(slow, sample)
+            assert bits(fast) == bits(slow)
+            seen[entry].add(decision)
+        assert seen["observe"] | seen["observe_reading"] == set(Decision)
+        assert all(len(decisions) > 1 for decisions in seen.values())
+
+    @pytest.mark.parametrize("per_second", [False, True])
+    @pytest.mark.parametrize("literal_init", [False, True])
+    @pytest.mark.parametrize("celsius", [math.nan, math.inf, -math.inf, -273.16, -1e9])
+    def test_bad_readings_raise_without_a_state_change(self, per_second, literal_init,
+                                                        celsius):
+        ctl = ShiftController(self.config(per_second, literal_init))
+        for sample in random_samples(0, n=200):
+            ctl.observe_reading(sample.time_s, sample.celsius)
+        before = bits(ctl)
+        with pytest.raises(SampleError):
+            ctl.observe_reading(1e6, celsius)
+        assert bits(ctl) == before
 
 
 class TestLiveRunSubstitutions:
