@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--trace", required=True)
     p_plot.add_argument("--overlay", help="second trace drawn on the same axes")
     p_plot.add_argument("--out", required=True, help="output path prefix")
-    p_plot.add_argument("--tlim", type=float, help="shift threshold reference line")
-    p_plot.add_argument("--t-throttle", type=float, help="throttle trip reference line")
+    p_plot.add_argument("--tlim", type=_finite, help="shift threshold reference line")
+    p_plot.add_argument("--t-throttle", type=_finite, help="throttle trip reference line")
     p_plot.set_defaults(func=cmd_plot)
 
     p_live = sub.add_parser("live", help="poll a Linux thermal zone and signal shifts")

@@ -54,7 +54,7 @@ _LARGE, _SMALL = Mode.LARGE, Mode.SMALL
 _STAY, _TO_SMALL, _TO_LARGE = Decision.STAY, Decision.SHIFT_TO_SMALL, Decision.SHIFT_TO_LARGE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemperatureSample:
     """One timestamped CPU temperature reading."""
 

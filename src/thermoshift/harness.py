@@ -49,7 +49,10 @@ EVENT_SHIFT_LARGE = Decision.SHIFT_TO_LARGE.value
 
 CSV_HEADER = "sim_time,cpu_temp,avg_temp,grad,freq,mode,inference_latency,idle,event,overhead"
 
-_EVENTS = {EVENT_NONE, EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE, EVENT_THROTTLE_ON, EVENT_THROTTLE_OFF}
+# Each event name mapped to itself: ``parse_trace`` gives every row these
+# string objects, not a fresh copy per row.
+_EVENTS = {event: event for event in (
+    EVENT_NONE, EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE, EVENT_THROTTLE_ON, EVENT_THROTTLE_OFF)}
 
 
 @dataclass(slots=True)
@@ -107,24 +110,47 @@ def emit_trace(trace: Trace, path) -> None:
         # an enum property, a Python-level call on every row.
         lines.append(row_format % (r.sim_time, r.cpu_temp, avg, grad, freq, r.mode._name_,
                                    latency, idle, r.event, r.overhead))
-    write_text(path, "\n".join(lines) + "\n", "trace", TraceFormatError)
+    lines.append("")  # the final newline, without a second copy of the whole text
+    write_text(path, "\n".join(lines), "trace", TraceFormatError)
 
 
 _MODES = {mode.name: mode for mode in Mode}
+
+
+class _Floats(dict):
+    """Column text -> float, one float object per distinct text.
+
+    A repeated text is one C-level subscript and yields the object made
+    the first time. Keyed by text, not by value, so ``"-0"`` and ``"0"``
+    stay distinct, and text that ``float`` refuses raises its usual
+    ``ValueError``.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
 
 
 def parse_trace(path) -> Trace:
     """Read a trace CSV produced by emit_trace (or a live run).
 
     Blank lines are skipped; errors name the file and line as ``path:line``.
+    The columns that repeat from row to row (``freq``,
+    ``inference_latency``, ``idle``, ``overhead``) share one float object
+    per distinct text, and ``event`` is the module's own string, so a
+    parsed trace holds little more than one run of ``run_scenario``.
     """
     try:
         with open(path) as fh:
             lines = fh.read().split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace from {path}: {exc}") from exc
     if lines[0] != CSV_HEADER:
         raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
+    repeated = _Floats({"": None})  # freq, inference_latency and idle: blank is None
+    overheads = _Floats({"": 0.0})
     trace = Trace()
     append = trace.append
     for n, line in enumerate(lines[1:], start=2):
@@ -136,22 +162,23 @@ def parse_trace(path) -> Trace:
         except ValueError:
             raise TraceFormatError(
                 f"{path}:{n}: expected 10 columns, got {line.count(',') + 1}") from None
+        # Columns convert left to right, so the first bad one is reported.
         try:
             record = TraceRecord(
                 float(sim_time),
                 float(cpu_temp),
                 float(avg) if avg else None,
                 float(grad) if grad else None,
-                float(freq) if freq else None,
+                repeated[freq],
                 _MODES[mode],
-                float(latency) if latency else None,
-                float(idle) if idle else None,
-                event,
-                float(overhead) if overhead else 0.0,
+                repeated[latency],
+                repeated[idle],
+                _EVENTS.get(event),
+                overheads[overhead],
             )
         except (ValueError, KeyError) as exc:
             raise TraceFormatError(f"{path}:{n}: {exc}") from exc
-        if event not in _EVENTS:
+        if record.event is None:
             raise TraceFormatError(f"{path}:{n}: unknown event {event!r}")
         append(record)
     return trace

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -50,6 +53,42 @@ class TestConfig:
         assert ctl.prev_avg_temp is None
         assert ctl.grad == 0.0
         assert ctl.samples_since_reset == 0
+
+
+class TestTemperatureSample:
+    """A frozen, slotted record: no instance dict, same equality and repr."""
+
+    def test_no_instance_dict(self):
+        sample = TemperatureSample(1.5, 60.25)
+        assert not hasattr(sample, "__dict__")
+        assert TemperatureSample.__slots__ == ("time_s", "celsius")
+
+    @pytest.mark.parametrize("name", ["celsius", "time_s"])
+    def test_frozen(self, name):
+        sample = TemperatureSample(1.5, 60.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sample, name, 61.0)
+        assert sample == TemperatureSample(1.5, 60.25)
+
+    def test_no_attribute_can_be_added(self):
+        # A slotted frozen dataclass refuses a name that is not a field with
+        # TypeError (a CPython quirk of ``slots=True``), not FrozenInstanceError.
+        sample = TemperatureSample(1.5, 60.25)
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            sample.extra = 1.0
+        assert not hasattr(sample, "extra")
+
+    def test_copies_and_pickles(self):
+        sample = TemperatureSample(1.5, 60.25)
+        assert copy.copy(sample) == copy.deepcopy(sample) == sample
+        assert pickle.loads(pickle.dumps(sample)) == sample
+
+    def test_equality_hash_and_repr(self):
+        sample = TemperatureSample(time_s=1.5, celsius=60.25)
+        assert sample == TemperatureSample(1.5, 60.25)
+        assert sample != TemperatureSample(1.5, 60.5)
+        assert hash(sample) == hash(TemperatureSample(1.5, 60.25))
+        assert repr(sample) == "TemperatureSample(time_s=1.5, celsius=60.25)"
 
 
 class TestEma:

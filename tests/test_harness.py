@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -14,6 +16,7 @@ from thermoshift.errors import ScenarioError
 from thermoshift.errors import TraceFormatError
 from thermoshift.harness import (
     CSV_HEADER,
+    EVENT_NONE,
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
     Trace,
@@ -25,7 +28,13 @@ from thermoshift.harness import (
 )
 from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import SUITE_NAMES, SUITES, default_profile
-from thermoshift.thermal import EVENT_THROTTLE_ON, DeviceState, HeatSource, advance
+from thermoshift.thermal import (
+    EVENT_THROTTLE_OFF,
+    EVENT_THROTTLE_ON,
+    DeviceState,
+    HeatSource,
+    advance,
+)
 from thermoshift.workload import (
     LOGGING_OVERHEAD,
     PacingPolicy,
@@ -286,6 +295,18 @@ class TestParseTraceErrors:
         path, message = self.parse_error(tmp_path, CSV_HEADER + "\n" + self.GOOD + "\n" + row)
         assert message == f"{path}:3: could not convert string to float: {bad!r}"
 
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        # Past the first 8 KiB, so the offset is the file's, not a chunk's.
+        head = (CSV_HEADER + "\n" + (self.GOOD + "\n") * 300).encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(head + b"1,5\xff,,,,LARGE,,,none,0\n")
+        with pytest.raises(TraceFormatError) as info:
+            parse_trace(path)
+        assert len(head) > 8192
+        assert str(info.value) == (
+            f"cannot read trace from {path}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(head) + 3}: invalid start byte")
+
     def test_unknown_mode(self, tmp_path):
         text = CSV_HEADER + "\n" + self.GOOD + "\n1,50,49,-0.01,2.86,MEDIUM,0.205,0,none,0\n"
         path, message = self.parse_error(tmp_path, text)
@@ -498,3 +519,105 @@ class TestNoSamplePerRow:
             TemperatureSample(0.0, 60.0)
         assert run_scenario(scenario).records == unpatched.records
         assert len(unpatched) > 0
+
+
+def fresh_parse(path) -> Trace:
+    """``parse_trace`` without sharing: a new float per cell and a new
+    ``event`` string per row (the reference for equality and footprint)."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    trace = Trace()
+    for line in lines[1:]:
+        if not line:
+            continue
+        sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = (
+            line.split(","))
+        trace.append(TraceRecord(
+            float(sim_time),
+            float(cpu_temp),
+            float(avg) if avg else None,
+            float(grad) if grad else None,
+            float(freq) if freq else None,
+            Mode[mode],
+            float(latency) if latency else None,
+            float(idle) if idle else None,
+            event,
+            float(overhead) if overhead else 0.0,
+        ))
+    return trace
+
+
+def held_bytes(parse, path) -> int:
+    """Bytes still allocated, per ``tracemalloc``, once ``parse(path)`` returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = parse(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) > 0
+    return held
+
+
+class TestParsedTraceSharesValues:
+    """``parse_trace`` gives each distinct text of the repeated columns one
+    float object and each row the module's own event string; the records
+    are those of a parse that shares nothing."""
+
+    REPEATED = ("freq", "inference_latency", "idle", "overhead")
+
+    @pytest.fixture(scope="class", params=[0, 8675309])
+    def phone_hour(self, request, tmp_path_factory):
+        scenario = build_scenario({"suite": "slimmable-resnet50-phone", "seed": request.param,
+                                   "duration": 3600.0, "controller": "default"})
+        path = tmp_path_factory.mktemp("trace") / "phone.csv"
+        emit_trace(run_scenario(scenario), path)
+        return path
+
+    def test_records_equal_a_fresh_parse(self, phone_hour):
+        parsed = parse_trace(phone_hour)
+        assert len(parsed) > 5000
+        assert parsed == fresh_parse(phone_hour)
+
+    def test_one_object_per_distinct_text(self, phone_hour):
+        parsed = parse_trace(phone_hour)
+        rows = [line.split(",") for line in phone_hour.read_text().splitlines()[1:]]
+        columns = CSV_HEADER.split(",")
+        for name in self.REPEATED:
+            texts = {row[columns.index(name)] for row in rows}
+            assert len(texts) < len(rows) / 4, name
+            assert len({id(getattr(r, name)) for r in parsed}) == len(texts), name
+
+    def test_events_are_the_module_constants(self, phone_hour):
+        constants = {event: event for event in (
+            EVENT_NONE, EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE, EVENT_THROTTLE_ON,
+            EVENT_THROTTLE_OFF)}
+        parsed = parse_trace(phone_hour)
+        assert {r.event for r in parsed} >= {EVENT_NONE, EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE}
+        assert all(r.event is constants[r.event] for r in parsed)
+
+    def test_footprint_below_a_fresh_parse(self, phone_hour):
+        assert held_bytes(parse_trace, phone_hour) <= 0.7 * held_bytes(fresh_parse, phone_hour)
+
+    def test_signed_zeros_stay_distinct_and_round_trip(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text(CSV_HEADER + "\n1,50,,,-0,LARGE,0,-0,none,-0\n"
+                         "2,51,,,0,LARGE,-0,0,none,0\n3,52,,,,SMALL,,,shift_to_small,0\n")
+        parsed = parse_trace(first)
+        signs = [[math.copysign(1.0, getattr(r, name)) for name in self.REPEATED]
+                 for r in parsed[:2]]
+        assert signs == [[-1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]
+        assert parsed[0].freq is not parsed[1].freq
+        emit_trace(parsed, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_blanks_are_none_and_zero_overhead(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n1,50,,,,LARGE,,,none,\n2,51,,,,LARGE,,,none,0\n")
+        first, second = parse_trace(path)
+        for record in (first, second):
+            assert (record.avg_temp, record.grad, record.freq, record.inference_latency,
+                    record.idle) == (None,) * 5
+        assert first.overhead == 0.0 and math.copysign(1.0, first.overhead) == 1.0
+        assert second.overhead == 0.0

@@ -1,6 +1,7 @@
 """Inputs that must be refused with a message, not a traceback or a hang:
-non-finite live pacing, bad live and ablate flags, an unknown suite, unwritable
-output paths (refused before any work starts), and the profile,
+non-finite live pacing, bad live, ablate and plot flags, an unknown suite, an
+undecodable trace file, unwritable output paths (refused before any work
+starts), and the profile,
 calibration, workload, analysis and config checks that no run in the
 other test files reaches."""
 
@@ -289,6 +290,53 @@ class TestLiveFlags:
         assert (args.tlim, args.glim, args.alpha, args.beta) == (73.0, -0.07, 0.9, 0.5)
         defaults = cli.build_parser().parse_args(self.live())
         assert (defaults.alpha, defaults.beta) == (0.995, 0.99)
+
+
+class TestPlotFlags:
+    """``plot``'s reference lines are refused by argparse (exit 2, naming
+    the flag) before the trace is read or a chart is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the trace was read before the flags were checked")
+
+        for name in ("parse_trace", "emit_plots"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--tlim", "nan"), ("--tlim", "inf"), ("--tlim", "hot"),
+        ("--t-throttle", "-inf"), ("--t-throttle", "NaN"), ("--t-throttle", "Infinity"),
+    ])
+    def test_exits_2_naming_the_flag(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--trace", "unused.csv", "--out", "unused", f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_good_values_parse(self):
+        plot = ["plot", "--trace", "t.csv", "--out", "p"]
+        args = cli.build_parser().parse_args(plot + ["--tlim", "73", "--t-throttle", "76.5"])
+        assert (args.tlim, args.t_throttle) == (73.0, 76.5)
+        defaults = cli.build_parser().parse_args(plot)
+        assert (defaults.tlim, defaults.t_throttle) == (None, None)
+
+
+class TestUndecodableTrace:
+    """A trace with a byte that is not UTF-8 ends in exit 1 naming the file
+    and the byte's offset, not in a ``UnicodeDecodeError`` traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["summarize", "--suite", "slimmable-resnet50-phone"],
+        ["plot", "--out", "unused"],
+    ])
+    def test_exits_1_naming_the_path(self, tmp_path, capsys, command):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"sim_time\xff")
+        assert main(command + ["--trace", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read trace from {path}: ")
+        assert "can't decode byte 0xff in position 8" in err
 
 
 class TestModelChecks:

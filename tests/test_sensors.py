@@ -106,6 +106,15 @@ class TestReplaySource:
         assert pulled == [0, 1, 2]
         assert next(gen, None) is None
 
+    def test_from_trace_reuses_the_record_floats(self):
+        trace = run_scenario(phone_scenario(duration=60.0))
+        src = ReplaySource.from_trace(trace)
+        for record in trace:
+            sample = src.read_now()
+            assert sample.time_s is record.sim_time and sample.celsius is record.cpu_temp
+        with pytest.raises(SourceExhausted):
+            src.read_now()
+
     def test_from_csv(self, tmp_path):
         trace = run_scenario(phone_scenario(duration=120.0, baseline=True))
         path = tmp_path / "t.csv"
