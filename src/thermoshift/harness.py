@@ -116,6 +116,10 @@ def emit_trace(trace: Trace, path) -> None:
 
 _MODES = {mode.name: mode for mode in Mode}
 
+# ``overhead`` is 0 on every row but a shift's, and each shift draws its own
+# value: the zeros share one float, the rest convert as they come.
+_NO_OVERHEAD = frozenset(("", "0"))
+
 
 class _Floats(dict):
     """Column text -> float, one float object per distinct text.
@@ -138,9 +142,10 @@ def parse_trace(path) -> Trace:
 
     Blank lines are skipped; errors name the file and line as ``path:line``.
     The columns that repeat from row to row (``freq``,
-    ``inference_latency``, ``idle``, ``overhead``) share one float object
-    per distinct text, and ``event`` is the module's own string, so a
-    parsed trace holds little more than one run of ``run_scenario``.
+    ``inference_latency``, ``idle``) share one float object per distinct
+    text, every zero ``overhead`` is one float, and ``event`` is the
+    module's own string, so a parsed trace holds little more than one run
+    of ``run_scenario``.
     """
     try:
         with open(path) as fh:
@@ -150,7 +155,6 @@ def parse_trace(path) -> Trace:
     if lines[0] != CSV_HEADER:
         raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
     repeated = _Floats({"": None})  # freq, inference_latency and idle: blank is None
-    overheads = _Floats({"": 0.0})
     trace = Trace()
     append = trace.append
     for n, line in enumerate(lines[1:], start=2):
@@ -174,7 +178,7 @@ def parse_trace(path) -> Trace:
                 repeated[latency],
                 repeated[idle],
                 _EVENTS.get(event),
-                overheads[overhead],
+                0.0 if overhead in _NO_OVERHEAD else float(overhead),
             )
         except (ValueError, KeyError) as exc:
             raise TraceFormatError(f"{path}:{n}: {exc}") from exc

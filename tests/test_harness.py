@@ -562,10 +562,11 @@ def held_bytes(parse, path) -> int:
 
 class TestParsedTraceSharesValues:
     """``parse_trace`` gives each distinct text of the repeated columns one
-    float object and each row the module's own event string; the records
-    are those of a parse that shares nothing."""
+    float object, every zero overhead one float and each row the module's
+    own event string; the records are those of a parse that shares
+    nothing."""
 
-    REPEATED = ("freq", "inference_latency", "idle", "overhead")
+    REPEATED = ("freq", "inference_latency", "idle")
 
     @pytest.fixture(scope="class", params=[0, 8675309])
     def phone_hour(self, request, tmp_path_factory):
@@ -589,6 +590,13 @@ class TestParsedTraceSharesValues:
             assert len(texts) < len(rows) / 4, name
             assert len({id(getattr(r, name)) for r in parsed}) == len(texts), name
 
+    def test_zero_overheads_are_one_object(self, phone_hour):
+        # Each shift draws its own overhead, so only the zeros repeat.
+        parsed = parse_trace(phone_hour)
+        zeros = [r.overhead for r in parsed if r.overhead == 0.0]
+        assert len(zeros) > len(parsed) / 2
+        assert len({id(zero) for zero in zeros}) == 1
+
     def test_events_are_the_module_constants(self, phone_hour):
         constants = {event: event for event in (
             EVENT_NONE, EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE, EVENT_THROTTLE_ON,
@@ -600,12 +608,25 @@ class TestParsedTraceSharesValues:
     def test_footprint_below_a_fresh_parse(self, phone_hour):
         assert held_bytes(parse_trace, phone_hour) <= 0.7 * held_bytes(fresh_parse, phone_hour)
 
+    def test_pinned_pi_hour(self, tmp_path):
+        # The pi-pin governor sets freq from the excess over the trip point,
+        # so this column repeats least; the parse still shares and shrinks.
+        scenario = build_scenario({"suite": "slimmable-resnet50-pi", "seed": 0,
+                                   "duration": 3600.0})
+        path = tmp_path / "pi.csv"
+        emit_trace(run_scenario(scenario), path)
+        parsed = parse_trace(path)
+        assert parsed == fresh_parse(path)
+        assert len({r.freq for r in parsed}) > 100
+        assert len({id(r.freq) for r in parsed}) == len({r.freq for r in parsed})
+        assert held_bytes(parse_trace, path) <= 0.7 * held_bytes(fresh_parse, path)
+
     def test_signed_zeros_stay_distinct_and_round_trip(self, tmp_path):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         first.write_text(CSV_HEADER + "\n1,50,,,-0,LARGE,0,-0,none,-0\n"
                          "2,51,,,0,LARGE,-0,0,none,0\n3,52,,,,SMALL,,,shift_to_small,0\n")
         parsed = parse_trace(first)
-        signs = [[math.copysign(1.0, getattr(r, name)) for name in self.REPEATED]
+        signs = [[math.copysign(1.0, getattr(r, name)) for name in self.REPEATED + ("overhead",)]
                  for r in parsed[:2]]
         assert signs == [[-1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, 1.0]]
         assert parsed[0].freq is not parsed[1].freq
