@@ -148,16 +148,23 @@ def ablation_grid(base_scenario: Scenario, temp_thresholds, grad_thresholds,
                   duration: float = DEFAULT_CELL_DURATION) -> AblationGrid:
     """Sweep the two thresholds; each cell runs an independent scenario.
 
-    Cells that never complete two shift cycles record a note instead of a
-    value; one bad cell does not abort the sweep. Per-cell seeds depend
-    only on the base seed and the cell's thresholds, so execution order
-    cannot change any value.
+    Each cell's value is ``stable_iteration_accuracy`` over its first two
+    complete shift cycles, so a cell's run stops at the shift to SMALL
+    that closes the second cycle (``Scenario.stop_after_small_shifts``);
+    the rows after it would not be read. The stopped trace is a prefix of
+    the full run's, so every value and note is the full run's.
+
+    Cells that never complete two shift cycles run for the whole
+    ``duration`` and record a note instead of a value; one bad cell does
+    not abort the sweep. Per-cell seeds depend only on the base seed and
+    the cell's thresholds, so execution order cannot change any value.
     """
     if not temp_thresholds or not grad_thresholds:
         raise AnalysisError("threshold lists must be non-empty")
     template = base_scenario.controller
     if template is None:
         raise AnalysisError("ablation needs a scenario with a controller config")
+    n_cycles = 2
     values = []
     notes = []
     for g in grad_thresholds:
@@ -170,10 +177,11 @@ def ablation_grid(base_scenario: Scenario, temp_thresholds, grad_thresholds,
                 controller=cfg,
                 duration=duration,
                 seed=cell_seed(base_scenario.seed, t, g),
+                stop_after_small_shifts=n_cycles + 1,
             )
             trace = run_scenario(cell)
             try:
-                row.append(stable_iteration_accuracy(trace, cell.large, cell.small, 2))
+                row.append(stable_iteration_accuracy(trace, cell.large, cell.small, n_cycles))
                 row_notes.append("")
             except AnalysisError as exc:
                 row.append(None)

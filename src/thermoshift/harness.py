@@ -190,7 +190,13 @@ def parse_trace(path) -> Trace:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed for one deterministic closed-loop run."""
+    """Everything needed for one deterministic closed-loop run.
+
+    ``stop_after_small_shifts``, when set, ends the run early: right after
+    the row that makes that many shifts to SMALL, or at ``duration`` if
+    that comes first. The stopped trace is an exact prefix of the full
+    run's. Leave it unset for anything that reads the whole run.
+    """
 
     profile: DeviceProfile
     large: ModelVariant
@@ -202,6 +208,7 @@ class Scenario:
     platform: Platform = Platform.PHONE
     weight_shared: bool = False   # true weight sharing: shifts cost nothing
     logging_enabled: bool = True
+    stop_after_small_shifts: int | None = None
 
     def validate(self):
         problems = non_finite_fields(self)
@@ -209,6 +216,10 @@ class Scenario:
             raise ScenarioError("; ".join(problems))
         if self.duration <= 0:
             problems.append(f"duration must be > 0, got {self.duration}")
+        stop = self.stop_after_small_shifts
+        if stop is not None and (type(stop) is not int or stop < 1):
+            problems.append(
+                f"stop_after_small_shifts must be a whole number >= 1 or None, got {stop!r}")
         if self.large.base_latency < self.small.base_latency:
             problems.append(
                 f"large variant ({self.large.base_latency}s) must not be faster than "
@@ -226,7 +237,11 @@ class Scenario:
 
 
 def pick_event(decision: Decision, governor_events) -> str:
-    """The row's event: a shift decision wins over governor events."""
+    """The row's event: a shift decision wins over governor events.
+
+    ``run_scenario`` shows a shift row's governor events on the next row
+    that raises none of its own.
+    """
     if decision is Decision.STAY:
         if EVENT_THROTTLE_ON in governor_events:
             return EVENT_THROTTLE_ON
@@ -238,6 +253,11 @@ def pick_event(decision: Decision, governor_events) -> str:
 def run_scenario(scenario: Scenario) -> Trace:
     """Run the closed loop until sim_time reaches the scenario duration.
 
+    With ``scenario.stop_after_small_shifts`` set to n, the run ends
+    sooner: right after the row that makes the n-th shift to SMALL. That
+    row's model-load stall has already run, so the stopped trace is an
+    exact prefix of the full run's.
+
     Deterministic: the only randomness (logging and model-load stalls)
     comes from a generator seeded with scenario.seed.
 
@@ -246,12 +266,20 @@ def run_scenario(scenario: Scenario) -> Trace:
     closure and governor rule), each variant's ``(compute, idle)`` at
     ``f_nominal`` and ``f_throttled``, the platform's logging mean and
     std with the bound ``rng.gauss``, and the controller's bound
-    ``observe_reading``. ``iteration_time`` is called only at any other
-    frequency (pi-pin's continuous sag); those values are not kept.
+    ``observe_reading``. At any other frequency (pi-pin's continuous sag)
+    the loop repeats ``iteration_time``'s float operations inline; those
+    values are not kept.
+
+    A shift decision names its row's event. The governor events that row
+    raised show on the next row that raises none of its own (nor in the
+    model-load stall before it), so a throttle that starts on a shift row
+    is not lost.
     """
     scenario.validate()
     profile = scenario.profile
     duration, pacing, weight_shared = scenario.duration, scenario.pacing, scenario.weight_shared
+    stop = scenario.stop_after_small_shifts
+    small_shifts_left = -1 if stop is None else stop  # counts down; from -1 it never hits 0
     large, small = scenario.large, scenario.small
     rng = random.Random(scenario.seed)
     gauss = rng.gauss
@@ -265,7 +293,9 @@ def run_scenario(scenario: Scenario) -> Trace:
     large_heat = HeatSource(profile, lambda f: power_draw(large, f, profile))
     small_heat = HeatSource(profile, lambda f: power_draw(small, f, profile))
     idle_heat = HeatSource(profile, lambda f: profile.idle_power)
-    levels = (profile.f_nominal, profile.f_throttled)
+    f_nominal = profile.f_nominal
+    latency_multiplier, target_period = pacing.latency_multiplier, pacing.target_period
+    levels = (f_nominal, profile.f_throttled)
     large_times = {f: iteration_time(large, f, profile, pacing) for f in levels}
     small_times = {f: iteration_time(small, f, profile, pacing) for f in levels}
     variant, heat, times = large, large_heat, large_times
@@ -274,10 +304,17 @@ def run_scenario(scenario: Scenario) -> Trace:
     trace = Trace()
     append = trace.append
     carried_events: list[str] = []  # governor events raised after the previous row was sampled
+    swallowed = None  # governor events of the last shift row, not shown yet
 
-    while device.sim_time < duration:
+    while device.sim_time < duration and small_shifts_left != 0:
         freq = device.freq
-        compute, idle = times.get(freq) or iteration_time(variant, freq, profile, pacing)
+        hit = times.get(freq)
+        if hit is None:
+            # pi-pin's continuous sag: iteration_time's float operations, inline.
+            compute = variant.base_latency * (f_nominal / freq) * latency_multiplier
+            idle = 0.0 if target_period is None else max(0.0, target_period - compute)
+        else:
+            compute, idle = hit
 
         events = advance(device, profile, heat, compute)
         if carried_events:
@@ -302,9 +339,21 @@ def run_scenario(scenario: Scenario) -> Trace:
             mode = controller.mode
 
         overhead = 0.0
-        if decision is not stay:
+        if decision is stay:
+            if events or swallowed:
+                # The row's own events, and the load stall's before it, come
+                # first; a shift row's show only on a row that raises none.
+                event = pick_event(stay, events or swallowed)
+                swallowed = None
+            else:
+                event = EVENT_NONE
+        else:
+            event = decision._value_
+            if events:
+                swallowed = events
             if decision is to_small:
                 variant, heat, times = small, small_heat, small_times
+                small_shifts_left -= 1
             else:
                 variant, heat, times = large, large_heat, large_times
             overhead = shift_overhead(variant, rng, weight_shared)
@@ -312,7 +361,6 @@ def run_scenario(scenario: Scenario) -> Trace:
                 # Loading the incoming model is compute; events raised here
                 # belong to the next row (this one is already sampled).
                 carried_events = advance(device, profile, heat, overhead)
-        event = pick_event(decision, events) if events else decision._value_
 
         append(TraceRecord(
             device.sim_time,

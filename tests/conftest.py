@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from thermoshift import Scenario
+from thermoshift.config import build_scenario
 from thermoshift.suites import PHONE_PROFILE, PI_PROFILE, SUITES
 
 
@@ -34,6 +35,20 @@ def pi_scenario(duration=900.0, seed=1, baseline=False, **overrides):
         platform=suite.platform,
     )
     return replace(scenario, **overrides) if overrides else scenario
+
+
+# The calibrated pi-pin device of the benchmark's ``pi-sweep`` workload.
+PI_SWEEP_TARGETS = {"governor": "pi-pin", "trip_temp": 78.0, "time_to_throttle": 600.0,
+                    "small_equilibrium": 60.0, "f_nominal": 1.5, "f_throttled": 0.6,
+                    "dissipation": 0.10}
+
+
+def pi_sweep_scenario(seed=0, **controller):
+    """A 1800 s cell of the pi-sweep workload; keywords override controller fields."""
+    scenario = build_scenario({"suite": "slimmable-resnet50-pi", "duration": 1800.0,
+                               "seed": seed, "controller": "default",
+                               "device": {"calibration": PI_SWEEP_TARGETS}})
+    return replace(scenario, controller=replace(scenario.controller, **controller))
 
 
 @pytest.fixture

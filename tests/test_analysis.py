@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import phone_scenario
+from conftest import phone_scenario, pi_sweep_scenario
 
+from thermoshift import analysis
 from thermoshift.analysis import (
     ablation_grid,
     cell_seed,
@@ -185,3 +187,59 @@ class TestAblationGrid:
     def test_baseline_scenario_rejected(self):
         with pytest.raises(AnalysisError):
             ablation_grid(self.base(controller=None), [73.0], [-0.07])
+
+
+def full_run_grid(base, temps, grads, duration):
+    """``ablation_grid``'s values and notes, each cell run for its whole duration."""
+    values, notes = [], []
+    for g in grads:
+        row, row_notes = [], []
+        for t in temps:
+            cell = replace(base, duration=duration, seed=cell_seed(base.seed, t, g),
+                           controller=replace(base.controller, temp_threshold=t,
+                                              grad_threshold=g))
+            assert cell.stop_after_small_shifts is None
+            try:
+                row.append(stable_iteration_accuracy(run_scenario(cell), cell.large,
+                                                     cell.small, 2))
+                row_notes.append("")
+            except AnalysisError as exc:
+                row.append(None)
+                row_notes.append(str(exc))
+        values.append(row)
+        notes.append(row_notes)
+    return values, notes
+
+
+# The benchmark's pi-sweep grid and acceptance test 04's phone grid.
+GRIDS = {
+    "pi-sweep": (pi_sweep_scenario, [79.0, 77.0, 75.0, 73.0], [-0.005, -0.01, -0.02, -0.04]),
+    "test-04": (lambda seed: phone_scenario(duration=1800.0, seed=seed, weight_shared=True),
+                [75.0, 73.0, 70.0, 65.0], [-0.005, -0.01, -0.07, -0.10]),
+}
+
+
+class TestGridStopsClosedCells:
+    @pytest.mark.parametrize("seed", [0, 8675309])
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_values_and_notes_equal_full_runs(self, name, seed):
+        make, temps, grads = GRIDS[name]
+        base = make(seed)
+        grid = ablation_grid(base, temps, grads, duration=1800.0)
+        assert (grid.values, grid.notes) == full_run_grid(base, temps, grads, 1800.0)
+
+    def test_run_scenario_patched_with_one_argument(self, monkeypatch):
+        make, temps, grads = GRIDS["pi-sweep"]
+        base = make(0)
+        unpatched = ablation_grid(base, temps, grads, duration=1800.0)
+        rows = []
+
+        def one_argument(scenario):
+            trace = run_scenario(scenario)
+            rows.append(len(trace))
+            return trace
+
+        monkeypatch.setattr(analysis, "run_scenario", one_argument)
+        grid = ablation_grid(base, temps, grads, duration=1800.0)
+        assert (grid.values, grid.notes) == (unpatched.values, unpatched.notes)
+        assert len(rows) == len(temps) * len(grads)

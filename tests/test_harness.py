@@ -7,9 +7,10 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import phone_scenario, pi_scenario
+from conftest import phone_scenario, pi_scenario, pi_sweep_scenario
 
 from thermoshift import harness
+from thermoshift.analysis import summarize
 from thermoshift.config import build_scenario
 from thermoshift.controller import Decision, Mode, ShiftController, TemperatureSample
 from thermoshift.errors import ScenarioError
@@ -492,6 +493,22 @@ class TestLeanLoopMatchesReference:
         levels = {scenario.profile.f_nominal, scenario.profile.f_throttled}
         assert any(r.freq not in levels for r in records)
 
+    @pytest.mark.parametrize("pacing, idle_at_sag", [
+        (PacingPolicy(), False),
+        (PacingPolicy(latency_multiplier=1.3), False),
+        (PacingPolicy(target_period=1.15), True),
+    ], ids=["no-period", "multiplier", "idle"])
+    def test_pi_pin_sag_pacing(self, pacing, idle_at_sag):
+        # The inline fallback at sag frequencies with other pacings than the
+        # suite's, whose period every sag row overruns (idle clamped at 0).
+        scenario = pi_scenario(duration=3600.0, baseline=True, pacing=pacing)
+        records = run_scenario(scenario).records
+        assert records == reference_run(scenario).records
+        levels = {scenario.profile.f_nominal, scenario.profile.f_throttled}
+        sagged = [r for r in records if r.freq not in levels]
+        assert sagged
+        assert all((r.idle > 0.0) == idle_at_sag for r in sagged)
+
     def test_emitted_csv_identical(self, tmp_path):
         scenario = build_scenario({"suite": "slimmable-resnet50-phone", "seed": 0,
                                    "duration": 3600.0, "controller": "default"})
@@ -519,6 +536,78 @@ class TestNoSamplePerRow:
             TemperatureSample(0.0, 60.0)
         assert run_scenario(scenario).records == unpatched.records
         assert len(unpatched) > 0
+
+
+def open_loop(shift_row):
+    """A ``ShiftController`` stand-in that stays LARGE and shifts to SMALL
+    on row ``shift_row`` only (``None``: never)."""
+
+    class OpenLoop:
+        def __init__(self, config):
+            self.rows = 0
+            self.mode = Mode.LARGE
+            self.last_avg_temp = self.last_grad = None
+
+        def observe_reading(self, time_s, celsius):
+            row, self.rows = self.rows, self.rows + 1
+            if row == shift_row:
+                self.mode = Mode.SMALL
+                return Decision.SHIFT_TO_SMALL
+            return Decision.STAY
+
+    return OpenLoop
+
+
+class TestShiftRowGovernorEvents:
+    def test_throttle_on_a_shift_row_shows_on_the_next_row(self, monkeypatch):
+        scenario = phone_scenario(duration=1800.0, weight_shared=True)
+        monkeypatch.setattr(harness, "ShiftController", open_loop(None))
+        held = run_scenario(scenario)
+        trip = [r.event for r in held].index(EVENT_THROTTLE_ON)
+
+        monkeypatch.setattr(harness, "ShiftController", open_loop(trip))
+        trace = run_scenario(scenario)
+        assert trace[:trip] == held[:trip]
+        assert trace[trip].event == EVENT_SHIFT_SMALL
+        assert trace[trip + 1].event == EVENT_THROTTLE_ON
+        assert trace[trip + 1].freq == scenario.profile.f_throttled
+        assert summarize(trace, scenario.large, scenario.small).n_throttle_events == 1
+
+
+class TestStopAfterSmallShifts:
+    @pytest.mark.parametrize("scenario", [
+        phone_scenario(duration=1800.0), pi_scenario(duration=1800.0), pi_sweep_scenario(),
+    ], ids=["phone", "pi", "pi-sweep"])
+    def test_stopped_run_is_a_prefix_of_the_full_run(self, tmp_path, scenario):
+        full = run_scenario(scenario)
+        stopped = run_scenario(replace(scenario, stop_after_small_shifts=3))
+        assert len(stopped) < len(full)
+        assert stopped.records == full.records[:len(stopped)]
+        assert [r.event for r in stopped].count(EVENT_SHIFT_SMALL) == 3
+        assert stopped[-1].event == EVENT_SHIFT_SMALL
+        emit_trace(full, tmp_path / "full.csv")
+        emit_trace(stopped, tmp_path / "stopped.csv")
+        assert (tmp_path / "full.csv").read_bytes().startswith(
+            (tmp_path / "stopped.csv").read_bytes())
+
+    def test_stop_of_one_ends_on_the_first_shift_row(self):
+        stopped = run_scenario(phone_scenario(stop_after_small_shifts=1))
+        events = [r.event for r in stopped]
+        assert events.index(EVENT_SHIFT_SMALL) == len(stopped) - 1
+
+    def test_run_that_never_closes_runs_in_full(self):
+        # A trip above the ~78.5 C pin: the controller never shifts three times.
+        scenario = pi_sweep_scenario(temp_threshold=79.0)
+        full = run_scenario(scenario)
+        stopped = run_scenario(replace(scenario, stop_after_small_shifts=3))
+        assert [r.event for r in full].count(EVENT_SHIFT_SMALL) < 3
+        assert stopped.records == full.records
+        assert stopped[-1].sim_time >= scenario.duration
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
+    def test_validate_rejects_a_bad_stop(self, bad):
+        with pytest.raises(ScenarioError, match=f"stop_after_small_shifts .*got {bad!r}"):
+            run_scenario(phone_scenario(stop_after_small_shifts=bad))
 
 
 def fresh_parse(path) -> Trace:
