@@ -45,7 +45,9 @@ def summarize(trace: Trace, large: ModelVariant, small: ModelVariant) -> Summary
     """Headline statistics for one run.
 
     avg_latency averages the inference-latency column only; injected idle
-    and shift/logging stalls are excluded.
+    and shift/logging stalls are excluded. n_large, n_small and
+    est_accuracy count rows: one per inference in a simulated trace, but
+    one per poll in a ``live`` trace.
     """
     if len(trace) == 0:
         raise AnalysisError("cannot summarize an empty trace")
@@ -121,13 +123,14 @@ class AblationGrid:
         ti = self.temp_thresholds.index(temp_threshold)
         return self.values[gi][ti]
 
+    def _rows(self, fmt, missing):
+        """(grad threshold, [cell text]) per grid row; ``missing`` for a None cell."""
+        for g, row in zip(self.grad_thresholds, self.values):
+            yield g, [fmt % v if v is not None else missing for v in row]
+
     def to_csv(self, path):
         lines = ["grad_threshold/temp_threshold," + ",".join("%.6g" % t for t in self.temp_thresholds)]
-        for gi, g in enumerate(self.grad_thresholds):
-            cells = []
-            for ti in range(len(self.temp_thresholds)):
-                v = self.values[gi][ti]
-                cells.append("%.6g" % v if v is not None else "insufficient-cycles")
+        for g, cells in self._rows("%.6g", "insufficient-cycles"):
             lines.append("%.6g," % g + ",".join(cells))
         write_text(path, "\n".join(lines) + "\n", "grid", AnalysisError)
 
@@ -135,12 +138,8 @@ class AblationGrid:
         width = 14
         header = "grad \\ temp".ljust(width) + "".join(("%.6g" % t).rjust(width) for t in self.temp_thresholds)
         lines = [header, "-" * len(header)]
-        for gi, g in enumerate(self.grad_thresholds):
-            row = ("%.6g" % g).ljust(width)
-            for ti in range(len(self.temp_thresholds)):
-                v = self.values[gi][ti]
-                row += ("%.4f" % v if v is not None else "n/a").rjust(width)
-            lines.append(row)
+        for g, cells in self._rows("%.4f", "n/a"):
+            lines.append(("%.6g" % g).ljust(width) + "".join(cell.rjust(width) for cell in cells))
         return "\n".join(lines)
 
 

@@ -49,8 +49,8 @@ def _coefficient(text: str) -> float:
     return value
 
 
-def _write_summary(summary, path):
-    write_text(path, json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", "summary")
+def _summary_json(summary) -> str:
+    return json.dumps(summary.to_dict(), indent=2, sort_keys=True)
 
 
 def cmd_run(args) -> int:
@@ -64,13 +64,12 @@ def cmd_run(args) -> int:
         scenario = replace(scenario, weight_shared=True)
     if args.literal_init:
         if scenario.controller is None:
-            print("error: --literal-init needs a controller section", file=sys.stderr)
-            return 2
+            raise ConfigFileError(["controller: --literal-init needs a controller section"])
         scenario = replace(scenario, controller=replace(scenario.controller, literal_init=True))
     trace = run_scenario(scenario)
     emit_trace(trace, args.out)
     summary = summarize(trace, scenario.large, scenario.small)
-    _write_summary(summary, summary_path)
+    write_text(summary_path, _summary_json(summary) + "\n", "summary")
     print(f"wrote {len(trace)} rows to {args.out}")
     print(f"wrote summary to {summary_path}")
     for key, value in summary.to_dict().items():
@@ -84,8 +83,7 @@ def cmd_ablate(args) -> int:
     check_writable(table_path, "table")
     scenario = load_scenario(args.config)
     if scenario.controller is None:
-        print("error: ablation needs a controller section in the config", file=sys.stderr)
-        return 2
+        raise ConfigFileError(["controller: ablation needs a controller section in the config"])
     grid = ablation_grid(scenario, args.tlims, args.glims, duration=args.duration)
     grid.to_csv(args.out)
     table = grid.format_table()
@@ -99,7 +97,7 @@ def cmd_summarize(args) -> int:
     trace = parse_trace(args.trace)
     suite = get_suite(args.suite)
     summary = summarize(trace, suite.large, suite.small)
-    print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+    print(_summary_json(summary))
     return 0
 
 
@@ -191,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_live.add_argument("--tlim", required=True, type=_finite, help="temperature threshold, C")
     p_live.add_argument("--glim", required=True, type=_finite,
                         help="derivative threshold, C per sample (usually negative)")
-    p_live.add_argument("--alpha", type=_coefficient, default=0.995,
+    p_live.add_argument("--alpha", type=_coefficient, default=ControllerConfig.temp_smoothing,
                         help="temperature EMA coefficient, in (0, 1)")
-    p_live.add_argument("--beta", type=_coefficient, default=0.99,
+    p_live.add_argument("--beta", type=_coefficient, default=ControllerConfig.grad_smoothing,
                         help="derivative EMA coefficient, in (0, 1)")
     p_live.add_argument("--period", type=float, default=0.25, help="polling period, seconds")
     p_live.add_argument("--duration", type=float, help="stop after this many seconds")

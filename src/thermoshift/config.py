@@ -150,8 +150,9 @@ def _device(data, platform, problems):
     if not isinstance(data, dict):
         problems.append("device: expected an object")
         return None
-    modes = [k for k in ("builtin", "profile", "calibration") if k in data]
-    _check_keys("device", data, {"builtin", "profile", "calibration"}, problems)
+    kinds = ("builtin", "profile", "calibration")
+    modes = [k for k in kinds if k in data]
+    _check_keys("device", data, kinds, problems)
     if len(modes) != 1:
         problems.append("device: give exactly one of builtin / profile / calibration")
         return None
@@ -256,10 +257,11 @@ def build_scenario(cfg: dict) -> Scenario:
         problems.append(f"suite: expected a name or an object, got {cfg['suite']!r}")
 
     if "platform" in cfg:
-        if cfg["platform"] in ("phone", "pi"):
+        try:
             platform = Platform(cfg["platform"])
-        else:
-            problems.append(f'platform: expected "phone" or "pi", got {cfg["platform"]!r}')
+        except ValueError:
+            expected = " or ".join(f'"{p.value}"' for p in Platform)
+            problems.append(f"platform: expected {expected}, got {cfg['platform']!r}")
     if platform is None:
         problems.append("platform: required when the suite is not a built-in name")
 

@@ -138,9 +138,12 @@ def emit_plots(trace: Trace, path_prefix, overlay: Trace | None = None,
     shifting). Shift events are marked with vertical dashes. A chart whose
     column is blank in every row of both traces is skipped: a live trace
     records no frequency or latency, so it gets the temperature chart only.
+    An empty ``trace`` or ``overlay`` raises AnalysisError.
     """
     if len(trace) == 0:
         raise AnalysisError("cannot plot an empty trace")
+    if overlay is not None and len(overlay) == 0:
+        raise AnalysisError("cannot plot an empty overlay trace")
 
     temp_refs = [(label, y) for label, y in (("shift threshold", temp_threshold),
                                              ("throttle trip", trip_temp)) if y is not None]
@@ -151,7 +154,7 @@ def emit_plots(trace: Trace, path_prefix, overlay: Trace | None = None,
     ]
     runs = [("run", trace)]
     marks = [(x, MARKER_COLOR) for x in _shift_times(trace)]
-    if overlay:
+    if overlay is not None:
         runs.append(("overlay", overlay))
         marks += [(x, OVERLAY_MARKER_COLOR) for x in _shift_times(overlay)]
     paths = []

@@ -44,29 +44,21 @@ class SysfsSource:
         return TemperatureSample(time_s=self._clock(), celsius=read_sysfs_temp(self.path))
 
 
-class _Exhausted:
-    """An endless iterator whose every step raises SourceExhausted."""
-
-    def __init__(self, count):
-        self._message = f"replay finished after {count} samples"
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        raise SourceExhausted(self._message)
-
-
 class ReplaySource:
     """Feeds back the cpu_temp column of a recorded trace, in order."""
 
     def __init__(self, samples):
         samples = list(samples)
+        n = len(samples)
+
+        def exhausted():
+            raise SourceExhausted(f"replay finished after {n} samples")
+
         # ``read_now() -> TemperatureSample`` is one C-level step of an
-        # iterator over the samples and then ``_Exhausted``: ``chain`` keeps
-        # an iterator that raised as its current one, so every read after
-        # the last sample raises SourceExhausted again.
-        self.read_now = chain(samples, _Exhausted(len(samples))).__next__
+        # iterator over the samples and then ``exhausted``: a callable
+        # iterator and ``chain`` both keep an iterator that raised, so every
+        # read after the last sample raises SourceExhausted again.
+        self.read_now = chain(samples, iter(exhausted, None)).__next__
 
     @classmethod
     def from_trace(cls, trace):

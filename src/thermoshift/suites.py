@@ -68,8 +68,7 @@ SUITES = {
                            accuracy=0.768, shift_mean=1.000, shift_std=0.252),
         small=ModelVariant("resnet50-0.25x", base_latency=0.107, power_nominal=5.28,
                            accuracy=0.638, shift_mean=0.997, shift_std=0.321),
-        controller=ControllerConfig(temp_smoothing=0.995, grad_smoothing=0.99,
-                                    temp_threshold=73.0, grad_threshold=-0.07),
+        controller=ControllerConfig(temp_threshold=73.0, grad_threshold=-0.07),
         pacing=PacingPolicy(target_period=0.205),
     ),
     "dynabert-phone": Suite(
@@ -81,8 +80,7 @@ SUITES = {
         # averages under inference-count weighting.
         small=ModelVariant("bert-d0.25-w0.5", base_latency=0.108, power_nominal=5.50,
                            accuracy=0.823, shift_mean=0.826, shift_std=0.016),
-        controller=ControllerConfig(temp_smoothing=0.995, grad_smoothing=0.99,
-                                    temp_threshold=65.0, grad_threshold=-0.008),
+        controller=ControllerConfig(temp_threshold=65.0, grad_threshold=-0.008),
         # Run everything 1.4x slower so the pair reaches a workable
         # operating temperature; pad to the slowed large-model period.
         pacing=PacingPolicy(target_period=0.217, latency_multiplier=1.4),
@@ -94,8 +92,7 @@ SUITES = {
                            accuracy=0.768, shift_mean=0.887, shift_std=0.070),
         small=ModelVariant("resnet50-0.25x", base_latency=0.35, power_nominal=3.80,
                            accuracy=0.638, shift_mean=0.143, shift_std=0.006),
-        controller=ControllerConfig(temp_smoothing=0.995, grad_smoothing=0.99,
-                                    temp_threshold=77.0, grad_threshold=-0.02),
+        controller=ControllerConfig(temp_threshold=77.0, grad_threshold=-0.02),
         pacing=PacingPolicy(target_period=1.10),
     ),
     "dynabert-pi": Suite(
@@ -105,8 +102,7 @@ SUITES = {
                            accuracy=0.908, shift_mean=1.527, shift_std=0.423),
         small=ModelVariant("bert-d0.5-w0.25", base_latency=0.70, power_nominal=3.50,
                            accuracy=0.856, shift_mean=0.810, shift_std=0.218),
-        controller=ControllerConfig(temp_smoothing=0.995, grad_smoothing=0.99,
-                                    temp_threshold=77.0, grad_threshold=-0.012),
+        controller=ControllerConfig(temp_threshold=77.0, grad_threshold=-0.012),
         pacing=PacingPolicy(target_period=2.20),
     ),
 }
@@ -114,18 +110,19 @@ SUITES = {
 SUITE_NAMES = tuple(sorted(SUITES))
 
 
-def get_suite(name: str) -> Suite:
+def _lookup(table, kind, name):
     try:
-        return SUITES[name]
+        return table[name]
     except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}") from None
+        raise ValueError(f"unknown {kind} {name!r}; choose from {', '.join(sorted(table))}") from None
+
+
+def get_suite(name: str) -> Suite:
+    return _lookup(SUITES, "suite", name)
 
 
 def get_profile(name: str) -> DeviceProfile:
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise ValueError(f"unknown profile {name!r}; choose from {', '.join(sorted(PROFILES))}") from None
+    return _lookup(PROFILES, "profile", name)
 
 
 def default_profile(platform: Platform) -> DeviceProfile:

@@ -66,11 +66,11 @@ class PacingPolicy:
         if problems:
             raise ScenarioError("; ".join(problems))
         if self.latency_multiplier < 1.0:
-            raise ScenarioError(
-                f"latency_multiplier must be >= 1, got {self.latency_multiplier}"
-            )
+            problems.append(f"latency_multiplier must be >= 1, got {self.latency_multiplier}")
         if self.target_period is not None and self.target_period <= 0:
-            raise ScenarioError(f"target_period must be > 0, got {self.target_period}")
+            problems.append(f"target_period must be > 0, got {self.target_period}")
+        if problems:
+            raise ScenarioError("; ".join(problems))
 
 
 def inference_latency(variant, freq, profile, multiplier=1.0):

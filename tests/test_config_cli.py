@@ -301,6 +301,13 @@ class TestCliLive:
         assert len(trace) >= 1
         assert all(r.event == "none" for r in trace)
 
+    def test_live_prints_each_shift(self, tmp_path, capsys):
+        zone = tmp_path / "temp"
+        zone.write_text("80000\n")
+        assert main(["live", "--zone", str(zone), "--tlim", "73", "--glim", "-0.07",
+                     "--period", "0.01", "--duration", "0.05"]) == 0
+        assert "shift_to_small at 80.00 C" in capsys.readouterr().out
+
     def test_live_missing_zone_errors(self, tmp_path):
         assert main(["live", "--zone", str(tmp_path / "nope"), "--tlim", "73",
                      "--glim", "-0.07"]) == 1

@@ -251,6 +251,8 @@ EXACT_PROBLEMS = [
       "pacing.target_period: expected a number, \"large\", or null, got 'small'"]),
     ("pacing-range", base(pacing={"latency_multiplier": 0.5}),
      ["pacing: latency_multiplier must be >= 1, got 0.5"]),
+    ("pacing-both-ranges", base(pacing={"target_period": -1, "latency_multiplier": 0.5}),
+     ["pacing: latency_multiplier must be >= 1, got 0.5; target_period must be > 0, got -1"]),
     ("pacing-multiplier-string", base(pacing={"latency_multiplier": "2"}),
      ["pacing.latency_multiplier: expected a number, got '2'"]),
     ("pacing-after-a-problem", base(duration=0, pacing={"latency_multiplier": 0.5}),

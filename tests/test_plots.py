@@ -85,6 +85,20 @@ class TestEmitPlots:
         with pytest.raises(AnalysisError):
             emit_plots(Trace(), str(tmp_path / "x"))
 
+    def test_empty_overlay_rejected(self, short_trace, tmp_path):
+        with pytest.raises(AnalysisError, match="empty overlay"):
+            emit_plots(short_trace, str(tmp_path / "x"), overlay=Trace())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_header_only_overlay_exits_1(self, short_trace, tmp_path, capsys):
+        run, overlay = tmp_path / "run.csv", tmp_path / "overlay.csv"
+        emit_trace(short_trace, run)
+        emit_trace(Trace(), overlay)
+        assert main(["plot", "--trace", str(run), "--overlay", str(overlay),
+                     "--out", str(tmp_path / "p")]) == 1
+        assert "overlay" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["overlay.csv", "run.csv"]
+
 
 class TestLiveTracePlot:
     """A live trace has blank frequency and latency columns: plotting it
