@@ -103,7 +103,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_plot(args) -> int:
     trace = parse_trace(args.trace)
-    overlay = parse_trace(args.overlay) if args.overlay else None
+    overlay = parse_trace(args.overlay) if args.overlay is not None else None
     paths = emit_plots(
         trace, args.out, overlay=overlay,
         temp_threshold=args.tlim, trip_temp=args.t_throttle,
@@ -114,7 +114,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_live(args) -> int:
-    if args.out:
+    if args.out is not None:
         check_writable(args.out, "trace")
     config = ControllerConfig(
         temp_smoothing=args.alpha,
@@ -132,7 +132,7 @@ def cmd_live(args) -> int:
     trace = live_run(source, config, period=args.period,
                      on_shift=on_shift, duration=args.duration)
     print(f"collected {len(trace)} readings")
-    if args.out:
+    if args.out is not None:
         emit_trace(trace, args.out)
         print(f"wrote {args.out}")
     return 0

@@ -2,6 +2,7 @@
 
 import math
 import os
+from collections.abc import Iterable
 
 
 def non_finite_fields(obj) -> list[str]:
@@ -66,11 +67,18 @@ class ConfigFileError(ThermoshiftError):
         super().__init__("invalid config: " + "; ".join(self.problems))
 
 
-def write_text(path, text: str, what: str, error=ThermoshiftError) -> None:
-    """Write ``text`` to ``path``; an OSError becomes ``error`` naming ``what`` and the path."""
+def write_text(path, text: str | Iterable[str], what: str, error=ThermoshiftError) -> None:
+    """Write ``text`` to ``path``; an OSError becomes ``error`` naming ``what`` and the path.
+
+    ``text`` is one string or an iterable of strings, written one at a
+    time in order, so a writer can stream a file without holding it
+    whole. Any other exception the iterable raises propagates unchanged
+    and leaves behind what was written before it.
+    """
+    pieces = (text,) if isinstance(text, str) else text
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise error(f"cannot write {what} to {path}: {exc}") from exc
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .controller import ControllerConfig, Decision, Mode, ShiftController
 from .errors import ScenarioError, TraceFormatError, non_finite_fields, write_text
@@ -91,27 +91,45 @@ class Trace(list):
 def _row_format(blanks) -> str:
     # "%.0s" prints any value, None included, as nothing: a blank column.
     avg, grad, freq, latency, idle = ("%.0s" if blank else "%.6g" for blank in blanks)
-    return f"%.6g,%.6g,{avg},{grad},{freq},%s,{latency},{idle},%s,%.6g"
+    return f"%.6g,%.6g,{avg},{grad},{freq},%s,{latency},{idle},%s,%.6g\n"
 
 
 # One row format per pattern of blank optional columns, keyed by which of
 # avg_temp, grad, freq, inference_latency and idle are None.
 _ROW_FORMATS = {blanks: _row_format(blanks) for blanks in product((False, True), repeat=5)}
 
+_ROWS_PER_BLOCK = 1024  # rows that emit_trace formats, joins and writes at a time
+
+
+def _csv_blocks(trace):
+    """The trace's CSV text: the header line, then one string per ``_ROWS_PER_BLOCK`` rows."""
+    yield CSV_HEADER + "\n"
+    rows = iter(trace)
+    while True:
+        lines = []
+        for r in islice(rows, _ROWS_PER_BLOCK):
+            avg, grad, freq, latency, idle = (
+                r.avg_temp, r.grad, r.freq, r.inference_latency, r.idle)
+            row_format = _ROW_FORMATS[
+                avg is None, grad is None, freq is None, latency is None, idle is None]
+            # ``_name_`` is the member's plain instance attribute; ``.name`` is
+            # an enum property, a Python-level call on every row.
+            lines.append(row_format % (r.sim_time, r.cpu_temp, avg, grad, freq, r.mode._name_,
+                                       latency, idle, r.event, r.overhead))
+        if not lines:
+            return
+        yield "".join(lines)
+
 
 def emit_trace(trace: Trace, path) -> None:
-    """Write the trace as CSV: fixed header, floats at 6 significant digits."""
-    lines = [CSV_HEADER]
-    for r in trace:
-        avg, grad, freq, latency, idle = r.avg_temp, r.grad, r.freq, r.inference_latency, r.idle
-        row_format = _ROW_FORMATS[
-            avg is None, grad is None, freq is None, latency is None, idle is None]
-        # ``_name_`` is the member's plain instance attribute; ``.name`` is
-        # an enum property, a Python-level call on every row.
-        lines.append(row_format % (r.sim_time, r.cpu_temp, avg, grad, freq, r.mode._name_,
-                                   latency, idle, r.event, r.overhead))
-    lines.append("")  # the final newline, without a second copy of the whole text
-    write_text(path, "\n".join(lines), "trace", TraceFormatError)
+    """Write the trace as CSV: fixed header, floats at 6 significant digits.
+
+    Rows are formatted and written ``_ROWS_PER_BLOCK`` at a time, so the
+    writer holds one block of text, never the whole file. A record that
+    cannot be formatted raises after the blocks before it were written,
+    leaving a partial file behind.
+    """
+    write_text(path, _csv_blocks(trace), "trace", TraceFormatError)
 
 
 _MODES = {mode.name: mode for mode in Mode}
@@ -137,6 +155,9 @@ class _Floats(dict):
         return value
 
 
+_DECODE_CHARS = 64 * 1024  # characters per read of parse_trace's decoding pass
+
+
 def parse_trace(path) -> Trace:
     """Read a trace CSV produced by emit_trace (or a live run).
 
@@ -146,18 +167,42 @@ def parse_trace(path) -> Trace:
     text, every zero ``overhead`` is one float, and ``event`` is the
     module's own string, so a parsed trace holds little more than one run
     of ``run_scenario``.
+
+    The file is read twice and never held whole. A first pass decodes it
+    ``_DECODE_CHARS`` characters at a time and keeps nothing, so a byte
+    that does not decode is reported before any row error, wherever it
+    is. The second pass parses the file line by line. A file that cannot
+    seek back, such as a pipe, is read once and held whole instead.
     """
     try:
         with open(path) as fh:
-            lines = fh.read().split("\n")
+            if not fh.seekable():
+                return _parse_lines(path, fh.read().split("\n"))
+            try:
+                while fh.read(_DECODE_CHARS):
+                    pass
+            except UnicodeDecodeError:
+                # A bad byte's position is its offset in the decoder's chunk;
+                # decoding the file in one piece reports its offset in the file.
+                fh.seek(0)
+                fh.read()
+                raise
+            fh.seek(0)
+            return _parse_lines(path, fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace from {path}: {exc}") from exc
-    if lines[0] != CSV_HEADER:
+
+
+def _parse_lines(path, lines) -> Trace:
+    """Parse the header and rows of ``lines``; each may end in ``"\\n"``."""
+    lines = iter(lines)
+    if next(lines, "").rstrip("\n") != CSV_HEADER:
         raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
     repeated = _Floats({"": None})  # freq, inference_latency and idle: blank is None
     trace = Trace()
     append = trace.append
-    for n, line in enumerate(lines[1:], start=2):
+    for n, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
         if not line:
             continue
         try:

@@ -1,7 +1,9 @@
 import gc
 import itertools
 import math
+import os
 import random
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -317,6 +319,124 @@ class TestParseTraceErrors:
         text = CSV_HEADER + "\n" + self.GOOD + "\n1,50,49,-0.01,2.86,LARGE,0.205,0,melt,0\n"
         path, message = self.parse_error(tmp_path, text)
         assert message == f"{path}:3: unknown event 'melt'"
+
+
+GOOD_ROW = TestParseTraceErrors.GOOD + "\n"
+BLOCK = harness._ROWS_PER_BLOCK
+
+
+@pytest.fixture(scope="module")
+def phone_hour_trace():
+    """The seed-0 phone hour with the default controller (8,620 rows)."""
+    return run_scenario(build_scenario({"suite": "slimmable-resnet50-phone", "seed": 0,
+                                        "duration": 3600.0, "controller": "default"}))
+
+
+def traced_memory(action):
+    """``(result, bytes still allocated on return, peak bytes)`` of ``action()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = action()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+class TestTraceIoMemory:
+    """Writing and reading a trace hold one block of it, never the whole file
+    (the phone hour's CSV is 545 KB)."""
+
+    def test_emit_peak(self, tmp_path, phone_hour_trace):
+        _, _, peak = traced_memory(lambda: emit_trace(phone_hour_trace, tmp_path / "t.csv"))
+        assert peak <= 512 * 1024
+
+    def test_parse_peak_above_the_parsed_trace(self, tmp_path, phone_hour_trace):
+        path = tmp_path / "t.csv"
+        emit_trace(phone_hour_trace, path)
+        parsed, held, peak = traced_memory(lambda: parse_trace(path))
+        assert len(parsed) == len(phone_hour_trace)
+        assert peak - held <= 128 * 1024
+
+
+class TestStreamedTraceIo:
+    """Blocked writing and line-by-line reading keep the bytes, records and
+    error messages of writing and reading the file whole."""
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
+    def test_block_boundaries(self, tmp_path, phone_hour_trace, rows):
+        full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+        emit_trace(phone_hour_trace, full)
+        emit_trace(Trace(phone_hour_trace[:rows]), part)
+        lines = full.read_text().splitlines(keepends=True)
+        assert part.read_text() == "".join(lines[:rows + 1])
+
+    def test_unformattable_record_leaves_the_earlier_blocks(self, tmp_path, phone_hour_trace):
+        path = tmp_path / "t.csv"
+        bad = replace(phone_hour_trace[0], sim_time="late")
+        with pytest.raises(TypeError):
+            emit_trace(Trace([*phone_hour_trace[:BLOCK], bad]), path)
+        assert len(path.read_text().splitlines()) == 1 + BLOCK
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_other_line_ends_parse_to_the_same_records(self, tmp_path, phone_hour_trace,
+                                                       newline):
+        lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+        emit_trace(phone_hour_trace, lf)
+        other.write_bytes(lf.read_bytes().replace(b"\n", newline))
+        assert parse_trace(other) == parse_trace(lf)
+
+    @pytest.mark.parametrize("good_rows", [300, 2000])
+    def test_undecodable_byte_wins_over_an_earlier_bad_row(self, tmp_path, good_rows):
+        # The bad float is on line 3; the bad byte lies past the decoder's
+        # first 8 KiB chunk and, with 2000 rows, past the first 64 KiB read.
+        head = (CSV_HEADER + "\n" + GOOD_ROW + "1,hot,49,-0.01,2.86,LARGE,0.205,0,none,0\n"
+                + GOOD_ROW * good_rows).encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(head + b"1,5\xff,,,,LARGE,,,none,0\n")
+        with pytest.raises(TraceFormatError) as info:
+            parse_trace(path)
+        assert len(head) > (8 if good_rows == 300 else 64) * 1024
+        assert str(info.value) == (
+            f"cannot read trace from {path}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(head) + 3}: invalid start byte")
+
+    def test_bad_row_past_the_first_read_names_its_line(self, tmp_path):
+        good_rows = 2000
+        text = (CSV_HEADER + "\n" + GOOD_ROW * good_rows
+                + "1,50,49,-0.01,2.86,LARGE,0.205,0,none,x\n" + GOOD_ROW)
+        assert len(text) - len(GOOD_ROW) > 64 * 1024
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError) as info:
+            parse_trace(path)
+        assert str(info.value) == (
+            f"{path}:{good_rows + 2}: could not convert string to float: 'x'")
+
+    @pytest.mark.parametrize("suite_name", SUITE_NAMES)
+    def test_suite_hour_emit_parse_emit_byte_identical(self, tmp_path, suite_name):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_trace(run_scenario(build_scenario({"suite": suite_name, "seed": 8675309,
+                                                "duration": 3600.0,
+                                                "controller": "default"})), first)
+        emit_trace(parse_trace(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_parses_like_the_file(self, tmp_path, phone_hour_trace):
+        path, pipe = tmp_path / "t.csv", tmp_path / "pipe"
+        emit_trace(phone_hour_trace, path)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        try:
+            parsed = parse_trace(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert parsed == parse_trace(path)
 
 
 class TestNonFiniteScenario:

@@ -1,7 +1,7 @@
 """Inputs that must be refused with a message, not a traceback or a hang:
 non-finite live pacing, bad live, ablate and plot flags, an unknown suite, an
 undecodable trace file, unwritable output paths (refused before any work
-starts), and the profile,
+starts), empty optional paths, and the profile,
 calibration, workload, analysis and config checks that no run in the
 other test files reaches."""
 
@@ -32,7 +32,7 @@ from thermoshift.errors import (
     check_writable,
     write_text,
 )
-from thermoshift.harness import run_scenario
+from thermoshift.harness import emit_trace, run_scenario
 from thermoshift.sensors import live_run
 from thermoshift.suites import PHONE_PROFILE, get_suite
 from thermoshift.thermal import (
@@ -209,6 +209,29 @@ class TestOutputsCheckedUpFront:
         (tmp_path / "o.csv.summary.json").mkdir()
         assert main(self.command("run", str(out))) == 1
         assert out.read_text() == "earlier run\n"
+
+
+class TestEmptyOptionalPaths:
+    """An empty ``live --out`` or ``plot --overlay`` is a path that cannot be
+    opened, refused like any other, not an option left out."""
+
+    def test_live_out_refused_before_the_first_poll(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the zone was polled before --out was checked")
+
+        monkeypatch.setattr(cli, "SysfsSource", refuse)
+        monkeypatch.setattr(cli, "live_run", refuse)
+        assert main(["live", "--zone", "unused", "--tlim", "73", "--glim", "-0.07",
+                     "--duration", "1", "--out", ""]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write trace to : ")
+
+    def test_plot_overlay_refused(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        emit_trace(run_scenario(phone_scenario(duration=60.0)), trace)
+        assert main(["plot", "--trace", str(trace), "--overlay", "",
+                     "--out", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read trace from : ")
+        assert not list(tmp_path.glob("p_*.svg"))
 
 
 class TestCheckWritable:
