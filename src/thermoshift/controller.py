@@ -13,12 +13,16 @@ the same ``reset_filters`` that seeds them at construction.
 
 ``ShiftController.observe_reading(time_s, celsius)`` runs on every
 poll or simulated row, so it takes plain numbers and does the whole
-update in one pass on locals. ``observe(sample)`` is the same update for
-a ``TemperatureSample`` (what the temperature sources return) and only
-unpacks it. ``ema_update`` and ``ShiftController.estimate_derivative``
-are the reference forms of the two filters: ``observe_reading`` must
-match them bit for bit, in the same float operations and order, and a
-lockstep test compares the two.
+update in one pass on locals. It reads nothing from the frozen
+``ControllerConfig``: the constructor binds the coefficients, their
+complements ``1 - coeff``, the thresholds and the flags once.
+``observe(sample)`` is the same update for a ``TemperatureSample`` (what
+the temperature sources return) and only unpacks it. ``ema_update`` and
+``ShiftController.estimate_derivative`` are the reference forms of the
+two filters, reading the config: ``observe_reading`` must match them bit
+for bit, in the same float operations and order (a complement bound
+once is the same float computed every time), and a lockstep test
+compares the two.
 """
 
 from __future__ import annotations
@@ -99,6 +103,17 @@ class ShiftController:
 
     def __init__(self, config: ControllerConfig):
         self.config = config
+        # What observe_reading and reset_filters read, bound once: the
+        # config is frozen, and the complements are the very floats
+        # ``ema_update`` computes as ``1.0 - coeff``.
+        self._temp_keep = config.temp_smoothing
+        self._temp_take = 1.0 - config.temp_smoothing
+        self._grad_keep = config.grad_smoothing
+        self._grad_take = 1.0 - config.grad_smoothing
+        self._temp_threshold = config.temp_threshold
+        self._grad_threshold = config.grad_threshold
+        self._per_second = config.per_second
+        self._literal_init = config.literal_init
         self.mode = Mode.LARGE
         # Telemetry: the most recent post-update filter values. These
         # survive the reset that follows a shift so the triggering values
@@ -117,7 +132,7 @@ class ShiftController:
         self.samples_since_reset = 0
         self._saw_cooling = False
         self._last_time: float | None = None
-        seed = 0.0 if self.config.literal_init else None
+        seed = 0.0 if self._literal_init else None
         self.avg_temp: float | None = seed
         self.prev_avg_temp: float | None = seed
 
@@ -159,38 +174,35 @@ class ShiftController:
         if celsius < ABSOLUTE_ZERO_C:
             raise SampleError(f"temperature below absolute zero: {celsius} C")
 
-        # ema_update and estimate_derivative, inline on locals.
-        cfg = self.config
+        # ema_update and estimate_derivative, inline on the bound coefficients.
         avg = self.avg_temp
         if avg is None:
             new_avg = float(celsius)  # first sample after a reset seeds the filter
         else:
-            coeff = cfg.temp_smoothing
-            new_avg = coeff * avg + (1.0 - coeff) * celsius
+            new_avg = self._temp_keep * avg + self._temp_take * celsius
         prev = self.prev_avg_temp
         if prev is None:
             raw = 0.0
         else:
             raw = new_avg - prev
-            if cfg.per_second and self._last_time is not None:
+            if self._per_second and self._last_time is not None:
                 dt = time_s - self._last_time
                 if dt > 0.0:
                     raw /= dt
-        coeff = cfg.grad_smoothing
-        grad = coeff * self.grad + (1.0 - coeff) * raw
+        grad = self._grad_keep * self.grad + self._grad_take * raw
         self.last_avg_temp = new_avg
         self.last_grad = grad
 
         # A shift resets every filter attribute, so only STAY writes them.
         saw_cooling = raw < 0.0 or self._saw_cooling
         if self.mode is _LARGE:
-            if celsius > cfg.temp_threshold:
+            if celsius > self._temp_threshold:
                 self.mode = _SMALL
                 self.reset_filters()
                 return _TO_SMALL
         # The warm-up guard, which literal_init drops.
-        elif grad > cfg.grad_threshold and (
-                cfg.literal_init
+        elif grad > self._grad_threshold and (
+                self._literal_init
                 or (self.samples_since_reset + 1 >= WARMUP_MIN_SAMPLES and saw_cooling)):
             self.mode = _LARGE
             self.reset_filters()

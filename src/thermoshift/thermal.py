@@ -8,10 +8,13 @@ Temperature follows newtonian heating/cooling,
 is linear in T, so the temperature relaxes exponentially and the time to
 the next governor threshold is one logarithm. The constants of each band
 (rates, equilibria, band edges) depend only on the profile and the power
-curve, so a ``HeatSource`` solves them once per run into a band closure
-that ``advance`` calls on every band. ``_GOVERNORS`` maps each governor
-kind to its rule and its band solver; ``governor_step`` and
-``HeatSource`` both read it, so the kind is dispatched in one place.
+curve, and those of the governor rule (trip and release points,
+frequency levels, gain) only on the profile, so a ``HeatSource`` solves
+both once per source, into a band closure and a rule closure that
+``advance`` calls on every band without reading the profile again.
+``_GOVERNORS`` maps each governor kind to its rule factory and its band
+solver; ``governor_step`` and ``HeatSource`` both read it, so the kind is
+dispatched in one place.
 ``advance`` is the only integrator the package runs; the constant-power
 Euler stepper further down is kept as public API only (see its
 docstring).
@@ -117,65 +120,89 @@ def thermal_step(state: DeviceState, profile: DeviceProfile, power: float, dt: f
 
 def governor_step(state: DeviceState, profile: DeviceProfile) -> str | None:
     """Apply the frequency governor once; returns a throttle event or None."""
-    return _GOVERNORS[profile.governor][0](state, profile)
+    return _GOVERNORS[profile.governor][0](profile)(state)
 
 
-def _drop_governor(state, profile):
+def _drop_rule(profile):
     """Phone-drop rule: drop to ``f_throttled`` at the trip point, back to
     ``f_nominal`` at the release point."""
-    if not state.throttled and state.temp >= profile.t_throttle:
-        state.freq = profile.f_throttled
-        state.throttled = True
-        return EVENT_THROTTLE_ON
-    if state.throttled and state.temp <= profile.t_resume:
-        state.freq = profile.f_nominal
-        state.throttled = False
-        return EVENT_THROTTLE_OFF
-    return None
+    t_throttle, t_resume = profile.t_throttle, profile.t_resume
+    f_nominal, f_throttled = profile.f_nominal, profile.f_throttled
+
+    def rule(state):
+        if not state.throttled and state.temp >= t_throttle:
+            state.freq = f_throttled
+            state.throttled = True
+            return EVENT_THROTTLE_ON
+        if state.throttled and state.temp <= t_resume:
+            state.freq = f_nominal
+            state.throttled = False
+            return EVENT_THROTTLE_OFF
+        return None
+
+    return rule
 
 
-def _pin_governor(state, profile):
+def _pin_rule(profile):
     """Pi-pin rule: shed ``pin_gain`` GHz per degree above the trip point,
     down to the ``f_throttled`` floor."""
-    excess = state.temp - profile.t_throttle
-    if excess > 0.0:
-        freq = profile.f_nominal - profile.pin_gain * excess
-        if freq < profile.f_throttled:
-            freq = profile.f_throttled
-    else:
-        freq = profile.f_nominal
-    was_throttled = state.throttled
-    state.freq = freq
-    state.throttled = freq < profile.f_nominal - 1e-12
-    if state.throttled and not was_throttled:
-        return EVENT_THROTTLE_ON
-    if was_throttled and not state.throttled:
-        return EVENT_THROTTLE_OFF
-    return None
+    trip, gain = profile.t_throttle, profile.pin_gain
+    f_nominal, f_throttled = profile.f_nominal, profile.f_throttled
+    unthrottled = f_nominal - 1e-12  # the lowest frequency that is not throttled
+
+    def rule(state):
+        excess = state.temp - trip
+        if excess > 0.0:
+            freq = f_nominal - gain * excess
+            if freq < f_throttled:
+                freq = f_throttled
+        else:
+            freq = f_nominal
+        was_throttled = state.throttled
+        state.freq = freq
+        state.throttled = throttled = freq < unthrottled
+        if throttled and not was_throttled:
+            return EVENT_THROTTLE_ON
+        if was_throttled and not throttled:
+            return EVENT_THROTTLE_OFF
+        return None
+
+    return rule
 
 
 class HeatSource:
-    """Input power as a function of frequency, with the governor bands of
-    one profile solved once.
+    """Input power as a function of frequency, with the governor rule and
+    bands of one profile solved once.
 
     Calling a source returns ``power_of_freq(freq)``. It also holds what
-    ``advance`` needs on each band: ``governor``, the profile's governor
-    rule, and ``band(state) -> (rate, t_eq, edge)``, a closure over the
-    band constants giving the relaxation rate (1/s), the equilibrium and
-    the threshold ahead of the temperature (None if none). Build one per
-    power curve and run, and pass it to every ``advance`` call of that run.
+    ``advance`` needs on each band, both closures over constants read from
+    the profile once, when the source is built: ``rule(state)``, the
+    profile's governor rule, and ``band(state) -> (rate, t_eq, edge)``,
+    giving the relaxation rate (1/s), the equilibrium and the threshold
+    ahead of the temperature (None if none). Build one per power curve and
+    run, and pass it to every ``advance`` call of that run. A source keeps
+    the constants it was built with, so a profile changed later (by
+    ``dataclasses.replace``) needs a new source.
     """
 
-    __slots__ = ("profile", "power_of_freq", "band", "governor")
+    __slots__ = ("profile", "power_of_freq", "band", "rule")
 
     def __init__(self, profile, power_of_freq):
         self.profile = profile
         self.power_of_freq = power_of_freq
-        self.governor, solve = _GOVERNORS[profile.governor]
+        make_rule, solve = _GOVERNORS[profile.governor]
+        self.rule = make_rule(profile)
         self.band = solve(profile, power_of_freq)
 
     def __call__(self, freq):
         return self.power_of_freq(freq)
+
+    def governor(self, state, profile):
+        """``governor_step(state, profile)``, by this source's rule when
+        ``profile`` is the source's own."""
+        if profile is not self.profile:
+            return governor_step(state, profile)
+        return self.rule(state)
 
 
 def advance(state, profile, power_of_freq, dt) -> list[str]:
@@ -185,19 +212,20 @@ def advance(state, profile, power_of_freq, dt) -> list[str]:
     in frequency. A ``HeatSource`` built for this very ``profile`` object
     is used as is; any other callable (a source built for another
     profile included) is first wrapped in a new ``HeatSource``, so the
-    band constants are solved once per source rather than once per call.
-    On each governor band the temperature relaxes in closed form; where
-    it reaches the band's threshold it is set to the threshold exactly
-    and the source's governor rule (the one ``governor_step`` picks for
-    this profile) runs there, so a mid-interval frequency drop also
-    lowers the heat flowing in. The rule runs once more at the end of the
-    interval. Returns the throttle events raised along the way, in order.
+    rule and band constants are solved once per source rather than once
+    per call. On each governor band the temperature relaxes in closed
+    form; where it reaches the band's threshold it is set to the
+    threshold exactly and the source's governor rule (the one
+    ``governor_step`` applies for this profile) runs there, so a
+    mid-interval frequency drop also lowers the heat flowing in. The rule
+    runs once more at the end of the interval. Returns the throttle
+    events raised along the way, in order.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not isinstance(power_of_freq, HeatSource) or power_of_freq.profile is not profile:
         power_of_freq = HeatSource(profile, power_of_freq)
-    band, governor = power_of_freq.band, power_of_freq.governor
+    band, rule = power_of_freq.band, power_of_freq.rule
     events = []
     left = dt
     while left > 0.0:
@@ -210,7 +238,7 @@ def advance(state, profile, power_of_freq, dt) -> list[str]:
         else:
             state.temp = edge
             left -= math.log((t_eq - temp) / (t_eq - edge)) / rate
-        event = governor(state, profile)
+        event = rule(state)
         if event:
             events.append(event)
     state.sim_time += dt
@@ -222,6 +250,7 @@ def _drop_bands(profile, power_of_freq):
     k, amb = profile.dissipation, profile.ambient_temp
     rate = k / profile.heat_capacity
     f_nominal, f_throttled = profile.f_nominal, profile.f_throttled
+    t_throttle, t_resume = profile.t_throttle, profile.t_resume
     nominal_eq = amb + power_of_freq(f_nominal) / k
     throttled_eq = amb + power_of_freq(f_throttled) / k
 
@@ -234,10 +263,10 @@ def _drop_bands(profile, power_of_freq):
         else:
             t_eq = amb + power_of_freq(freq) / k
         if state.throttled:
-            edge = profile.t_resume
+            edge = t_resume
             due = state.temp <= edge
         else:
-            edge = profile.t_throttle
+            edge = t_throttle
             due = state.temp >= edge
         # A state already past its threshold trips the governor at once.
         return rate, t_eq, state.temp if due else edge
@@ -278,10 +307,11 @@ def _pin_bands(profile, power_of_freq):
     return band
 
 
-# Each governor kind's rule and band solver; the one dispatch on the kind.
+# Each governor kind's rule factory, ``rule(profile)``, and band solver;
+# the one dispatch on the kind.
 _GOVERNORS = {
-    GovernorKind.PHONE_DROP: (_drop_governor, _drop_bands),
-    GovernorKind.PI_PIN: (_pin_governor, _pin_bands),
+    GovernorKind.PHONE_DROP: (_drop_rule, _drop_bands),
+    GovernorKind.PI_PIN: (_pin_rule, _pin_bands),
 }
 
 

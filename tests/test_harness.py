@@ -439,6 +439,124 @@ class TestStreamedTraceIo:
         assert parsed == parse_trace(path)
 
 
+GOOD_FIELDS = TestParseTraceErrors.GOOD.split(",")
+FLOAT_COLUMNS = [name for name in CSV_HEADER.split(",") if name not in ("mode", "event")]
+
+
+def bad_row(**columns):
+    """``GOOD_ROW`` with the named columns replaced by the given texts."""
+    fields = list(GOOD_FIELDS)
+    names = CSV_HEADER.split(",")
+    for name, text in columns.items():
+        fields[names.index(name)] = text
+    return ",".join(fields) + "\n"
+
+
+def parse_message(path):
+    with pytest.raises(TraceFormatError) as info:
+        parse_trace(path)
+    return str(info.value)
+
+
+class TestNonFiniteTraceValues:
+    """A number that ``float`` reads as nan or infinite is refused as
+    ``path:line: <column> must be finite, got <text>``; the first bad line
+    wins, then its first bad column from the left."""
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "-nan", "+NAN", "inf", "-inf", "+Inf",
+                                      "INF", "infinity", "-Infinity", "iNfInItY", " nan"])
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_every_float_column_and_spelling(self, tmp_path, column, text):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n" + GOOD_ROW + bad_row(**{column: text}) + GOOD_ROW)
+        assert parse_message(path) == f"{path}:3: {column} must be finite, got {text}"
+
+    @pytest.mark.parametrize("column", ["sim_time", "freq", "overhead"])
+    def test_past_the_first_read(self, tmp_path, column):
+        good_rows = 2000
+        text = CSV_HEADER + "\n" + GOOD_ROW * good_rows + bad_row(**{column: "-inf"})
+        assert len(text) - len(GOOD_ROW) > harness._DECODE_CHARS
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert parse_message(path) == f"{path}:{good_rows + 2}: {column} must be finite, got -inf"
+
+    @pytest.mark.parametrize("word", ["nan", "nAn", "inf"])
+    @pytest.mark.parametrize("before_boundary", [1, 2])
+    def test_word_split_between_two_reads(self, tmp_path, word, before_boundary):
+        # The sim_time text is padded so the word's first ``before_boundary``
+        # letters end the first read and the rest start the second.
+        head = CSV_HEADER + "\n" + GOOD_ROW * 1000
+        pad = harness._DECODE_CHARS - before_boundary - len(head) - 1
+        assert pad > 0
+        text = head + bad_row(sim_time="1".rjust(pad, "0"), cpu_temp=word) + GOOD_ROW
+        assert text.index(word, len(CSV_HEADER)) == harness._DECODE_CHARS - before_boundary
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert parse_message(path) == f"{path}:1002: cpu_temp must be finite, got {word}"
+
+    def test_undecodable_byte_wins_over_an_earlier_non_finite(self, tmp_path):
+        # The bad byte lies past the first two reads.
+        head = (CSV_HEADER + "\n" + bad_row(cpu_temp="nan") + GOOD_ROW * 4000).encode()
+        assert len(head) > 2 * harness._DECODE_CHARS
+        path = tmp_path / "t.csv"
+        path.write_bytes(head + b"1,5\xff,,,,LARGE,,,none,0\n")
+        assert parse_message(path) == (
+            f"cannot read trace from {path}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(head) + 3}: invalid start byte")
+
+    @pytest.mark.parametrize("suite_name", SUITE_NAMES)
+    def test_written_traces_skip_the_row_checks(self, tmp_path, suite_name):
+        path = tmp_path / "t.csv"
+        emit_trace(run_scenario(build_scenario({"suite": suite_name, "seed": 0,
+                                                "duration": 3600.0,
+                                                "controller": "default"})), path)
+        assert not harness._spells_non_finite([path.read_text()])
+
+    def test_non_finite_before_a_bad_float_on_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n" + bad_row(cpu_temp="nan", freq="fast"))
+        assert parse_message(path) == f"{path}:2: cpu_temp must be finite, got nan"
+
+    def test_bad_float_before_a_non_finite_on_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n" + bad_row(cpu_temp="hot", grad="inf", mode="MEDIUM"))
+        assert parse_message(path) == f"{path}:2: could not convert string to float: 'hot'"
+
+    def test_non_finite_before_a_bad_mode_and_event(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n" + bad_row(avg_temp="inf", mode="MEDIUM", event="melt"))
+        assert parse_message(path) == f"{path}:2: avg_temp must be finite, got inf"
+
+    def test_earlier_line_wins(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n" + bad_row(idle="x") + bad_row(sim_time="nan"))
+        assert parse_message(path) == f"{path}:2: could not convert string to float: 'x'"
+        path.write_text(CSV_HEADER + "\n" + bad_row(idle="nan") + bad_row(sim_time="x"))
+        assert parse_message(path) == f"{path}:2: idle must be finite, got nan"
+
+    def test_finite_text_in_a_checked_file_parses(self, tmp_path):
+        # A word anywhere turns the checks on; finite rows still parse.
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n" + GOOD_ROW + bad_row(event="infinite") + GOOD_ROW)
+        assert parse_message(path) == f"{path}:3: unknown event 'infinite'"
+        path.write_text(CSV_HEADER + "\n" + GOOD_ROW + bad_row(overhead="1e-300"))
+        assert [r.overhead for r in parse_trace(path)] == [0.0, 1e-300]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_refused_like_the_file(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        text = CSV_HEADER + "\n" + GOOD_ROW * 2000 + bad_row(grad="-Infinity")
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            message = parse_message(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert message == f"{pipe}:2002: grad must be finite, got -Infinity"
+
+
 class TestNonFiniteScenario:
     @pytest.mark.parametrize("duration", [math.inf, math.nan])
     def test_non_finite_duration_rejected_before_running(self, duration):

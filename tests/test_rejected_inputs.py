@@ -1,7 +1,7 @@
 """Inputs that must be refused with a message, not a traceback or a hang:
 non-finite live pacing, bad live, ablate and plot flags, an unknown suite, an
-undecodable trace file, unwritable output paths (refused before any work
-starts), empty optional paths, and the profile,
+undecodable trace file, a trace holding nan, unwritable output paths
+(refused before any work starts), empty optional paths, and the profile,
 calibration, workload, analysis and config checks that no run in the
 other test files reaches."""
 
@@ -360,6 +360,30 @@ class TestUndecodableTrace:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read trace from {path}: ")
         assert "can't decode byte 0xff in position 8" in err
+
+
+class TestNonFiniteTrace:
+    """A trace with nan in ``cpu_temp`` ends in exit 1 naming the file and
+    line, with no summary printed and no chart written."""
+
+    @pytest.mark.parametrize("command", [
+        ["summarize", "--suite", "slimmable-resnet50-phone"],
+        ["plot", "--out", "chart"],
+    ])
+    def test_exits_1_naming_the_line(self, tmp_path, capsys, monkeypatch, command):
+        path = tmp_path / "t.csv"
+        emit_trace(run_scenario(phone_scenario(duration=60.0)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")
+        fields[1] = "nan"
+        lines[5] = ",".join(fields)
+        path.write_text("".join(lines))
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--trace", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {path}:6: cpu_temp must be finite, got nan\n"
+        assert out == ""
+        assert not list(tmp_path.glob("*.svg"))
 
 
 class TestModelChecks:

@@ -1,8 +1,9 @@
 """Pins for ideas that live in one place: the controller's filter reset,
 ``Trace`` as a list, ``Summary.to_dict``, the decision values as row
 events, the live loop's pacing sleep and clock reads, the governor
-table, and the one-pass controller update (through both entry points)
-and ``live_run`` loop against their reference forms."""
+table, the profile and controller constants read once per run, and the
+one-pass controller update (through both entry points) and ``live_run``
+loop against their reference forms."""
 
 import dataclasses
 import itertools
@@ -36,7 +37,7 @@ from thermoshift.harness import (
 )
 from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import PHONE_PROFILE, PI_PROFILE
-from thermoshift.thermal import DeviceState, HeatSource
+from thermoshift.thermal import DeviceProfile, DeviceState, HeatSource, advance, governor_step
 
 # Attributes that are not filter state: the config, the mode and the
 # telemetry that survives a reset.
@@ -199,6 +200,73 @@ def random_samples(seed, n=3000):
         temp = 70.0 + 9.0 * math.sin(i / 40.0) + rng.gauss(0.0, 0.6)
         samples.append(TemperatureSample(time_s, round(temp) if rng.random() < 0.1 else temp))
     return samples
+
+
+def counting(cls):
+    """``(subclass, reads)``: instances of the subclass append the name of
+    every attribute read on them to ``reads``."""
+    reads = []
+
+    class Counting(cls):
+        def __getattribute__(self, name):
+            reads.append(name)
+            return object.__getattribute__(self, name)
+
+    return Counting, reads
+
+
+def governed(state):
+    """What a governor rule sets on a state."""
+    return state.temp, state.freq, state.throttled
+
+
+class TestConstantsBoundOnce:
+    """The per-row rules read the frozen profile and controller config
+    when a source or controller is built, never while it runs."""
+
+    @pytest.mark.parametrize("base", [PHONE_PROFILE, PI_PROFILE], ids=["phone-drop", "pi-pin"])
+    def test_advance_reads_no_profile_field(self, base):
+        Profile, reads = counting(DeviceProfile)
+        p = Profile(**{f.name: getattr(base, f.name) for f in dataclasses.fields(base)})
+        # Heating toward 15 C past the trip point, then idling back to ambient.
+        hot = base.dissipation * (base.t_throttle + 15.0 - base.ambient_temp)
+        heat = HeatSource(p, lambda f: hot * f / base.f_nominal)
+        idle = HeatSource(p, lambda f: 0.0)
+        tau = base.heat_capacity / base.dissipation
+        state = DeviceState(temp=base.ambient_temp, freq=base.f_nominal)
+        reads.clear()
+        events = []
+        for _ in range(3):
+            for _ in range(20):
+                events += advance(state, p, heat, tau / 4)
+            events += advance(state, p, idle, 5 * tau)
+        assert reads == []
+        assert {"throttle_on", "throttle_off"} <= set(events)
+
+    @pytest.mark.parametrize("options", [{}, {"per_second": True}, {"literal_init": True}],
+                             ids=["default", "per_second", "literal_init"])
+    def test_observe_reading_reads_no_config_field(self, options):
+        Config, reads = counting(ControllerConfig)
+        ctl = ShiftController(Config(temp_smoothing=0.8, grad_smoothing=0.7,
+                                     temp_threshold=74.0, grad_threshold=-0.05, **options))
+        reads.clear()
+        seen = {ctl.observe_reading(s.time_s, s.celsius) for s in random_samples(0)}
+        assert reads == []
+        assert seen == set(Decision)
+
+    @pytest.mark.parametrize("base", [PHONE_PROFILE, PI_PROFILE], ids=["phone-drop", "pi-pin"])
+    def test_source_keeps_the_profile_it_was_built_with(self, base):
+        power = lambda f: 8.0 * f / base.f_nominal
+        old = HeatSource(base, power)
+        hotter = dataclasses.replace(base, t_throttle=base.t_throttle + 3.0,
+                                     t_resume=base.t_resume + 3.0)
+        new = HeatSource(hotter, power)
+        # Past the old trip point, short of the new one.
+        temp = base.t_throttle + 1.0
+        states = [DeviceState(temp=temp, freq=base.f_nominal) for _ in range(3)]
+        assert old.rule(states[0]) == "throttle_on"
+        assert governor_step(states[1], hotter) is new.rule(states[2]) is None
+        assert governed(states[1]) == governed(states[2]) != governed(states[0])
 
 
 class TestObserveLockstep:
