@@ -28,8 +28,8 @@ compares the two.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from math import isfinite
 
 from .errors import ConfigError, SampleError
 
@@ -88,7 +88,7 @@ class ControllerConfig:
                 problems.append(f"{name} must be in (0, 1), got {coeff!r}")
         for name in ("temp_threshold", "grad_threshold"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not (isinstance(value, (int, float)) and isfinite(value)):
                 problems.append(f"{name} must be finite, got {value!r}")
         if problems:
             raise ConfigError("; ".join(problems))
@@ -169,7 +169,7 @@ class ShiftController:
         below-absolute-zero readings raise SampleError with no state
         change.
         """
-        if not (isinstance(celsius, (int, float)) and math.isfinite(celsius)):
+        if not (isinstance(celsius, (int, float)) and isfinite(celsius)):
             raise SampleError(f"non-finite temperature reading: {celsius!r}")
         if celsius < ABSOLUTE_ZERO_C:
             raise SampleError(f"temperature below absolute zero: {celsius} C")

@@ -9,12 +9,13 @@ land mid-iteration.
 ``run_scenario`` reads everything that is fixed for a run once, before
 its loop: the scenario's fields, one ``thermal.HeatSource`` per power
 curve (its band closure and the profile's governor rule), each
-variant's ``(compute, idle)`` at the two fixed frequency levels, and the
-logging draw's mean, std and bound ``rng.gauss``. Each row then does only
-the work that varies: the ``advance`` calls, the draws, the controller's
-update and the record. The controller gets the reading as two plain
-numbers through its bound ``observe_reading``; no ``TemperatureSample``
-is built per row.
+variant's ``(compute, idle)`` at the two fixed frequency levels, the
+logging draw's mean and std, and one ``workload.normal_stream`` that both
+the logging and the model-load stall draws take their deviates from.
+Each row then does only the work that varies: the ``advance`` calls, the
+draws, the controller's update and the record. The controller gets the
+reading as two plain numbers through its bound ``observe_reading``; no
+``TemperatureSample`` is built per row.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .workload import (
     PacingPolicy,
     Platform,
     iteration_time,
+    normal_stream,
     power_draw,
-    shift_overhead,
 )
 
 EVENT_NONE = Decision.STAY.value
@@ -385,16 +386,20 @@ def run_scenario(scenario: Scenario) -> Trace:
     exact prefix of the full run's.
 
     Deterministic: the only randomness (logging and model-load stalls)
-    comes from a generator seeded with scenario.seed.
+    comes from a generator seeded with scenario.seed. Both draws take
+    their deviates from one ``normal_stream`` over that generator, which
+    repeats ``Random.gauss``; each is clamped at zero as
+    ``logging_overhead`` and ``shift_overhead`` clamp theirs, and weight
+    sharing takes no stall draw.
 
     Everything that does not change from row to row is read once per run:
     the scenario's fields, a ``HeatSource`` per power curve (band
     closure and governor rule), each variant's ``(compute, idle)`` at
     ``f_nominal`` and ``f_throttled``, the platform's logging mean and
-    std with the bound ``rng.gauss``, and the controller's bound
-    ``observe_reading``. At any other frequency (pi-pin's continuous sag)
-    the loop repeats ``iteration_time``'s float operations inline; those
-    values are not kept.
+    std, the normal stream's bound ``__next__``, and the controller's
+    bound ``observe_reading``. At any other frequency (pi-pin's
+    continuous sag) the loop repeats ``iteration_time``'s float
+    operations inline; those values are not kept.
 
     A shift decision names its row's event. The governor events that row
     raised show on the next row that raises none of its own (nor in the
@@ -407,8 +412,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     stop = scenario.stop_after_small_shifts
     small_shifts_left = -1 if stop is None else stop  # counts down; from -1 it never hits 0
     large, small = scenario.large, scenario.small
-    rng = random.Random(scenario.seed)
-    gauss = rng.gauss
+    normal = normal_stream(random.Random(scenario.seed).random).__next__
     logging_enabled = scenario.logging_enabled
     if logging_enabled:
         log_mean, log_std = LOGGING_OVERHEAD[scenario.platform]
@@ -438,7 +442,12 @@ def run_scenario(scenario: Scenario) -> Trace:
         if hit is None:
             # pi-pin's continuous sag: iteration_time's float operations, inline.
             compute = variant.base_latency * (f_nominal / freq) * latency_multiplier
-            idle = 0.0 if target_period is None else max(0.0, target_period - compute)
+            if target_period is None:
+                idle = 0.0
+            else:
+                idle = target_period - compute
+                if not idle > 0.0:  # max(0.0, idle) without the builtin call
+                    idle = 0.0
         else:
             compute, idle = hit
 
@@ -448,7 +457,7 @@ def run_scenario(scenario: Scenario) -> Trace:
             carried_events = []
         if idle > 0.0:
             events += advance(device, profile, idle_heat, idle)
-        log_dt = gauss(log_mean, log_std) if logging_enabled else 0.0
+        log_dt = log_mean + normal() * log_std if logging_enabled else 0.0
         if log_dt > 0.0:
             events += advance(device, profile, heat, log_dt)
         else:
@@ -482,11 +491,14 @@ def run_scenario(scenario: Scenario) -> Trace:
                 small_shifts_left -= 1
             else:
                 variant, heat, times = large, large_heat, large_times
-            overhead = shift_overhead(variant, rng, weight_shared)
-            if overhead > 0.0:
-                # Loading the incoming model is compute; events raised here
-                # belong to the next row (this one is already sampled).
-                carried_events = advance(device, profile, heat, overhead)
+            if not weight_shared:
+                overhead = variant.shift_mean + normal() * variant.shift_std
+                if overhead > 0.0:
+                    # Loading the incoming model is compute; events raised here
+                    # belong to the next row (this one is already sampled).
+                    carried_events = advance(device, profile, heat, overhead)
+                else:
+                    overhead = 0.0  # the draw is clamped at zero
 
         append(TraceRecord(
             device.sim_time,

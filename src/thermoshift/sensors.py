@@ -75,12 +75,18 @@ class SimulatedSource:
     Each read is one ``advance`` at constant power, so it is exact: the
     temperature relaxes toward ``ambient + power / dissipation`` with time
     constant ``heat_capacity / dissipation``. The profile's governor still
-    runs on ``state`` but cannot change the power.
+    runs on ``state`` but cannot change the power. ``power`` must be
+    finite and >= 0 and ``dt`` finite and > 0; both are checked here, not
+    at the first read.
     """
 
     def __init__(self, profile: DeviceProfile, power: float, dt: float):
+        if not math.isfinite(power):
+            raise ValueError(f"power must be finite, got {power}")
         if power < 0:
             raise ValueError(f"power must be >= 0, got {power}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
         self.profile = profile
         self.dt = dt
         self.heat = HeatSource(profile, lambda freq: power)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from math import exp, inf, log  # module-level names for advance's per-band loop
 
 from .errors import CalibrationError, ProfileError, non_finite_fields
 
@@ -221,7 +222,7 @@ def advance(state, profile, power_of_freq, dt) -> list[str]:
     runs once more at the end of the interval. Returns the throttle
     events raised along the way, in order.
     """
-    if not 0.0 < dt < math.inf:
+    if not 0.0 < dt < inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not isinstance(power_of_freq, HeatSource) or power_of_freq.profile is not profile:
         power_of_freq = HeatSource(profile, power_of_freq)
@@ -231,13 +232,13 @@ def advance(state, profile, power_of_freq, dt) -> list[str]:
     while left > 0.0:
         rate, t_eq, edge = band(state)
         temp = state.temp
-        end = t_eq + (temp - t_eq) * math.exp(-rate * left)
+        end = t_eq + (temp - t_eq) * exp(-rate * left)
         if edge is None or edge == t_eq or (edge - temp) * (end - edge) < 0.0:
             state.temp = end
             left = 0.0
         else:
             state.temp = edge
-            left -= math.log((t_eq - temp) / (t_eq - edge)) / rate
+            left -= log((t_eq - temp) / (t_eq - edge)) / rate
         event = rule(state)
         if event:
             events.append(event)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import cos, log, sin, sqrt, tau
 
 from .errors import ScenarioError, non_finite_fields
 
@@ -95,12 +96,31 @@ def power_draw(variant, freq, profile):
     return variant.power_nominal * freq / profile.f_nominal
 
 
+def normal_stream(random):
+    """Standard normal deviates drawn from ``random()``, two per Box–Muller pair.
+
+    The float operations of ``random.Random.gauss``, in the same order, so
+    ``mu + z * sigma`` for successive ``z`` equals successive
+    ``Random(seed).gauss(mu, sigma)`` calls bit for bit when ``random`` is
+    that generator's bound ``random``. Unlike ``gauss``, the cached second
+    deviate lives in the stream, not in the generator, so mix no other
+    ``gauss`` calls into a generator a stream draws from.
+    """
+    while True:
+        x2pi = random() * tau
+        g2rad = sqrt(-2.0 * log(1.0 - random()))
+        yield cos(x2pi) * g2rad
+        yield sin(x2pi) * g2rad
+
+
 def shift_overhead(variant, rng, weight_shared=False):
     """Seconds stalled loading ``variant`` in during a shift.
 
     Draws from a normal with the variant's measured mean/std, clamped at
     zero. With true weight sharing there is nothing to load, so the stall
-    is zero and no random draw is consumed.
+    is zero and no random draw is consumed. This is the reference form:
+    ``run_scenario`` takes the same draw, ``shift_mean + z * shift_std``,
+    from its run's ``normal_stream``.
     """
     if weight_shared:
         return 0.0
@@ -108,7 +128,11 @@ def shift_overhead(variant, rng, weight_shared=False):
 
 
 def logging_overhead(platform: Platform, rng, enabled=True):
-    """Seconds spent writing the per-inference log row."""
+    """Seconds spent writing the per-inference log row, clamped at zero.
+
+    The reference form: ``run_scenario`` takes the same draw, ``mean + z *
+    std``, from its run's ``normal_stream``.
+    """
     if not enabled:
         return 0.0
     mean, std = LOGGING_OVERHEAD[platform]

@@ -722,6 +722,28 @@ class TestLeanLoopMatchesReference:
         assert records == reference_run(scenario).records
         assert any(r.log_time == 0.0 for r in records)
 
+    def test_negative_stall_draws_clamp_to_zero(self, monkeypatch, phone_suite):
+        # A SMALL stall centred on zero: about half its draws go negative.
+        small = replace(phone_suite.small, shift_mean=0.0, shift_std=0.5)
+        scenario = phone_scenario(duration=600.0, small=small)
+        expected = reference_run(scenario).records
+        intervals = []
+
+        def record(state, profile, power_of_freq, dt):
+            intervals.append(dt)
+            return advance(state, profile, power_of_freq, dt)
+
+        monkeypatch.setattr(harness, "advance", record)
+        records = run_scenario(scenario).records
+        assert records == expected
+        clamped = [r.overhead for r in records
+                   if r.event == EVENT_SHIFT_SMALL and r.overhead <= 0.0]
+        assert clamped
+        assert all(math.copysign(1.0, o) == 1.0 for o in clamped)  # 0.0, never -0.0
+        # Per row: compute, then idle, logging and a load stall when > 0.
+        assert intervals == [dt for r in records for dt in (
+            r.inference_latency, r.idle, r.log_time, r.overhead) if dt > 0.0]
+
     def test_pi_pin_sag_takes_the_fallback(self):
         # A throttled pi-pin device runs at frequencies between its two
         # levels, which the per-run table does not hold.

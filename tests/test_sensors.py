@@ -147,6 +147,16 @@ class TestSimulatedSource:
         with pytest.raises(ValueError, match="power must be >= 0"):
             SimulatedSource(PHONE_PROFILE, power=-1.0, dt=1.0)
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="power must be finite"):
+            SimulatedSource(PHONE_PROFILE, power=power, dt=1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_dt_rejected_at_construction(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            SimulatedSource(PHONE_PROFILE, power=6.0, dt=dt)
+
 
 class TestLiveRun:
     CFG = ControllerConfig(temp_threshold=73.0, grad_threshold=-0.07)

@@ -11,7 +11,9 @@ from thermoshift.workload import (
     Platform,
     inference_latency,
     iteration_time,
+    LOGGING_OVERHEAD,
     logging_overhead,
+    normal_stream,
     power_draw,
     shift_overhead,
 )
@@ -123,6 +125,21 @@ class TestShiftOverhead:
         v = SUITES["slimmable-resnet50-phone"].large
         rng = random.Random(1)
         assert shift_overhead(v, rng, weight_shared=True) == 0.0
+
+
+class TestNormalStream:
+    @pytest.mark.parametrize("seed", [0, 1, 8675309])
+    def test_equals_gauss_in_lockstep(self, seed):
+        # run_scenario alternates logging draws with load-stall draws; each
+        # must equal the gauss call it replaces, bit for bit.
+        log = LOGGING_OVERHEAD[Platform.PHONE]
+        small = SUITES["slimmable-resnet50-phone"].small
+        stall = (small.shift_mean, small.shift_std)
+        rng = random.Random(seed)
+        z = normal_stream(random.Random(seed).random)
+        for i in range(20_000):
+            mu, sigma = log if i % 2 == 0 else stall
+            assert mu + next(z) * sigma == rng.gauss(mu, sigma), i
 
 
 class TestLoggingOverhead:
