@@ -20,12 +20,10 @@ reading as two plain numbers through its bound ``observe_reading``; no
 
 from __future__ import annotations
 
-import math
 import random
-import re
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice, product
+from math import isfinite
 
 from .controller import ControllerConfig, Decision, Mode, ShiftController
 from .errors import ScenarioError, TraceFormatError, non_finite_fields, write_text
@@ -144,22 +142,23 @@ _NO_OVERHEAD = frozenset(("", "0"))
 
 
 class _Floats(dict):
-    """Column text -> float, one float object per distinct text.
+    """Column text -> finite float, one float object per distinct text.
 
     A repeated text is one C-level subscript and yields the object made
     the first time. Keyed by text, not by value, so ``"-0"`` and ``"0"``
-    stay distinct, and text that ``float`` refuses raises its usual
-    ``ValueError``.
+    stay distinct. Text that ``float`` refuses raises its usual
+    ``ValueError``, and so does text that it reads as nan or infinite
+    (``nan``, ``inf``, ``1e999``), which is not stored.
     """
 
     __slots__ = ()
 
     def __missing__(self, text):
-        value = self[text] = float(text)
+        value = float(text)
+        if not isfinite(value):
+            raise ValueError(f"{text!r} is not finite")
+        self[text] = value
         return value
-
-
-_DECODE_CHARS = 64 * 1024  # characters per read of parse_trace's decoding pass
 
 
 def parse_trace(path) -> Trace:
@@ -167,72 +166,34 @@ def parse_trace(path) -> Trace:
 
     Blank lines are skipped; errors name the file and line as ``path:line``.
     A number that is not finite (``nan``, ``inf``, ``infinity``, in any
-    case or sign) is refused: ``path:line: <column> must be finite, got
-    <text>``. Within a row the first bad column from the left is
-    reported, whether it does not parse or is not finite.
+    case or sign, or a decimal too large for a float, such as ``1e999``)
+    is refused: ``path:line: <column> must be finite, got <text>``.
+    Within a row the first bad column from the left is reported, whether
+    it does not parse or is not finite.
     The columns that repeat from row to row (``freq``,
     ``inference_latency``, ``idle``) share one float object per distinct
     text, every zero ``overhead`` is one float, and ``event`` is the
     module's own string, so a parsed trace holds little more than one run
     of ``run_scenario``.
 
-    The file is read twice and never held whole. A first pass decodes it
-    ``_DECODE_CHARS`` characters at a time and keeps nothing, so a byte
-    that does not decode is reported before any row error, wherever it
-    is; it also looks for the letters that every non-finite spelling
-    holds, and only a file that holds them has its rows checked for
-    finite values. The second pass parses the file line by line. A file
-    that cannot seek back, such as a pipe, is read once and held whole
-    instead.
+    A file is parsed in one pass, line by line, without holding its text.
+    After a header or row error, or a byte that does not decode, it is
+    decoded again in one piece, so a bad byte anywhere is reported first,
+    at its offset in the file rather than in the decoder's chunk. A file
+    that cannot seek back, such as a pipe, is read whole first.
     """
     try:
         with open(path) as fh:
             if not fh.seekable():
-                text = fh.read()
-                blocks = (text[i:i + _DECODE_CHARS] for i in range(0, len(text), _DECODE_CHARS))
-                return _parse_lines(path, text.split("\n"), _spells_non_finite(blocks))
+                return _parse_lines(path, fh.read().split("\n"))
             try:
-                checked = _spells_non_finite(iter(partial(fh.read, _DECODE_CHARS), ""))
-            except UnicodeDecodeError:
-                # A bad byte's position is its offset in the decoder's chunk;
-                # decoding the file in one piece reports its offset in the file.
+                return _parse_lines(path, fh)
+            except (TraceFormatError, UnicodeDecodeError):
                 fh.seek(0)
-                fh.read()
+                fh.read()  # raises at the file's first bad byte, if it has one
                 raise
-            fh.seek(0)
-            return _parse_lines(path, fh, checked)
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace from {path}: {exc}") from exc
-
-
-# Every spelling that ``float`` reads as nan or infinite (nan, inf or
-# infinity, in any case) holds an upper-case N, I or F, or an "n" before
-# "a", "A" or "f"; no row that emit_trace writes holds either. On a phone
-# hour (545 KB) this search takes ~0.6 ms, and a case-folded search for
-# the words ~1.6 ms (CPython 3.11, x86-64).
-_NON_FINITE_LETTERS = ("N", "I", "F")
-_NON_FINITE_PAIR = re.compile("n[aAf]")
-
-
-def _spells_non_finite(blocks) -> bool:
-    """Whether the text after the first line of ``blocks`` may spell a
-    non-finite number (the header's ``inference_latency`` would match).
-
-    Reads every block even after a find, so that a byte that does not
-    decode still raises. A pair split between two blocks is found too.
-    """
-    found, carry = False, None
-    for text in blocks:
-        if found:
-            continue
-        if carry is None:
-            text = text[text.find("\n") + 1:]
-            carry = ""
-        found = bool(any(letter in text for letter in _NON_FINITE_LETTERS)
-                     or _NON_FINITE_PAIR.search(text)
-                     or _NON_FINITE_PAIR.match(carry + text[:1]))
-        carry = text[-1:]
-    return found
 
 
 _COLUMNS = CSV_HEADER.split(",")
@@ -242,7 +203,8 @@ _MAY_BE_BLANK = frozenset(("avg_temp", "grad", "freq", "inference_latency", "idl
 def _row_problem(fields) -> str | None:
     """What is wrong with a row's ten column texts, or None: the first
     column from the left that is not a float, not finite or not a mode,
-    else an unknown event."""
+    else an unknown event. Every row error but a wrong column count is
+    worded here."""
     for name, text in zip(_COLUMNS, fields):
         if name == "mode":
             if text not in _MODES:
@@ -252,32 +214,23 @@ def _row_problem(fields) -> str | None:
                 value = float(text)
             except ValueError as exc:
                 return str(exc)
-            if not math.isfinite(value):
+            if not isfinite(value):
                 return f"{name} must be finite, got {text}"
     if fields[8] not in _EVENTS:
         return f"unknown event {fields[8]!r}"
     return None
 
 
-def _checked_lines(path, lines):
-    """``lines`` as they are, raising at the first row of ten columns that
-    ``_row_problem`` finds wrong before that row is passed on."""
-    lines = iter(lines)
-    yield next(lines, "")  # the header, which _parse_lines checks
-    for n, line in enumerate(lines, start=2):
-        fields = line.rstrip("\n").split(",")
-        if len(fields) == 10:
-            problem = _row_problem(fields)
-            if problem:
-                raise TraceFormatError(f"{path}:{n}: {problem}")
-        yield line
-
-
-def _parse_lines(path, lines, checked) -> Trace:
+def _parse_lines(path, lines) -> Trace:
     """Parse the header and rows of ``lines``; each may end in ``"\\n"``.
-    With ``checked`` every row first goes through ``_checked_lines``,
-    which also refuses numbers that are not finite."""
-    lines = iter(_checked_lines(path, lines) if checked else lines)
+
+    Each row is converted first and judged by its values: ``_Floats``
+    refuses a shared column that is not finite, and one ``isfinite`` of
+    the sum of the other floats checks the rest. A row that fails to
+    convert or check takes its message from ``_row_problem``, which finds
+    nothing when finite values only overflow the sum; that row is kept.
+    """
+    lines = iter(lines)
     if next(lines, "").rstrip("\n") != CSV_HEADER:
         raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
     repeated = _Floats({"": None})  # freq, inference_latency and idle: blank is None
@@ -287,13 +240,12 @@ def _parse_lines(path, lines, checked) -> Trace:
         line = line.rstrip("\n")
         if not line:
             continue
+        fields = line.split(",")
         try:
-            sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = (
-                line.split(","))
+            sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = fields
         except ValueError:
             raise TraceFormatError(
-                f"{path}:{n}: expected 10 columns, got {line.count(',') + 1}") from None
-        # Columns convert left to right, so the first bad one is reported.
+                f"{path}:{n}: expected 10 columns, got {len(fields)}") from None
         try:
             record = TraceRecord(
                 float(sim_time),
@@ -304,13 +256,16 @@ def _parse_lines(path, lines, checked) -> Trace:
                 _MODES[mode],
                 repeated[latency],
                 repeated[idle],
-                _EVENTS.get(event),
+                _EVENTS[event],
                 0.0 if overhead in _NO_OVERHEAD else float(overhead),
             )
-        except (ValueError, KeyError) as exc:
-            raise TraceFormatError(f"{path}:{n}: {exc}") from exc
-        if record.event is None:
-            raise TraceFormatError(f"{path}:{n}: unknown event {event!r}")
+        except (ValueError, KeyError):
+            record = None
+        if record is None or not isfinite(record.sim_time + record.cpu_temp + record.overhead
+                                          + (record.avg_temp or 0.0) + (record.grad or 0.0)):
+            problem = _row_problem(fields)
+            if problem:
+                raise TraceFormatError(f"{path}:{n}: {problem}")
         append(record)
     return trace
 

@@ -402,6 +402,41 @@ class TestStreamedTraceIo:
             f"cannot read trace from {path}: 'utf-8' codec can't decode byte 0xff "
             f"in position {len(head) + 3}: invalid start byte")
 
+    @pytest.mark.parametrize("head", [
+        "time,temp\n" + GOOD_ROW * 2000,
+        CSV_HEADER + "\n" + GOOD_ROW + "1,50,49,LARGE,none\n" + GOOD_ROW * 2000,
+    ], ids=["wrong-header", "five-columns-on-line-3"])
+    def test_undecodable_byte_wins_over_an_earlier_format_error(self, tmp_path, head):
+        head = head.encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(head + b"1,5\xff,,,,LARGE,,,none,0\n")
+        assert len(head) > 64 * 1024
+        with pytest.raises(TraceFormatError) as info:
+            parse_trace(path)
+        assert str(info.value) == (
+            f"cannot read trace from {path}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(head) + 3}: invalid start byte")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_undecodable_byte_in_a_pipe_wins_over_an_earlier_bad_row(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        head = (CSV_HEADER + "\n" + GOOD_ROW + "1,hot,49,-0.01,2.86,LARGE,0.205,0,none,0\n"
+                + GOOD_ROW * 2000).encode()
+        writer = threading.Thread(target=pipe.write_bytes,
+                                  args=(head + b"1,5\xff,,,,LARGE,,,none,0\n",), daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(TraceFormatError) as info:
+                parse_trace(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(head) > 64 * 1024
+        assert str(info.value) == (
+            f"cannot read trace from {pipe}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(head) + 3}: invalid start byte")
+
     def test_bad_row_past_the_first_read_names_its_line(self, tmp_path):
         good_rows = 2000
         text = (CSV_HEADER + "\n" + GOOD_ROW * good_rows
@@ -440,6 +475,7 @@ class TestStreamedTraceIo:
 
 
 GOOD_FIELDS = TestParseTraceErrors.GOOD.split(",")
+READ_CHARS = 64 * 1024  # a boundary that the texts below place bad values past or across
 FLOAT_COLUMNS = [name for name in CSV_HEADER.split(",") if name not in ("mode", "event")]
 
 
@@ -471,11 +507,27 @@ class TestNonFiniteTraceValues:
         path.write_text(CSV_HEADER + "\n" + GOOD_ROW + bad_row(**{column: text}) + GOOD_ROW)
         assert parse_message(path) == f"{path}:3: {column} must be finite, got {text}"
 
+    @pytest.mark.parametrize("text", ["1e999", "-1E400", "1" + "0" * 399],
+                             ids=["1e999", "-1E400", "400-digits"])
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_every_float_column_overflow(self, tmp_path, column, text):
+        # ``float`` reads each as infinite, though none spells nan or inf.
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n" + GOOD_ROW + bad_row(**{column: text}) + GOOD_ROW)
+        assert parse_message(path) == f"{path}:3: {column} must be finite, got {text}"
+
+    def test_finite_values_whose_sum_overflows_parse(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\n" + GOOD_ROW
+                        + bad_row(sim_time="1.7e308", overhead="1.7e308"))
+        row = parse_trace(path)[1]
+        assert (row.sim_time, row.overhead) == (1.7e308, 1.7e308)
+
     @pytest.mark.parametrize("column", ["sim_time", "freq", "overhead"])
     def test_past_the_first_read(self, tmp_path, column):
         good_rows = 2000
         text = CSV_HEADER + "\n" + GOOD_ROW * good_rows + bad_row(**{column: "-inf"})
-        assert len(text) - len(GOOD_ROW) > harness._DECODE_CHARS
+        assert len(text) - len(GOOD_ROW) > READ_CHARS
         path = tmp_path / "t.csv"
         path.write_text(text)
         assert parse_message(path) == f"{path}:{good_rows + 2}: {column} must be finite, got -inf"
@@ -486,10 +538,10 @@ class TestNonFiniteTraceValues:
         # The sim_time text is padded so the word's first ``before_boundary``
         # letters end the first read and the rest start the second.
         head = CSV_HEADER + "\n" + GOOD_ROW * 1000
-        pad = harness._DECODE_CHARS - before_boundary - len(head) - 1
+        pad = READ_CHARS - before_boundary - len(head) - 1
         assert pad > 0
         text = head + bad_row(sim_time="1".rjust(pad, "0"), cpu_temp=word) + GOOD_ROW
-        assert text.index(word, len(CSV_HEADER)) == harness._DECODE_CHARS - before_boundary
+        assert text.index(word, len(CSV_HEADER)) == READ_CHARS - before_boundary
         path = tmp_path / "t.csv"
         path.write_text(text)
         assert parse_message(path) == f"{path}:1002: cpu_temp must be finite, got {word}"
@@ -497,7 +549,7 @@ class TestNonFiniteTraceValues:
     def test_undecodable_byte_wins_over_an_earlier_non_finite(self, tmp_path):
         # The bad byte lies past the first two reads.
         head = (CSV_HEADER + "\n" + bad_row(cpu_temp="nan") + GOOD_ROW * 4000).encode()
-        assert len(head) > 2 * harness._DECODE_CHARS
+        assert len(head) > 2 * READ_CHARS
         path = tmp_path / "t.csv"
         path.write_bytes(head + b"1,5\xff,,,,LARGE,,,none,0\n")
         assert parse_message(path) == (
@@ -505,12 +557,14 @@ class TestNonFiniteTraceValues:
             f"in position {len(head) + 3}: invalid start byte")
 
     @pytest.mark.parametrize("suite_name", SUITE_NAMES)
-    def test_written_traces_skip_the_row_checks(self, tmp_path, suite_name):
+    def test_written_rows_have_no_problem(self, tmp_path, suite_name):
         path = tmp_path / "t.csv"
         emit_trace(run_scenario(build_scenario({"suite": suite_name, "seed": 0,
                                                 "duration": 3600.0,
                                                 "controller": "default"})), path)
-        assert not harness._spells_non_finite([path.read_text()])
+        rows = path.read_text().splitlines()[1:]
+        assert rows
+        assert all(harness._row_problem(row.split(",")) is None for row in rows)
 
     def test_non_finite_before_a_bad_float_on_its_line(self, tmp_path):
         path = tmp_path / "t.csv"
