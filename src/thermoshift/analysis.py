@@ -8,6 +8,7 @@ well defined without pacing.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import asdict, dataclass, replace
 
@@ -67,8 +68,12 @@ def summarize(trace: Trace, large: ModelVariant, small: ModelVariant) -> Summary
         if r.cpu_temp > max_temp:
             max_temp = r.cpu_temp
     n_small = len(trace) - n_large
-    # sum(), not a running total: it compensates rounding on Python 3.12+
-    avg_latency = sum(latencies) / len(latencies) if latencies else None
+    n = len(latencies)
+    # sum(), not a running total: it compensates rounding on Python 3.12+.
+    # Finite latencies whose sum overflows are averaged term by term.
+    avg_latency = sum(latencies) / n if n else None
+    if n and not math.isfinite(avg_latency):
+        avg_latency = sum(x / n for x in latencies)
     est_accuracy = (n_large * large.accuracy + n_small * small.accuracy) / len(trace)
     return Summary(
         avg_latency=avg_latency,

@@ -4,20 +4,17 @@ Temperature follows newtonian heating/cooling,
 
     C * dT/dt = P - k * (T - T_ambient)
 
-``advance`` solves it exactly: on every governor band the right-hand side
-is linear in T, so the temperature relaxes exponentially and the time to
-the next governor threshold is one logarithm. The constants of each band
-(rates, equilibria, band edges) depend only on the profile and the power
-curve, and those of the governor rule (trip and release points,
-frequency levels, gain) only on the profile, so a ``HeatSource`` solves
-both once per source, into a band closure and a rule closure that
-``advance`` calls on every band without reading the profile again.
-``_GOVERNORS`` maps each governor kind to its rule factory and its band
-solver; ``governor_step`` and ``HeatSource`` both read it, so the kind is
-dispatched in one place.
-``advance`` is the only integrator the package runs; the constant-power
-Euler stepper further down is kept as public API only (see its
-docstring).
+``advance``, the one integrator, solves it exactly: on every governor band
+the right-hand side is linear in T, so the temperature relaxes
+exponentially and the time to the next governor threshold is one
+logarithm. The constants of each band (rates, equilibria, band edges)
+depend only on the profile and the power curve, and those of the governor
+rule (trip and release points, frequency levels, gain) only on the
+profile, so a ``HeatSource`` solves both once per source, into a band
+closure and a rule closure that ``advance`` calls on every band without
+reading the profile again. ``_GOVERNORS`` maps each governor kind to its
+rule factory and its band solver; ``governor_step`` and ``HeatSource``
+both read it, so the kind is dispatched in one place.
 
 Calibration needs no simulation for the heat capacity: below the trip
 point the model is linear, so the time the large model takes to reach
@@ -39,8 +36,6 @@ from dataclasses import dataclass, replace
 from math import exp, inf, log  # module-level names for advance's per-band loop
 
 from .errors import CalibrationError, ProfileError, non_finite_fields
-
-MAX_SUBSTEP_S = 0.1
 
 EVENT_THROTTLE_ON = "throttle_on"
 EVENT_THROTTLE_OFF = "throttle_off"
@@ -94,29 +89,6 @@ class DeviceState:
     freq: float
     throttled: bool = False
     sim_time: float = 0.0
-
-
-def thermal_step(state: DeviceState, profile: DeviceProfile, power: float, dt: float) -> DeviceState:
-    """Advance the temperature by dt seconds at constant input power.
-
-    Explicit Euler, sub-steps of at most ``MAX_SUBSTEP_S``; stable while a
-    sub-step stays under 2*C/k. Nothing in the package calls it: it stays
-    as public API that the tests pin. ``advance`` is exact and runs the
-    governor too.
-    """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    n = max(1, math.ceil(dt / MAX_SUBSTEP_S))
-    h = dt / n
-    c = profile.heat_capacity
-    k = profile.dissipation
-    amb = profile.ambient_temp
-    for _ in range(n):
-        state.temp += (power - k * (state.temp - amb)) * h / c
-    state.sim_time += dt
-    return state
 
 
 def governor_step(state: DeviceState, profile: DeviceProfile) -> str | None:
@@ -197,13 +169,6 @@ class HeatSource:
 
     def __call__(self, freq):
         return self.power_of_freq(freq)
-
-    def governor(self, state, profile):
-        """``governor_step(state, profile)``, by this source's rule when
-        ``profile`` is the source's own."""
-        if profile is not self.profile:
-            return governor_step(state, profile)
-        return self.rule(state)
 
 
 def advance(state, profile, power_of_freq, dt) -> list[str]:

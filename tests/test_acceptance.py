@@ -40,7 +40,7 @@ from thermoshift.thermal import (
     DeviceProfile,
     DeviceState,
     GovernorKind,
-    thermal_step,
+    advance,
 )
 
 
@@ -239,17 +239,18 @@ def test_07_thermal_oracle():
         )
         t_eq = ambient + power / k
         state = DeviceState(temp=ambient, freq=2.0)
+        heat = lambda f: power
         for _ in range(200):
-            thermal_step(state, profile, power, 5.0)
+            advance(state, profile, heat, 5.0)
             exact = t_eq + (ambient - t_eq) * math.exp(-k * state.sim_time / C)
             assert abs(state.temp - exact) <= 0.01 * abs(exact - ambient) + 1e-9
-        thermal_step(state, profile, power, 12.0 * C / k)
+        advance(state, profile, heat, 12.0 * C / k)
         assert abs(state.temp - t_eq) <= 0.1
     # the worked example: 5 W into 0.25 W/C from 22 C settles at 42 C
     profile = DeviceProfile(heat_capacity=50.0, dissipation=0.25, ambient_temp=22.0,
                             f_nominal=2.0, f_throttled=1.0, t_throttle=1e6, t_resume=999999.0)
     state = DeviceState(temp=22.0, freq=2.0)
-    thermal_step(state, profile, 5.0, 4000.0)
+    advance(state, profile, lambda f: 5.0, 4000.0)
     assert abs(state.temp - 42.0) <= 0.1
 
 

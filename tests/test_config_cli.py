@@ -12,7 +12,7 @@ import thermoshift
 from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_scenario
 from thermoshift.errors import ConfigFileError
-from thermoshift.harness import emit_trace, parse_trace, run_scenario
+from thermoshift.harness import Trace, TraceRecord, emit_trace, parse_trace, run_scenario
 from thermoshift.thermal import GovernorKind
 from thermoshift.workload import Platform
 
@@ -270,6 +270,17 @@ class TestCliSummarizePlot:
         data = json.loads(capsys.readouterr().out)
         assert data["est_accuracy"] == pytest.approx(0.768)
         assert data["n_small"] == 0
+
+    def test_summarize_latencies_whose_sum_overflows(self, tmp_path, capsys):
+        # Each latency is finite, so parse_trace accepts them, but their
+        # plain sum is inf, which json.dumps would print as Infinity.
+        out = tmp_path / "big.csv"
+        emit_trace(Trace([TraceRecord(0.0, 40.0, inference_latency=1e308),
+                          TraceRecord(1.0, 41.0, inference_latency=1.5e308)]), out)
+        assert main(["summarize", "--trace", str(out),
+                     "--suite", "slimmable-resnet50-phone"]) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert data["avg_latency"] == 1.25e308
 
     def test_plot_with_overlay(self, tmp_path):
         out = self.make_trace(tmp_path)

@@ -38,10 +38,8 @@ from thermoshift.suites import PHONE_PROFILE, get_suite
 from thermoshift.thermal import (
     CalibrationTargets,
     DeviceProfile,
-    DeviceState,
     GovernorKind,
     calibrate_profile,
-    thermal_step,
 )
 from thermoshift.workload import ModelVariant, power_draw
 
@@ -392,12 +390,6 @@ class TestModelChecks:
             DeviceProfile(heat_capacity=20.0, dissipation=0.1, ambient_temp=22.0,
                           f_nominal=2.0, f_throttled=1.0, t_throttle=77.0, t_resume=70.0,
                           idle_power=-1.0)
-
-    def test_thermal_step_negative_power(self):
-        state = DeviceState(temp=30.0, freq=PHONE_PROFILE.f_nominal)
-        with pytest.raises(ValueError, match="power must be >= 0, got -2.0"):
-            thermal_step(state, PHONE_PROFILE, power=-2.0, dt=1.0)
-        assert state.temp == 30.0 and state.sim_time == 0.0
 
     def test_zero_nominal_power(self):
         with pytest.raises(ScenarioError, match="power_nominal must be > 0, got 0.0"):

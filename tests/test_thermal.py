@@ -17,7 +17,6 @@ from thermoshift.thermal import (
     calibrate_profile,
     equilibrium_temp,
     governor_step,
-    thermal_step,
 )
 
 
@@ -34,74 +33,6 @@ def profile(C=50.0, k=0.25, ambient=22.0, governor=GovernorKind.PHONE_DROP,
 def closed_form(t, ambient, C, k, power, start):
     t_eq = ambient + power / k
     return t_eq + (start - t_eq) * math.exp(-k * t / C)
-
-
-class TestThermalStep:
-    def test_equilibrium_matches_power_over_dissipation(self):
-        # 5 W into 0.25 W/C from 22 C settles at 42 C
-        p = profile(C=50.0, k=0.25)
-        state = DeviceState(temp=22.0, freq=p.f_nominal)
-        thermal_step(state, p, power=5.0, dt=3000.0)
-        assert state.temp == pytest.approx(42.0, abs=0.1)
-        assert equilibrium_temp(p, 5.0) == pytest.approx(42.0)
-
-    def test_zero_power_stays_at_ambient(self):
-        p = profile()
-        state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
-        thermal_step(state, p, power=0.0, dt=500.0)
-        assert state.temp == pytest.approx(p.ambient_temp, abs=1e-9)
-
-    def test_crossing_time_matches_closed_form(self):
-        # 15 W held: T_eq = 82; crossing 77 C at tau*ln(60/5) = 497.0 s
-        p = profile(C=50.0, k=0.25)
-        state = DeviceState(temp=22.0, freq=p.f_nominal)
-        expected = (50.0 / 0.25) * math.log((82.0 - 22.0) / (82.0 - 77.0))
-        crossed = None
-        step = 0.1
-        while state.sim_time < 1000.0:
-            thermal_step(state, p, power=15.0, dt=step)
-            if state.temp >= 77.0:
-                crossed = state.sim_time
-                break
-        assert crossed == pytest.approx(expected, rel=0.01)
-
-    def test_trajectory_matches_closed_form_within_1pct(self):
-        p = profile(C=50.0, k=0.25)
-        state = DeviceState(temp=22.0, freq=p.f_nominal)
-        for _ in range(120):
-            thermal_step(state, p, power=15.0, dt=5.0)
-            exact = closed_form(state.sim_time, 22.0, 50.0, 0.25, 15.0, 22.0)
-            assert abs(state.temp - exact) <= 0.01 * abs(exact - 22.0) + 1e-9
-
-    def test_energy_balance_per_substep(self):
-        # one sub-step: C * dT == (P - k*(T - T_amb)) * h exactly
-        p = profile(C=37.5, k=0.31)
-        state = DeviceState(temp=48.0, freq=p.f_nominal)
-        h = 0.05
-        before = state.temp
-        thermal_step(state, p, power=9.0, dt=h)
-        lhs = p.heat_capacity * (state.temp - before)
-        rhs = (9.0 - p.dissipation * (before - p.ambient_temp)) * h
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_monotone_in_power(self):
-        rng = random.Random(5)
-        p = profile()
-        for _ in range(50):
-            lo = rng.uniform(0.0, 10.0)
-            hi = lo + rng.uniform(0.1, 10.0)
-            a = DeviceState(temp=30.0, freq=p.f_nominal)
-            b = DeviceState(temp=30.0, freq=p.f_nominal)
-            for _ in range(40):
-                thermal_step(a, p, lo, 2.0)
-                thermal_step(b, p, hi, 2.0)
-                assert b.temp > a.temp
-
-    def test_rejects_nonpositive_dt(self):
-        p = profile()
-        state = DeviceState(temp=30.0, freq=p.f_nominal)
-        with pytest.raises(ValueError):
-            thermal_step(state, p, 5.0, 0.0)
 
 
 class TestPhoneDropGovernor:
@@ -219,7 +150,7 @@ class TestCalibration:
         # independent forward check of the crossing
         state = DeviceState(temp=22.0, freq=p.f_nominal)
         while state.temp < 77.0:
-            thermal_step(state, p, result.large_power, 0.5)
+            advance(state, p, lambda f: result.large_power, 0.5)
         assert state.sim_time == pytest.approx(600.0, rel=0.02)
         # small model settles at least 2 C under the shift threshold
         assert equilibrium_temp(p, result.small_power) <= 73.0 - 2.0
@@ -428,12 +359,13 @@ class TestExactAdvance:
         assert events == expected
         assert 72.0 <= state.temp <= 77.0
 
-    @pytest.mark.parametrize("power", [3.0, 5.9, 20.0])
+    @pytest.mark.parametrize("power", [3.0, 5.9, 20.0, 0.0])
     @pytest.mark.parametrize("edge", ["trip", "floor"])
     def test_pi_pin_from_a_band_edge(self, edge, power):
-        # 3 W settles below the trip point, 5.9 W pins, 20 W settles above
-        # the frequency floor; a start exactly on a band edge must move into
-        # the band the heat flow points to, however the interval is split.
+        # 0 W settles at ambient, 3 W below the trip point, 5.9 W pins, 20 W
+        # settles above the frequency floor; a start exactly on a band edge
+        # must move into the band the heat flow points to, however the
+        # interval is split.
         p = self.pin_profile()
         floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
         start = p.t_throttle if edge == "trip" else floor
@@ -445,7 +377,8 @@ class TestExactAdvance:
             advance(steps, p, power_of_freq, 100.0)
         assert steps.temp == pytest.approx(whole.temp, abs=1e-9)
         assert steps.freq == pytest.approx(whole.freq, abs=1e-9)
-        settled = {3.0: 22.0 + 30.0, 20.0: 22.0 + 20.0 * p.f_throttled / p.f_nominal / 0.1}
+        settled = {0.0: 22.0, 3.0: 22.0 + 30.0,
+                   20.0: 22.0 + 20.0 * p.f_throttled / p.f_nominal / 0.1}
         if power in settled:
             assert whole.temp == pytest.approx(settled[power], abs=1e-6)
         else:
@@ -479,6 +412,79 @@ class TestExactAdvance:
         expected = closed_form(10.0, 22.0, 50.0, 0.25, power_of_freq(p.f_throttled), 80.0)
         assert state.temp == pytest.approx(expected, abs=1e-9)
 
+    def test_equilibrium_matches_power_over_dissipation(self):
+        # 5 W into 0.25 W/C from 22 C settles at 42 C
+        p = profile(C=50.0, k=0.25)
+        state = DeviceState(temp=22.0, freq=p.f_nominal)
+        advance(state, p, lambda f: 5.0, 3000.0)
+        assert state.temp == pytest.approx(42.0, abs=0.1)
+        assert equilibrium_temp(p, 5.0) == pytest.approx(42.0)
+
+    def test_zero_power_stays_at_ambient(self):
+        p = profile()
+        state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
+        advance(state, p, lambda f: 0.0, 500.0)
+        assert state.temp == pytest.approx(p.ambient_temp, abs=1e-9)
+
+    def test_crossing_time_matches_closed_form(self):
+        # 15 W held: T_eq = 82; crossing 77 C at tau*ln(60/5) = 497.0 s
+        p = profile(C=50.0, k=0.25)
+        state = DeviceState(temp=22.0, freq=p.f_nominal)
+        expected = (50.0 / 0.25) * math.log((82.0 - 22.0) / (82.0 - 77.0))
+        crossed = None
+        step = 0.1
+        while state.sim_time < 1000.0:
+            if advance(state, p, lambda f: 15.0, step) == [EVENT_THROTTLE_ON]:
+                crossed = state.sim_time
+                break
+        assert crossed == pytest.approx(expected, rel=0.01)
+
+    def test_trajectory_matches_closed_form_within_1pct(self):
+        # the trip point is out of reach, so 15 W heats along one band
+        p = profile(C=50.0, k=0.25, t_throttle=1e6, t_resume=999999.0)
+        state = DeviceState(temp=22.0, freq=p.f_nominal)
+        for _ in range(120):
+            advance(state, p, lambda f: 15.0, 5.0)
+            exact = closed_form(state.sim_time, 22.0, 50.0, 0.25, 15.0, 22.0)
+            assert abs(state.temp - exact) <= 0.01 * abs(exact - 22.0) + 1e-9
+
+    def test_energy_balance_over_an_interval(self):
+        # C * (T(h) - T(0)) == P*h - k * integral of (T - T_amb), the
+        # integral taken by Simpson's rule over the trajectory advance steps
+        p = profile(C=37.5, k=0.31)
+        state = DeviceState(temp=48.0, freq=p.f_nominal)
+        n, h = 200, 20.0
+        temps = [state.temp]
+        for _ in range(n):
+            advance(state, p, lambda f: 9.0, h / n)
+            temps.append(state.temp)
+        excess = [t - p.ambient_temp for t in temps]
+        integral = (h / n / 3.0) * (excess[0] + excess[-1] + 4.0 * sum(excess[1:-1:2])
+                                    + 2.0 * sum(excess[2:-1:2]))
+        lhs = p.heat_capacity * (temps[-1] - temps[0])
+        rhs = 9.0 * h - p.dissipation * integral
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_monotone_in_power(self):
+        rng = random.Random(5)
+        p = profile()
+        for _ in range(50):
+            lo = rng.uniform(0.0, 10.0)
+            hi = lo + rng.uniform(0.1, 10.0)
+            a = DeviceState(temp=30.0, freq=p.f_nominal)
+            b = DeviceState(temp=30.0, freq=p.f_nominal)
+            for _ in range(40):
+                advance(a, p, lambda f: lo, 2.0)
+                advance(b, p, lambda f: hi, 2.0)
+                assert b.temp > a.temp
+
+    @pytest.mark.parametrize("dt", [0.0, -5.0])
+    def test_rejects_nonpositive_dt(self, dt):
+        p = profile()
+        state = DeviceState(temp=30.0, freq=p.f_nominal)
+        with pytest.raises(ValueError, match="> 0"):
+            advance(state, p, lambda f: 5.0, dt)
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
@@ -487,13 +493,6 @@ class TestNonFinite:
         state = DeviceState(temp=30.0, freq=p.f_nominal)
         with pytest.raises(ValueError, match="finite"):
             advance(state, p, lambda f: 5.0, dt)
-
-    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
-    def test_thermal_step_rejects_non_finite_dt(self, dt):
-        p = profile()
-        state = DeviceState(temp=30.0, freq=p.f_nominal)
-        with pytest.raises(ValueError, match="finite"):
-            thermal_step(state, p, 5.0, dt)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kwarg, field", [
@@ -619,6 +618,7 @@ class TestOneBandExact:
         freq = {"nominal": p.f_nominal, "throttled": p.f_throttled, "between": 2.5}[level]
         power_of_freq = lambda f: 15.0 * f / p.f_nominal
         t_eq = p.ambient_temp + power_of_freq(freq) / p.dissipation
+        assert equilibrium_temp(p, power_of_freq(freq)) == t_eq
         expected = self.relax(t_eq, p.dissipation / p.heat_capacity, start, 20.0)
         assert self.both(p, power_of_freq, start, freq, throttled, 20.0) == [expected] * 3
 
@@ -685,7 +685,7 @@ class TestGovernorEntryPoints:
     @pytest.mark.parametrize("kind", list(GovernorKind))
     def test_same_result_from_both(self, kind):
         p = self.PROFILES[kind]
-        rule = HeatSource(p, lambda f: 5.0 * f / p.f_nominal).governor
+        rule = HeatSource(p, lambda f: 5.0 * f / p.f_nominal).rule
         floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain if p.pin_gain else None
         temps = []
         for edge in (p.t_resume, p.t_throttle, floor):
@@ -698,7 +698,7 @@ class TestGovernorEntryPoints:
                 public = DeviceState(temp=temp, freq=freq, throttled=throttled)
                 stored = DeviceState(temp=temp, freq=freq, throttled=throttled)
                 event = governor_step(public, p)
-                assert rule(stored, p) == event, (temp, throttled)
+                assert rule(stored) == event, (temp, throttled)
                 assert (stored.temp, stored.freq, stored.throttled) == (
                     public.temp, public.freq, public.throttled), (temp, throttled)
 
