@@ -19,6 +19,7 @@ from .harness import (
     EVENT_SHIFT_SMALL,
     Scenario,
     Trace,
+    hottest_reading,
     run_scenario,
 )
 from .thermal import EVENT_THROTTLE_ON
@@ -162,6 +163,12 @@ def ablation_grid(base_scenario: Scenario, temp_thresholds, grad_thresholds,
     ``duration`` and record a note instead of a value; one bad cell does
     not abort the sweep. Per-cell seeds depend only on the base seed and
     the cell's thresholds, so execution order cannot change any value.
+
+    The controller shifts to SMALL only on a reading strictly above
+    ``temp_threshold``, and no reading exceeds ``hottest_reading``. A cell
+    whose threshold is at or above that bound would never shift, so it is
+    not run: its note is the one ``stable_iteration_accuracy`` gives a
+    trace with no shift, as its full run would get.
     """
     if not temp_thresholds or not grad_thresholds:
         raise AnalysisError("threshold lists must be non-empty")
@@ -169,12 +176,21 @@ def ablation_grid(base_scenario: Scenario, temp_thresholds, grad_thresholds,
     if template is None:
         raise AnalysisError("ablation needs a scenario with a controller config")
     n_cycles = 2
+    hottest = hottest_reading(base_scenario)
+    try:
+        stable_iteration_accuracy(Trace(), base_scenario.large, base_scenario.small, n_cycles)
+    except AnalysisError as exc:
+        never_shifts = str(exc)
     values = []
     notes = []
     for g in grad_thresholds:
         row = []
         row_notes = []
         for t in temp_thresholds:
+            if t >= hottest:
+                row.append(None)
+                row_notes.append(never_shifts)
+                continue
             cfg = replace(template, temp_threshold=t, grad_threshold=g)
             cell = replace(
                 base_scenario,

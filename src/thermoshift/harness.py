@@ -302,6 +302,11 @@ class Scenario:
         if stop is not None and (type(stop) is not int or stop < 1):
             problems.append(
                 f"stop_after_small_shifts must be a whole number >= 1 or None, got {stop!r}")
+        profile = self.profile
+        watts = max(self.large.power_nominal, self.small.power_nominal, profile.idle_power)
+        if not isfinite(profile.ambient_temp + watts / profile.dissipation):
+            problems.append(f"dissipation {profile.dissipation} W/C is too small for {watts} W: "
+                            f"the equilibrium temperature is not finite")
         if self.large.base_latency < self.small.base_latency:
             problems.append(
                 f"large variant ({self.large.base_latency}s) must not be faster than "
@@ -316,6 +321,24 @@ class Scenario:
                 )
         if problems:
             raise ScenarioError("; ".join(problems))
+
+
+def _heat_sources(scenario):
+    """The ``HeatSource`` of the large model, the small model and injected idle."""
+    profile, large, small = scenario.profile, scenario.large, scenario.small
+    return (HeatSource(profile, lambda f: power_draw(large, f, profile)),
+            HeatSource(profile, lambda f: power_draw(small, f, profile)),
+            HeatSource(profile, lambda f: profile.idle_power))
+
+
+def hottest_reading(scenario) -> float:
+    """An upper bound on every ``cpu_temp`` that ``run_scenario`` can log.
+
+    A run starts at ambient and heats only under its three heat sources,
+    none of which carries the device above its ``hottest``; no simulation
+    is needed. Raises ProfileError if a source's equilibria are not finite.
+    """
+    return max(scenario.profile.ambient_temp, *(s.hottest for s in _heat_sources(scenario)))
 
 
 def pick_event(decision: Decision, governor_events) -> str:
@@ -375,9 +398,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     controller = ShiftController(scenario.controller) if scenario.controller else None
     observe = controller.observe_reading if controller else None
     # One heat source per power curve, with its governor bands solved once.
-    large_heat = HeatSource(profile, lambda f: power_draw(large, f, profile))
-    small_heat = HeatSource(profile, lambda f: power_draw(small, f, profile))
-    idle_heat = HeatSource(profile, lambda f: profile.idle_power)
+    large_heat, small_heat, idle_heat = _heat_sources(scenario)
     f_nominal = profile.f_nominal
     latency_multiplier, target_period = pacing.latency_multiplier, pacing.target_period
     levels = (f_nominal, profile.f_throttled)

@@ -16,6 +16,13 @@ reading the profile again. ``_GOVERNORS`` maps each governor kind to its
 rule factory and its band solver; ``governor_step`` and ``HeatSource``
 both read it, so the kind is dispatched in one place.
 
+The same band constants bound every temperature a source can carry the
+device to: a solver also returns ``hottest``, the highest temperature
+``advance`` reaches under that source from any state at or below it.
+``advance`` computes ``t_eq + (T - t_eq) * exp(...)``, which rounds to at
+most ``t_eq`` when heating, and stops exactly on band edges, so the
+bound is never passed.
+
 Calibration needs no simulation for the heat capacity: below the trip
 point the model is linear, so the time the large model takes to reach
 the trip point from ambient has a closed form.
@@ -32,8 +39,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from math import exp, inf, log  # module-level names for advance's per-band loop
+from dataclasses import dataclass
+from math import exp, inf, isfinite, log  # module-level names for advance's per-band loop
 
 from .errors import CalibrationError, ProfileError, non_finite_fields
 
@@ -67,6 +74,10 @@ class DeviceProfile:
             problems.append(f"heat_capacity must be > 0, got {self.heat_capacity}")
         if self.dissipation <= 0:
             problems.append(f"dissipation must be > 0, got {self.dissipation}")
+        elif self.heat_capacity > 0 and not 0.0 < self.dissipation / self.heat_capacity < inf:
+            # advance's relaxation rate: 0 never relaxes, inf never ends a band.
+            problems.append(f"dissipation / heat_capacity must be finite and > 0, got "
+                            f"{self.dissipation} / {self.heat_capacity}")
         if not (0 < self.f_throttled < self.f_nominal):
             problems.append(
                 f"need 0 < f_throttled < f_nominal, got {self.f_throttled} / {self.f_nominal}"
@@ -156,16 +167,21 @@ class HeatSource:
     run, and pass it to every ``advance`` call of that run. A source keeps
     the constants it was built with, so a profile changed later (by
     ``dataclasses.replace``) needs a new source.
+
+    ``hottest`` is the highest temperature ``advance`` can carry a state
+    at or below it to under this source. Building a source whose
+    equilibria are not finite (a dissipation too small for its power, or
+    a pi-pin gain that sheds an infinite power) raises ProfileError.
     """
 
-    __slots__ = ("profile", "power_of_freq", "band", "rule")
+    __slots__ = ("profile", "power_of_freq", "band", "rule", "hottest")
 
     def __init__(self, profile, power_of_freq):
         self.profile = profile
         self.power_of_freq = power_of_freq
         make_rule, solve = _GOVERNORS[profile.governor]
         self.rule = make_rule(profile)
-        self.band = solve(profile, power_of_freq)
+        self.band, self.hottest = solve(profile, power_of_freq)
 
     def __call__(self, freq):
         return self.power_of_freq(freq)
@@ -211,14 +227,28 @@ def advance(state, profile, power_of_freq, dt) -> list[str]:
     return events
 
 
+def _finite_equilibria(*equilibria):
+    """Refuse band equilibria that are not finite: ``advance`` cannot relax toward them."""
+    for t_eq in equilibria:
+        if not isfinite(t_eq):
+            raise ProfileError(
+                f"band equilibria must be finite, got {', '.join(map(str, equilibria))} C")
+
+
 def _drop_bands(profile, power_of_freq):
-    """Phone-drop: constant power at the current level until the next threshold."""
+    """Phone-drop: constant power at the current level until the next threshold.
+
+    Returns ``(band, hottest)``: unthrottled, the temperature stops at the
+    trip point or its equilibrium, whichever is lower; throttled, it goes
+    no higher than the throttled equilibrium.
+    """
     k, amb = profile.dissipation, profile.ambient_temp
     rate = k / profile.heat_capacity
     f_nominal, f_throttled = profile.f_nominal, profile.f_throttled
     t_throttle, t_resume = profile.t_throttle, profile.t_resume
     nominal_eq = amb + power_of_freq(f_nominal) / k
     throttled_eq = amb + power_of_freq(f_throttled) / k
+    _finite_equilibria(nominal_eq, throttled_eq)
 
     def band(state):
         freq = state.freq
@@ -237,13 +267,20 @@ def _drop_bands(profile, power_of_freq):
         # A state already past its threshold trips the governor at once.
         return rate, t_eq, state.temp if due else edge
 
-    return band
+    return band, max(min(nominal_eq, t_throttle), throttled_eq)
 
 
 def _pin_bands(profile, power_of_freq):
     """Pi-pin bands: nominal power below the trip point, throttled power
     above the frequency floor, and power affine in T in between, shedding
-    ``pin_gain * dP/df`` watts per degree above the trip point."""
+    ``pin_gain * dP/df`` watts per degree above the trip point.
+
+    Returns ``(band, hottest)``: the nominal equilibrium if the pinned one
+    does not lie above the trip point (so a state at the trip point takes
+    the nominal band), else the pinned one if it stays below the
+    frequency floor, else the throttled one (or the floor, where it
+    stops).
+    """
     c, k, amb = profile.heat_capacity, profile.dissipation, profile.ambient_temp
     trip = profile.t_throttle
     p_nom = power_of_freq(profile.f_nominal)
@@ -256,6 +293,7 @@ def _pin_bands(profile, power_of_freq):
     floor = trip + span / profile.pin_gain
     free_rate, below_eq, above_eq = k / c, amb + p_nom / k, amb + p_thr / k
     pinned_eq = (p_nom + shed * trip + k * amb) / (k + shed)
+    _finite_equilibria(below_eq, above_eq, pinned_eq)
     pinned_edge = trip if pinned_eq < trip else floor if pinned_eq > floor else None
     pinned = ((k + shed) / c, pinned_eq, pinned_edge)
 
@@ -270,7 +308,9 @@ def _pin_bands(profile, power_of_freq):
             return free_rate, above_eq, floor if temp > floor and above_eq < floor else None
         return pinned
 
-    return band
+    hottest = (below_eq if pinned_eq <= trip else pinned_eq if pinned_eq <= floor
+               else max(floor, above_eq))
+    return band, hottest
 
 
 # Each governor kind's rule factory, ``rule(profile)``, and band solver;
@@ -350,8 +390,8 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     long for a heat capacity in (0, inf), a trip point the large model
     cannot cross or ambient already reaches, and, where the phone-drop
     large-model power is derived from their ratio, an ``f_nominal`` or
-    ``f_throttled`` that is not > 0 or an ``f_throttled`` not below
-    ``f_nominal``).
+    ``f_throttled`` that is not > 0, an ``f_throttled`` not below
+    ``f_nominal``, or one so small that the ratio rounds to 0).
     """
     k = targets.dissipation
     amb = targets.ambient
@@ -373,6 +413,9 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
             raise CalibrationError(f"f_throttled {targets.f_throttled} GHz must sit below "
                                    f"f_nominal {targets.f_nominal} GHz")
         ratio = targets.f_throttled / targets.f_nominal
+        if not ratio > 0:
+            raise CalibrationError(f"f_throttled {targets.f_throttled} GHz is too small: its "
+                                   f"ratio to f_nominal {targets.f_nominal} GHz rounds to 0")
         eq_large = amb + (resume + targets.sticky_margin - amb) / ratio
         large_power = k * (eq_large - amb)
     else:
@@ -436,7 +479,7 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
             f"{capacity} J/C, outside (0, inf)"
         )
     # A pi-pin device takes its governor once the gain is solved.
-    profile = DeviceProfile(
+    solved = dict(
         heat_capacity=capacity,
         dissipation=k,
         ambient_temp=amb,
@@ -445,11 +488,14 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         t_throttle=targets.trip_temp,
         t_resume=resume,
     )
+    profile = DeviceProfile(**solved)
     pinned_temp = None
     rise = None
     if targets.governor is GovernorKind.PI_PIN:
         def pinned(gain):
-            return replace(profile, governor=GovernorKind.PI_PIN, pin_gain=gain)
+            # The constructor, not ``dataclasses.replace``, whose generic
+            # field walk added about a fifth to this 61-probe bisection.
+            return DeviceProfile(**solved, governor=GovernorKind.PI_PIN, pin_gain=gain)
 
         # More gain sheds more frequency per degree, so the equilibrium
         # latency rise grows monotonically with it.

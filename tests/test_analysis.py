@@ -18,11 +18,13 @@ from thermoshift.harness import (
     EVENT_NONE,
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
+    Scenario,
     Trace,
     TraceRecord,
+    hottest_reading,
     run_scenario,
 )
-from thermoshift.suites import SUITES
+from thermoshift.suites import SUITES, default_profile
 
 LARGE = SUITES["slimmable-resnet50-phone"].large  # accuracy 0.768
 SMALL = SUITES["slimmable-resnet50-phone"].small  # accuracy 0.638
@@ -232,14 +234,54 @@ class TestGridStopsClosedCells:
         make, temps, grads = GRIDS["pi-sweep"]
         base = make(0)
         unpatched = ablation_grid(base, temps, grads, duration=1800.0)
-        rows = []
+        ran = []
 
         def one_argument(scenario):
-            trace = run_scenario(scenario)
-            rows.append(len(trace))
-            return trace
+            ran.append(scenario.controller.temp_threshold)
+            return run_scenario(scenario)
 
         monkeypatch.setattr(analysis, "run_scenario", one_argument)
         grid = ablation_grid(base, temps, grads, duration=1800.0)
         assert (grid.values, grid.notes) == (unpatched.values, unpatched.notes)
-        assert len(rows) == len(temps) * len(grads)
+        # The 79 C column sits above the ~78.5 C pin: only the cells below it run.
+        assert ran == [77.0, 75.0, 73.0] * len(grads)
+
+
+class TestHottestReading:
+    @pytest.mark.parametrize("weight_shared", [False, True])
+    @pytest.mark.parametrize("controlled", [True, False])
+    @pytest.mark.parametrize("seed", [0, 8675309])
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_no_reading_exceeds_the_bound(self, name, seed, controlled, weight_shared):
+        suite = SUITES[name]
+        scenario = Scenario(profile=default_profile(suite.platform), large=suite.large,
+                            small=suite.small, controller=suite.controller if controlled else None,
+                            pacing=suite.pacing, duration=3600.0, seed=seed,
+                            platform=suite.platform, weight_shared=weight_shared)
+        bound = hottest_reading(scenario)
+        assert max(r.cpu_temp for r in run_scenario(scenario)) <= bound
+
+    def test_pinned_baseline_reaches_the_bound(self):
+        scenario = replace(pi_sweep_scenario(0), controller=None)
+        bound = hottest_reading(scenario)
+        assert 78.0 < bound < 79.0
+        assert max(r.cpu_temp for r in run_scenario(scenario)) == pytest.approx(bound, abs=1e-9)
+
+    def test_phone_cells_at_the_trip_point_are_not_run(self, monkeypatch):
+        # The phone bound is its 77 C trip point: the throttled equilibrium
+        # sits below it, so a 77 C threshold can never be passed.
+        base = phone_scenario(duration=1800.0, seed=0, weight_shared=True)
+        assert hottest_reading(base) == 77.0
+        temps, grads = [77.0, 73.0], [-0.07, -0.10]
+        expected = full_run_grid(base, temps, grads, 1800.0)
+        ran = []
+
+        def recording(scenario):
+            ran.append(scenario.controller.temp_threshold)
+            return run_scenario(scenario)
+
+        monkeypatch.setattr(analysis, "run_scenario", recording)
+        grid = ablation_grid(base, temps, grads, duration=1800.0)
+        assert (grid.values, grid.notes) == expected
+        assert grid.notes[0][0] == "need 2 complete shift cycles, found 0"
+        assert ran == [73.0, 73.0]

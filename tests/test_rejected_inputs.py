@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from conftest import phone_scenario
+from conftest import phone_scenario, pi_scenario
 
 from thermoshift import cli
 from thermoshift.analysis import (
@@ -400,6 +400,46 @@ class TestModelChecks:
         large = get_suite("slimmable-resnet50-phone").large
         with pytest.raises(ValueError, match=f"freq must be > 0, got {freq}"):
             power_draw(large, freq, PHONE_PROFILE)
+
+
+PHONE_FIELDS = {"heat_capacity": 24.3, "dissipation": 0.12, "ambient_temp": 22.0,
+                "f_nominal": 2.86, "f_throttled": 2.05, "t_throttle": 77.0, "t_resume": 60.0}
+
+
+class TestValuesThatUnderflow:
+    """Positive values so small that a quotient built from them rounds to 0
+    or overflows; each used to crash or hang a run."""
+
+    @pytest.mark.parametrize("device,needle", [
+        # dissipation / heat_capacity rounds to 0: advance divided by the rate.
+        ({"profile": dict(PHONE_FIELDS, dissipation=5e-324)},
+         "device.profile: dissipation / heat_capacity must be finite and > 0"),
+        # The rate overflows to inf: advance never finished a band.
+        ({"profile": dict(PHONE_FIELDS, heat_capacity=5e-324)},
+         "device.profile: dissipation / heat_capacity must be finite and > 0"),
+        # A finite rate, but 6.96 W / dissipation overflows the equilibrium.
+        ({"profile": dict(PHONE_FIELDS, heat_capacity=1e-300, dissipation=1e-309)},
+         "dissipation 1e-309 W/C is too small for 6.96 W"),
+        # f_throttled / f_nominal rounds to 0: calibration divided by it.
+        ({"calibration": {"f_throttled": 5e-324}},
+         "device.calibration: f_throttled 5e-324 GHz is too small"),
+    ])
+    def test_run_exits_2_naming_the_key(self, tmp_path, capsys, device, needle):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(dict(QUICK, device=device)))
+        out = tmp_path / "t.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"  - {needle}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pin_gain_that_sheds_infinite_power(self):
+        # shed = pin_gain * dP / df overflows, so the pinned equilibrium is
+        # inf / inf; a baseline run used to log nan temperatures.
+        profile = DeviceProfile(**dict(PHONE_FIELDS, heat_capacity=20.0, dissipation=0.1,
+                                       f_nominal=1.5, f_throttled=0.6, t_throttle=78.0),
+                                governor=GovernorKind.PI_PIN, pin_gain=1e308)
+        with pytest.raises(ProfileError, match=r"band equilibria must be finite, got .*nan C"):
+            run_scenario(pi_scenario(baseline=True, profile=profile))
 
 
 PI_TARGETS = dict(governor=GovernorKind.PI_PIN, trip_temp=78.0, time_to_throttle=600.0,

@@ -587,6 +587,35 @@ class TestHeatSource:
         assert source == plain
         assert plain[4]
 
+    @pytest.mark.parametrize("kind, watts", [
+        ("phone-drop", 15.0),  # nominal equilibrium 82 C: trips at 77 C
+        ("phone-drop", 11.0),  # 66 C: never trips
+        ("pi-pin", 3.0),       # 52 C: never reaches the trip point
+        ("pi-pin", 5.9),       # pinned just above the trip point
+        ("pi-pin", 20.0),      # past the frequency floor
+        ("pi-pin", None),      # the pinned equilibrium rounds to the trip point
+    ])
+    def test_hottest_bounds_every_temperature(self, kind, watts):
+        if kind == "phone-drop":
+            p = profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
+        elif watts is not None:
+            p = self.pin_profile()
+        else:
+            # A nominal equilibrium 1e-9 C above the trip point and a huge
+            # gain: the state sits at the trip point and keeps heating.
+            p = profile(C=2.0, k=0.1, governor=GovernorKind.PI_PIN, t_throttle=78.0,
+                        f_nominal=1.5, f_throttled=0.6, pin_gain=1e6)
+            watts = 0.1 * (78.0 + 1e-9 - 22.0)
+        source = HeatSource(p, lambda f: watts * f / p.f_nominal)
+        state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
+        hottest = p.ambient_temp
+        for _ in range(3000):
+            advance(state, p, source, 1.0)
+            hottest = max(hottest, state.temp)
+        assert hottest <= source.hottest
+        if p.pin_gain == 1e6:
+            assert hottest > p.t_throttle
+
     def test_pi_pin_source_rejects_power_falling_with_frequency(self):
         with pytest.raises(ValueError, match="must not fall"):
             HeatSource(self.pin_profile(), lambda f: 10.0 - f)
