@@ -11,8 +11,8 @@ from dataclasses import replace
 from .analysis import DEFAULT_CELL_DURATION, ablation_grid, summarize
 from .config import load_scenario
 from .controller import ControllerConfig
-from .errors import ConfigFileError, ThermoshiftError, check_writable, write_text
-from .harness import emit_trace, parse_trace, run_scenario
+from .errors import ConfigFileError, ProfileError, ThermoshiftError, check_writable, write_text
+from .harness import emit_trace, hottest_reading, parse_trace, run_scenario
 from .plots import emit_plots
 from .sensors import SysfsSource, live_run
 from .suites import SUITE_NAMES, get_suite
@@ -53,11 +53,23 @@ def _summary_json(summary) -> str:
     return json.dumps(summary.to_dict(), indent=2, sort_keys=True)
 
 
+def _load_runnable(path):
+    """``load_scenario``, then the run's heat sources built once, so a
+    device whose band equilibria are not finite (a pi-pin gain that sheds
+    an infinite power) is a ``device`` problem before any simulation."""
+    scenario = load_scenario(path)
+    try:
+        hottest_reading(scenario)
+    except ProfileError as exc:
+        raise ConfigFileError([f"device: {exc}"]) from exc
+    return scenario
+
+
 def cmd_run(args) -> int:
     summary_path = args.out + ".summary.json"
     check_writable(args.out, "trace")
     check_writable(summary_path, "summary")
-    scenario = load_scenario(args.config)
+    scenario = _load_runnable(args.config)
     if args.baseline:
         scenario = replace(scenario, controller=None)
     if args.true_weight_sharing:
@@ -81,7 +93,7 @@ def cmd_ablate(args) -> int:
     table_path = args.out + ".txt"
     check_writable(args.out, "grid")
     check_writable(table_path, "table")
-    scenario = load_scenario(args.config)
+    scenario = _load_runnable(args.config)
     if scenario.controller is None:
         raise ConfigFileError(["controller: ablation needs a controller section in the config"])
     grid = ablation_grid(scenario, args.tlims, args.glims, duration=args.duration)

@@ -40,6 +40,7 @@ from .workload import (
     ModelVariant,
     PacingPolicy,
     Platform,
+    inference_latency,
     iteration_time,
     normal_stream,
     power_draw,
@@ -312,6 +313,12 @@ class Scenario:
                 f"large variant ({self.large.base_latency}s) must not be faster than "
                 f"small ({self.small.base_latency}s)"
             )
+        # The large model is the slowest variant, and f_throttled its lowest clock.
+        throttled = inference_latency(self.large, profile.f_throttled, profile,
+                                      self.pacing.latency_multiplier)
+        if not isfinite(throttled):
+            problems.append(f"f_throttled {profile.f_throttled} GHz is too small: the large "
+                            f"model's latency there, {throttled} s, is not finite")
         if self.pacing.target_period is not None:
             slowest = self.large.base_latency * self.pacing.latency_multiplier
             if self.pacing.target_period < slowest - 1e-12:
@@ -427,15 +434,15 @@ def run_scenario(scenario: Scenario) -> Trace:
         else:
             compute, idle = hit
 
-        events = advance(device, profile, heat, compute)
+        events = advance(device, heat, compute)
         if carried_events:
             events[:0] = carried_events
             carried_events = []
         if idle > 0.0:
-            events += advance(device, profile, idle_heat, idle)
+            events += advance(device, idle_heat, idle)
         log_dt = log_mean + normal() * log_std if logging_enabled else 0.0
         if log_dt > 0.0:
-            events += advance(device, profile, heat, log_dt)
+            events += advance(device, heat, log_dt)
         else:
             log_dt = 0.0  # the draw is clamped at zero
 
@@ -472,7 +479,7 @@ def run_scenario(scenario: Scenario) -> Trace:
                 if overhead > 0.0:
                     # Loading the incoming model is compute; events raised here
                     # belong to the next row (this one is already sampled).
-                    carried_events = advance(device, profile, heat, overhead)
+                    carried_events = advance(device, heat, overhead)
                 else:
                     overhead = 0.0  # the draw is clamped at zero
 

@@ -87,13 +87,12 @@ class SimulatedSource:
             raise ValueError(f"power must be >= 0, got {power}")
         if not 0.0 < dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {dt}")
-        self.profile = profile
         self.dt = dt
         self.heat = HeatSource(profile, lambda freq: power)
         self.state = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
 
     def read_now(self) -> TemperatureSample:
-        advance(self.state, self.profile, self.heat, self.dt)
+        advance(self.state, self.heat, self.dt)
         return TemperatureSample(time_s=self.state.sim_time, celsius=self.state.temp)
 
 

@@ -12,9 +12,10 @@ depend only on the profile and the power curve, and those of the governor
 rule (trip and release points, frequency levels, gain) only on the
 profile, so a ``HeatSource`` solves both once per source, into a band
 closure and a rule closure that ``advance`` calls on every band without
-reading the profile again. ``_GOVERNORS`` maps each governor kind to its
-rule factory and its band solver; ``governor_step`` and ``HeatSource``
-both read it, so the kind is dispatched in one place.
+reading the profile again. A ``HeatSource`` is the one way into the
+model: ``advance(state, source, dt)`` takes nothing else. ``_GOVERNORS``
+maps each governor kind to its rule factory and its band solver, and
+``HeatSource`` alone reads it, so the kind is dispatched in one place.
 
 The same band constants bound every temperature a source can carry the
 device to: a solver also returns ``hottest``, the highest temperature
@@ -102,11 +103,6 @@ class DeviceState:
     sim_time: float = 0.0
 
 
-def governor_step(state: DeviceState, profile: DeviceProfile) -> str | None:
-    """Apply the frequency governor once; returns a throttle event or None."""
-    return _GOVERNORS[profile.governor][0](profile)(state)
-
-
 def _drop_rule(profile):
     """Phone-drop rule: drop to ``f_throttled`` at the trip point, back to
     ``f_nominal`` at the release point."""
@@ -156,16 +152,16 @@ def _pin_rule(profile):
 
 class HeatSource:
     """Input power as a function of frequency, with the governor rule and
-    bands of one profile solved once.
+    bands of one profile solved once: what ``advance`` runs on.
 
-    Calling a source returns ``power_of_freq(freq)``. It also holds what
-    ``advance`` needs on each band, both closures over constants read from
-    the profile once, when the source is built: ``rule(state)``, the
-    profile's governor rule, and ``band(state) -> (rate, t_eq, edge)``,
-    giving the relaxation rate (1/s), the equilibrium and the threshold
-    ahead of the temperature (None if none). Build one per power curve and
-    run, and pass it to every ``advance`` call of that run. A source keeps
-    the constants it was built with, so a profile changed later (by
+    ``power_of_freq`` maps a frequency to input power and must be affine
+    in frequency. A source holds two closures over constants read from
+    the profile once, when it is built: ``rule(state)``, the profile's
+    governor rule, and ``band(state) -> (rate, t_eq, edge)``, giving the
+    relaxation rate (1/s), the equilibrium and the threshold ahead of the
+    temperature (None if none). Build one per power curve and run, and
+    pass it to every ``advance`` call of that run. A source keeps the
+    constants it was built with, so a profile changed later (by
     ``dataclasses.replace``) needs a new source.
 
     ``hottest`` is the highest temperature ``advance`` can carry a state
@@ -174,40 +170,29 @@ class HeatSource:
     a pi-pin gain that sheds an infinite power) raises ProfileError.
     """
 
-    __slots__ = ("profile", "power_of_freq", "band", "rule", "hottest")
+    __slots__ = ("power_of_freq", "band", "rule", "hottest")
 
     def __init__(self, profile, power_of_freq):
-        self.profile = profile
         self.power_of_freq = power_of_freq
         make_rule, solve = _GOVERNORS[profile.governor]
         self.rule = make_rule(profile)
         self.band, self.hottest = solve(profile, power_of_freq)
 
-    def __call__(self, freq):
-        return self.power_of_freq(freq)
 
+def advance(state, source, dt) -> list[str]:
+    """Advance dt seconds exactly under ``source``, a ``HeatSource``, with
+    its governor acting continuously.
 
-def advance(state, profile, power_of_freq, dt) -> list[str]:
-    """Advance dt seconds exactly, with the governor acting continuously.
-
-    ``power_of_freq`` maps a frequency to input power and must be affine
-    in frequency. A ``HeatSource`` built for this very ``profile`` object
-    is used as is; any other callable (a source built for another
-    profile included) is first wrapped in a new ``HeatSource``, so the
-    rule and band constants are solved once per source rather than once
-    per call. On each governor band the temperature relaxes in closed
-    form; where it reaches the band's threshold it is set to the
-    threshold exactly and the source's governor rule (the one
-    ``governor_step`` applies for this profile) runs there, so a
-    mid-interval frequency drop also lowers the heat flowing in. The rule
-    runs once more at the end of the interval. Returns the throttle
-    events raised along the way, in order.
+    On each governor band the temperature relaxes in closed form; where
+    it reaches the band's threshold it is set to the threshold exactly
+    and the source's governor rule runs there, so a mid-interval
+    frequency drop also lowers the heat flowing in. The rule runs once
+    more at the end of the interval. Returns the throttle events raised
+    along the way, in order.
     """
     if not 0.0 < dt < inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if not isinstance(power_of_freq, HeatSource) or power_of_freq.profile is not profile:
-        power_of_freq = HeatSource(profile, power_of_freq)
-    band, rule = power_of_freq.band, power_of_freq.rule
+    band, rule = source.band, source.rule
     events = []
     left = dt
     while left > 0.0:
@@ -321,11 +306,6 @@ _GOVERNORS = {
 }
 
 
-def equilibrium_temp(profile: DeviceProfile, power: float) -> float:
-    """Steady-state temperature under constant power with no throttling."""
-    return profile.ambient_temp + power / profile.dissipation
-
-
 @dataclass(frozen=True)
 class CalibrationTargets:
     """Desk-scale behavior the calibrated device must reproduce."""
@@ -369,8 +349,8 @@ def _settle(profile, large_power):
     """(temp, freq) after ten time constants of the large model on a
     pi-pin profile, its power scaling with frequency."""
     state = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
-    advance(state, profile, lambda f: large_power * f / profile.f_nominal,
-            10.0 * profile.heat_capacity / profile.dissipation)
+    source = HeatSource(profile, lambda f: large_power * f / profile.f_nominal)
+    advance(state, source, 10.0 * profile.heat_capacity / profile.dissipation)
     return state.temp, state.freq
 
 

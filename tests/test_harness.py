@@ -619,11 +619,12 @@ class TestNonFiniteScenario:
 
 
 class TestHeatSourcesInRun:
-    """``run_scenario`` with its per-run heat sources equals the per-call path."""
+    """``run_scenario`` with its per-run heat sources equals sources built
+    afresh for every ``advance`` call."""
 
     @pytest.mark.parametrize("baseline", [False, True])
     @pytest.mark.parametrize("suite_name", SUITE_NAMES)
-    def test_same_trace_as_plain_callables(self, monkeypatch, suite_name, baseline):
+    def test_same_trace_as_per_call_sources(self, monkeypatch, suite_name, baseline):
         suite = SUITES[suite_name]
         scenario = harness.Scenario(
             profile=default_profile(suite.platform), large=suite.large, small=suite.small,
@@ -631,11 +632,11 @@ class TestHeatSourcesInRun:
             duration=600.0, seed=3, platform=suite.platform)
         fast = run_scenario(scenario)
 
-        def per_call(state, profile, power_of_freq, dt):
-            # Pass the bare power curve, so advance re-solves the band
-            # constants on every call.
-            assert isinstance(power_of_freq, HeatSource)
-            return advance(state, profile, power_of_freq.power_of_freq, dt)
+        def per_call(state, source, dt):
+            # A new source from the same power curve, so the band
+            # constants are solved again on every call.
+            assert isinstance(source, HeatSource)
+            return advance(state, HeatSource(scenario.profile, source.power_of_freq), dt)
 
         monkeypatch.setattr(harness, "advance", per_call)
         slow = run_scenario(scenario)
@@ -647,9 +648,9 @@ class TestHeatSourcesInRun:
         # idle power, and a shift's load stall at the incoming model's power.
         calls = []
 
-        def record(state, profile, power_of_freq, dt):
-            calls.append((power_of_freq, dt))
-            return advance(state, profile, power_of_freq, dt)
+        def record(state, source, dt):
+            calls.append((source, dt))
+            return advance(state, source, dt)
 
         monkeypatch.setattr(harness, "advance", record)
         scenario = phone_scenario(duration=900.0)
@@ -668,7 +669,7 @@ class TestHeatSourcesInRun:
                 expected.append((power[r.mode], r.overhead))
             running = r.mode
         f_nominal = scenario.profile.f_nominal
-        assert [(source(f_nominal), dt) for source, dt in calls] == expected
+        assert [(source.power_of_freq(f_nominal), dt) for source, dt in calls] == expected
         assert any(r.overhead > 0.0 and r.mode is Mode.LARGE for r in trace)
         assert any(r.idle > 0.0 for r in trace)
 
@@ -695,12 +696,12 @@ def reference_run(scenario):
         events = carried_events
         carried_events = []
 
-        events += advance(device, profile, heat, compute)
+        events += advance(device, heat, compute)
         if idle > 0.0:
-            events += advance(device, profile, idle_heat, idle)
+            events += advance(device, idle_heat, idle)
         log_dt = logging_overhead(scenario.platform, rng, scenario.logging_enabled)
         if log_dt > 0.0:
-            events += advance(device, profile, heat, log_dt)
+            events += advance(device, heat, log_dt)
 
         cpu_temp = device.temp
         freq_now = device.freq
@@ -721,7 +722,7 @@ def reference_run(scenario):
             if overhead > 0.0:
                 # Loading the incoming model is compute; events raised here
                 # belong to the next row (this one is already sampled).
-                carried_events += advance(device, profile, heat, overhead)
+                carried_events += advance(device, heat, overhead)
 
         trace.append(TraceRecord(
             device.sim_time,
@@ -783,9 +784,9 @@ class TestLeanLoopMatchesReference:
         expected = reference_run(scenario).records
         intervals = []
 
-        def record(state, profile, power_of_freq, dt):
+        def record(state, source, dt):
             intervals.append(dt)
-            return advance(state, profile, power_of_freq, dt)
+            return advance(state, source, dt)
 
         monkeypatch.setattr(harness, "advance", record)
         records = run_scenario(scenario).records

@@ -404,6 +404,9 @@ class TestModelChecks:
 
 PHONE_FIELDS = {"heat_capacity": 24.3, "dissipation": 0.12, "ambient_temp": 22.0,
                 "f_nominal": 2.86, "f_throttled": 2.05, "t_throttle": 77.0, "t_resume": 60.0}
+# shed = pin_gain * dP / df overflows: the pinned equilibrium is nan.
+SHEDDING_PROFILE = dict(PHONE_FIELDS, heat_capacity=20.0, dissipation=0.1, f_nominal=1.5,
+                        f_throttled=0.6, t_throttle=78.0, governor="pi-pin", pin_gain=1e308)
 
 
 class TestValuesThatUnderflow:
@@ -423,6 +426,12 @@ class TestValuesThatUnderflow:
         # f_throttled / f_nominal rounds to 0: calibration divided by it.
         ({"calibration": {"f_throttled": 5e-324}},
          "device.calibration: f_throttled 5e-324 GHz is too small"),
+        # f_nominal / f_throttled overflows: once throttled, advance got an
+        # infinite compute interval.
+        ({"profile": dict(PHONE_FIELDS, heat_capacity=2.0, f_throttled=1e-320)},
+         "f_throttled 1e-320 GHz is too small: the large model's latency there, inf s"),
+        # The band solvers refuse the nan pinned equilibrium.
+        ({"profile": SHEDDING_PROFILE}, "device: band equilibria must be finite, got"),
     ])
     def test_run_exits_2_naming_the_key(self, tmp_path, capsys, device, needle):
         path = tmp_path / "tiny.json"
@@ -430,6 +439,16 @@ class TestValuesThatUnderflow:
         out = tmp_path / "t.csv"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert f"  - {needle}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ablate_refuses_a_shedding_pin_gain(self, tmp_path, capsys):
+        path = tmp_path / "shed.json"
+        path.write_text(json.dumps(dict(QUICK, device={"profile": SHEDDING_PROFILE})))
+        out = tmp_path / "grid.csv"
+        command = ["ablate", "--config", str(path), "--tlims", "73", "--glims=-0.07",
+                   "--out", str(out)]
+        assert main(command) == 2
+        assert "  - device: band equilibria must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_pin_gain_that_sheds_infinite_power(self):

@@ -37,7 +37,7 @@ from thermoshift.harness import (
 )
 from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import PHONE_PROFILE, PI_PROFILE
-from thermoshift.thermal import DeviceProfile, DeviceState, HeatSource, advance, governor_step
+from thermoshift.thermal import DeviceProfile, DeviceState, HeatSource, advance
 
 # Attributes that are not filter state: the config, the mode and the
 # telemetry that survives a reset.
@@ -238,8 +238,8 @@ class TestConstantsBoundOnce:
         events = []
         for _ in range(3):
             for _ in range(20):
-                events += advance(state, p, heat, tau / 4)
-            events += advance(state, p, idle, 5 * tau)
+                events += advance(state, heat, tau / 4)
+            events += advance(state, idle, 5 * tau)
         assert reads == []
         assert {"throttle_on", "throttle_off"} <= set(events)
 
@@ -265,7 +265,7 @@ class TestConstantsBoundOnce:
         temp = base.t_throttle + 1.0
         states = [DeviceState(temp=temp, freq=base.f_nominal) for _ in range(3)]
         assert old.rule(states[0]) == "throttle_on"
-        assert governor_step(states[1], hotter) is new.rule(states[2]) is None
+        assert HeatSource(hotter, power).rule(states[1]) is new.rule(states[2]) is None
         assert governed(states[1]) == governed(states[2]) != governed(states[0])
 
 

@@ -15,8 +15,6 @@ from thermoshift.thermal import (
     HeatSource,
     advance,
     calibrate_profile,
-    equilibrium_temp,
-    governor_step,
 )
 
 
@@ -30,6 +28,11 @@ def profile(C=50.0, k=0.25, ambient=22.0, governor=GovernorKind.PHONE_DROP,
     )
 
 
+def governor(p):
+    """The governor rule of profile ``p``, as a ``HeatSource`` holds it."""
+    return HeatSource(p, lambda f: 0.0).rule
+
+
 def closed_form(t, ambient, C, k, power, start):
     t_eq = ambient + power / k
     return t_eq + (start - t_eq) * math.exp(-k * t / C)
@@ -39,24 +42,24 @@ class TestPhoneDropGovernor:
     def test_trips_at_threshold(self):
         p = profile()
         state = DeviceState(temp=77.2, freq=p.f_nominal)
-        assert governor_step(state, p) == EVENT_THROTTLE_ON
+        assert governor(p)(state) == EVENT_THROTTLE_ON
         assert state.freq == p.f_throttled
         assert state.throttled
 
     def test_hysteresis_release(self):
         p = profile(t_resume=72.0)
         state = DeviceState(temp=70.0, freq=p.f_throttled, throttled=True)
-        assert governor_step(state, p) == EVENT_THROTTLE_OFF
+        assert governor(p)(state) == EVENT_THROTTLE_OFF
         assert state.freq == p.f_nominal
         assert not state.throttled
 
     def test_inside_band_no_transition(self):
         p = profile(t_resume=72.0)
         state = DeviceState(temp=74.0, freq=p.f_throttled, throttled=True)
-        assert governor_step(state, p) is None
+        assert governor(p)(state) is None
         assert state.throttled
         state2 = DeviceState(temp=74.0, freq=p.f_nominal, throttled=False)
-        assert governor_step(state2, p) is None
+        assert governor(p)(state2) is None
         assert not state2.throttled
 
     def test_two_level_frequency_and_crossing_only_transitions(self):
@@ -68,9 +71,10 @@ class TestPhoneDropGovernor:
         transitions = []
         for cycle in range(3):
             for power, seconds in ((16.0, 800.0), (0.5, 800.0)):
+                source = HeatSource(p, lambda f: power)
                 elapsed = 0.0
                 while elapsed < seconds:
-                    events = advance(state, p, lambda f: power, 0.1)
+                    events = advance(state, source, 0.1)
                     elapsed += 0.1
                     transitions.extend((e, state.temp) for e in events)
                     freqs.add(state.freq)
@@ -92,32 +96,32 @@ class TestPiPinGovernor:
     def test_zero_excess_keeps_nominal(self):
         p = self.pin_profile()
         state = DeviceState(temp=78.0, freq=1.2)
-        governor_step(state, p)
+        governor(p)(state)
         assert state.freq == p.f_nominal
         assert not state.throttled
 
     def test_proportional_shed(self):
         p = self.pin_profile(pin_gain=0.2)
         state = DeviceState(temp=80.0, freq=p.f_nominal)
-        assert governor_step(state, p) == EVENT_THROTTLE_ON
+        assert governor(p)(state) == EVENT_THROTTLE_ON
         assert state.freq == pytest.approx(1.5 - 0.2 * 2.0)
 
     def test_clamped_at_floor(self):
         p = self.pin_profile(pin_gain=1.0)
         state = DeviceState(temp=90.0, freq=p.f_nominal)
-        governor_step(state, p)
+        governor(p)(state)
         assert state.freq == p.f_throttled
 
     def test_pins_within_one_degree_with_stable_freq(self):
         p = self.pin_profile()
         state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
         power = 5.9  # equilibrium 81 C without the governor
-        power_of_freq = lambda f: power * f / p.f_nominal
+        source = HeatSource(p, lambda f: power * f / p.f_nominal)
         while state.sim_time < 4000.0:
-            advance(state, p, power_of_freq, 1.0)
+            advance(state, source, 1.0)
         temps, freqs = [], []
         for _ in range(600):
-            advance(state, p, power_of_freq, 1.0)
+            advance(state, source, 1.0)
             temps.append(state.temp)
             freqs.append(state.freq)
         assert all(abs(t - 78.0) <= 1.0 for t in temps)
@@ -149,11 +153,12 @@ class TestCalibration:
         assert 300.0 <= result.time_to_throttle <= 900.0
         # independent forward check of the crossing
         state = DeviceState(temp=22.0, freq=p.f_nominal)
+        source = HeatSource(p, lambda f: result.large_power)
         while state.temp < 77.0:
-            advance(state, p, lambda f: result.large_power, 0.5)
+            advance(state, source, 0.5)
         assert state.sim_time == pytest.approx(600.0, rel=0.02)
         # small model settles at least 2 C under the shift threshold
-        assert equilibrium_temp(p, result.small_power) <= 73.0 - 2.0
+        assert p.ambient_temp + result.small_power / p.dissipation <= 73.0 - 2.0
 
     def test_small_equilibrium_above_trip_rejected(self):
         with pytest.raises(CalibrationError):
@@ -229,7 +234,7 @@ class TestClosedFormCapacity:
     def heated(result, seconds):
         p = result.profile
         state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
-        advance(state, p, lambda f: result.large_power * f / p.f_nominal, seconds)
+        advance(state, HeatSource(p, lambda f: result.large_power * f / p.f_nominal), seconds)
         return state
 
     @pytest.mark.parametrize("targets", [
@@ -288,13 +293,13 @@ class TestExactAdvance:
             # 5.9 W nominal: T_eq 81 C, trip crossed at ~391 s from 60 C, then pinned
             p, start, power = self.pin_profile(), 60.0, 5.9
             expected = [EVENT_THROTTLE_ON]
-        power_of_freq = lambda f: power * f / p.f_nominal
+        source = HeatSource(p, lambda f: power * f / p.f_nominal)
         whole = DeviceState(temp=start, freq=p.f_nominal)
-        whole_events = advance(whole, p, power_of_freq, 600.0)
+        whole_events = advance(whole, source, 600.0)
         steps = DeviceState(temp=start, freq=p.f_nominal)
         step_events = []
         for _ in range(6000):
-            step_events += advance(steps, p, power_of_freq, 0.1)
+            step_events += advance(steps, source, 0.1)
         assert whole_events == step_events == expected
         assert steps.temp == pytest.approx(whole.temp, abs=1e-9)
         assert steps.freq == pytest.approx(whole.freq, abs=1e-9)
@@ -306,7 +311,7 @@ class TestExactAdvance:
         p = profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
         power_of_freq = lambda f: 18.0 * f / p.f_nominal
         state = DeviceState(temp=22.0, freq=p.f_nominal)
-        assert advance(state, p, power_of_freq, 400.0) == [EVENT_THROTTLE_ON]
+        assert advance(state, HeatSource(p, power_of_freq), 400.0) == [EVENT_THROTTLE_ON]
         tau = 50.0 / 0.25
         t_eq = 22.0 + 18.0 / 0.25
         crossing = tau * math.log((t_eq - 22.0) / (t_eq - 77.0))
@@ -327,7 +332,7 @@ class TestExactAdvance:
         assert p.t_throttle < pinned < p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
         state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
         tau = p.heat_capacity / p.dissipation
-        assert advance(state, p, power_of_freq, 20.0 * tau) == [EVENT_THROTTLE_ON]
+        assert advance(state, HeatSource(p, power_of_freq), 20.0 * tau) == [EVENT_THROTTLE_ON]
         assert state.temp == pytest.approx(pinned, abs=1e-9)
         freq = p.f_nominal - p.pin_gain * (pinned - p.t_throttle)
         assert state.freq == pytest.approx(freq, abs=1e-9)
@@ -354,7 +359,7 @@ class TestExactAdvance:
             expected.append(EVENT_THROTTLE_OFF)
             t += heat_s
         state = DeviceState(temp=22.0, freq=p.f_nominal)
-        events = advance(state, p, power_of_freq, 3000.0)
+        events = advance(state, HeatSource(p, power_of_freq), 3000.0)
         assert len(events) >= 4
         assert events == expected
         assert 72.0 <= state.temp <= 77.0
@@ -369,12 +374,12 @@ class TestExactAdvance:
         p = self.pin_profile()
         floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
         start = p.t_throttle if edge == "trip" else floor
-        power_of_freq = lambda f: power * f / p.f_nominal
+        source = HeatSource(p, lambda f: power * f / p.f_nominal)
         whole = DeviceState(temp=start, freq=p.f_nominal)
-        advance(whole, p, power_of_freq, 20000.0)
+        advance(whole, source, 20000.0)
         steps = DeviceState(temp=start, freq=p.f_nominal)
         for _ in range(200):
-            advance(steps, p, power_of_freq, 100.0)
+            advance(steps, source, 100.0)
         assert steps.temp == pytest.approx(whole.temp, abs=1e-9)
         assert steps.freq == pytest.approx(whole.freq, abs=1e-9)
         settled = {0.0: 22.0, 3.0: 22.0 + 30.0,
@@ -394,10 +399,9 @@ class TestExactAdvance:
                     governor=GovernorKind.PI_PIN, t_throttle=81.77557804339546,
                     t_resume=76.0, f_nominal=1.5, f_throttled=0.6,
                     pin_gain=0.5512479436442783)
-        power_of_freq = lambda f: 11.577472107752858 * f / p.f_nominal
+        source = HeatSource(p, lambda f: 11.577472107752858 * f / p.f_nominal)
         state = DeviceState(temp=p.t_throttle - 1.0, freq=p.f_nominal)
-        worker = threading.Thread(target=advance, args=(state, p, power_of_freq, 5000.0),
-                                  daemon=True)
+        worker = threading.Thread(target=advance, args=(state, source, 5000.0), daemon=True)
         worker.start()
         worker.join(timeout=10.0)
         assert not worker.is_alive()
@@ -408,7 +412,7 @@ class TestExactAdvance:
         p = profile(C=50.0, k=0.25)
         state = DeviceState(temp=80.0, freq=p.f_nominal)
         power_of_freq = lambda f: 15.0 * f / p.f_nominal
-        assert advance(state, p, power_of_freq, 10.0) == [EVENT_THROTTLE_ON]
+        assert advance(state, HeatSource(p, power_of_freq), 10.0) == [EVENT_THROTTLE_ON]
         expected = closed_form(10.0, 22.0, 50.0, 0.25, power_of_freq(p.f_throttled), 80.0)
         assert state.temp == pytest.approx(expected, abs=1e-9)
 
@@ -416,25 +420,26 @@ class TestExactAdvance:
         # 5 W into 0.25 W/C from 22 C settles at 42 C
         p = profile(C=50.0, k=0.25)
         state = DeviceState(temp=22.0, freq=p.f_nominal)
-        advance(state, p, lambda f: 5.0, 3000.0)
+        advance(state, HeatSource(p, lambda f: 5.0), 3000.0)
         assert state.temp == pytest.approx(42.0, abs=0.1)
-        assert equilibrium_temp(p, 5.0) == pytest.approx(42.0)
+        assert p.ambient_temp + 5.0 / p.dissipation == pytest.approx(42.0)
 
     def test_zero_power_stays_at_ambient(self):
         p = profile()
         state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
-        advance(state, p, lambda f: 0.0, 500.0)
+        advance(state, HeatSource(p, lambda f: 0.0), 500.0)
         assert state.temp == pytest.approx(p.ambient_temp, abs=1e-9)
 
     def test_crossing_time_matches_closed_form(self):
         # 15 W held: T_eq = 82; crossing 77 C at tau*ln(60/5) = 497.0 s
         p = profile(C=50.0, k=0.25)
         state = DeviceState(temp=22.0, freq=p.f_nominal)
+        source = HeatSource(p, lambda f: 15.0)
         expected = (50.0 / 0.25) * math.log((82.0 - 22.0) / (82.0 - 77.0))
         crossed = None
         step = 0.1
         while state.sim_time < 1000.0:
-            if advance(state, p, lambda f: 15.0, step) == [EVENT_THROTTLE_ON]:
+            if advance(state, source, step) == [EVENT_THROTTLE_ON]:
                 crossed = state.sim_time
                 break
         assert crossed == pytest.approx(expected, rel=0.01)
@@ -443,8 +448,9 @@ class TestExactAdvance:
         # the trip point is out of reach, so 15 W heats along one band
         p = profile(C=50.0, k=0.25, t_throttle=1e6, t_resume=999999.0)
         state = DeviceState(temp=22.0, freq=p.f_nominal)
+        source = HeatSource(p, lambda f: 15.0)
         for _ in range(120):
-            advance(state, p, lambda f: 15.0, 5.0)
+            advance(state, source, 5.0)
             exact = closed_form(state.sim_time, 22.0, 50.0, 0.25, 15.0, 22.0)
             assert abs(state.temp - exact) <= 0.01 * abs(exact - 22.0) + 1e-9
 
@@ -453,10 +459,11 @@ class TestExactAdvance:
         # integral taken by Simpson's rule over the trajectory advance steps
         p = profile(C=37.5, k=0.31)
         state = DeviceState(temp=48.0, freq=p.f_nominal)
+        source = HeatSource(p, lambda f: 9.0)
         n, h = 200, 20.0
         temps = [state.temp]
         for _ in range(n):
-            advance(state, p, lambda f: 9.0, h / n)
+            advance(state, source, h / n)
             temps.append(state.temp)
         excess = [t - p.ambient_temp for t in temps]
         integral = (h / n / 3.0) * (excess[0] + excess[-1] + 4.0 * sum(excess[1:-1:2])
@@ -473,9 +480,10 @@ class TestExactAdvance:
             hi = lo + rng.uniform(0.1, 10.0)
             a = DeviceState(temp=30.0, freq=p.f_nominal)
             b = DeviceState(temp=30.0, freq=p.f_nominal)
+            cool, hot = HeatSource(p, lambda f: lo), HeatSource(p, lambda f: hi)
             for _ in range(40):
-                advance(a, p, lambda f: lo, 2.0)
-                advance(b, p, lambda f: hi, 2.0)
+                advance(a, cool, 2.0)
+                advance(b, hot, 2.0)
                 assert b.temp > a.temp
 
     @pytest.mark.parametrize("dt", [0.0, -5.0])
@@ -483,7 +491,7 @@ class TestExactAdvance:
         p = profile()
         state = DeviceState(temp=30.0, freq=p.f_nominal)
         with pytest.raises(ValueError, match="> 0"):
-            advance(state, p, lambda f: 5.0, dt)
+            advance(state, HeatSource(p, lambda f: 5.0), dt)
 
 
 class TestNonFinite:
@@ -492,7 +500,7 @@ class TestNonFinite:
         p = profile()
         state = DeviceState(temp=30.0, freq=p.f_nominal)
         with pytest.raises(ValueError, match="finite"):
-            advance(state, p, lambda f: 5.0, dt)
+            advance(state, HeatSource(p, lambda f: 5.0), dt)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kwarg, field", [
@@ -504,31 +512,27 @@ class TestNonFinite:
 
 
 class TestHeatSource:
-    """A ``HeatSource`` gives bit for bit what a plain callable gives."""
+    """A ``HeatSource`` reused across ``advance`` calls gives bit for bit
+    what a source built afresh for each call gives."""
 
     def pin_profile(self):
         return profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN,
                        t_throttle=78.0, t_resume=73.0,
                        f_nominal=1.5, f_throttled=0.6, pin_gain=0.14)
 
-    def run_both(self, p, power_of_freq, start, dts, freq=None, throttled=False,
-                 source_profile=None):
-        """Advance a plain-callable state and a HeatSource state through dts."""
-        source = HeatSource(source_profile or p, power_of_freq)
+    def run_both(self, p, power_of_freq, start, dts, freq=None, throttled=False):
+        """Advance a state on a source built per call and one on a reused
+        source through dts."""
+        reused = HeatSource(p, power_of_freq)
         ends = []
-        for heat in (power_of_freq, source):
+        for source_for in (lambda: HeatSource(p, power_of_freq), lambda: reused):
             state = DeviceState(temp=start, freq=p.f_nominal if freq is None else freq,
                                 throttled=throttled)
             events = []
             for dt in dts:
-                events += advance(state, p, heat, dt)
+                events += advance(state, source_for(), dt)
             ends.append((state.temp, state.freq, state.throttled, state.sim_time, events))
         return ends
-
-    def test_source_is_its_power_curve(self):
-        p = profile()
-        source = HeatSource(p, lambda f: 15.0 * f / p.f_nominal)
-        assert source(p.f_throttled) == 15.0 * p.f_throttled / p.f_nominal
 
     @pytest.mark.parametrize("dts", [[3000.0], [0.205] * 3000, [7.0, 0.1, 993.0, 2000.0]])
     @pytest.mark.parametrize("start, throttled", [
@@ -537,13 +541,13 @@ class TestHeatSource:
         (72.0, True),    # on the resume edge, throttled
         (80.0, False),   # already past the trip point
     ])
-    def test_phone_drop_matches_plain_callable(self, start, throttled, dts):
+    def test_phone_drop_matches_per_call_source(self, start, throttled, dts):
         p = profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
         freq = p.f_throttled if throttled else p.f_nominal
-        plain, source = self.run_both(p, lambda f: 15.0 * f / p.f_nominal, start, dts,
-                                      freq=freq, throttled=throttled)
-        assert source == plain
-        assert len(plain[4]) >= 2
+        per_call, reused = self.run_both(p, lambda f: 15.0 * f / p.f_nominal, start, dts,
+                                         freq=freq, throttled=throttled)
+        assert reused == per_call
+        assert len(per_call[4]) >= 2
 
     @pytest.mark.parametrize("throttled, start, power", [
         (False, 60.0, 18.0),  # 15.7 W at 2.5 GHz: T_eq 84.9 C, trips
@@ -553,39 +557,26 @@ class TestHeatSource:
         # 2.5 GHz is neither f_nominal nor f_throttled: the source must read
         # the power curve there instead of using a stored level.
         p = profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
-        plain, source = self.run_both(p, lambda f: power * f / p.f_nominal, start,
-                                      [1.0, 50.0, 3000.0], freq=2.5, throttled=throttled)
-        assert source == plain
-        assert plain[4]
+        per_call, reused = self.run_both(p, lambda f: power * f / p.f_nominal, start,
+                                         [1.0, 50.0, 3000.0], freq=2.5, throttled=throttled)
+        assert reused == per_call
+        assert per_call[4]
 
     @pytest.mark.parametrize("power", [3.0, 5.9, 20.0])
     @pytest.mark.parametrize("start", ["ambient", "trip", "floor"])
     @pytest.mark.parametrize("dts", [[20000.0], [1.1] * 500, [100.0] * 200])
-    def test_pi_pin_matches_plain_callable(self, start, power, dts):
+    def test_pi_pin_matches_per_call_source(self, start, power, dts):
         p = self.pin_profile()
         floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
         temp = {"ambient": p.ambient_temp, "trip": p.t_throttle, "floor": floor}[start]
-        plain, source = self.run_both(p, lambda f: power * f / p.f_nominal, temp, dts)
-        assert source == plain
+        per_call, reused = self.run_both(p, lambda f: power * f / p.f_nominal, temp, dts)
+        assert reused == per_call
 
-    def test_pi_pin_idle_curve_matches_plain_callable(self):
+    def test_pi_pin_idle_curve_matches_per_call_source(self):
         # A curve flat in frequency (idle power) has no shedding band.
         p = self.pin_profile()
-        plain, source = self.run_both(p, lambda f: 1.0, 85.0, [0.5] * 100 + [500.0])
-        assert source == plain
-
-    @pytest.mark.parametrize("kind", ["phone-drop", "pi-pin"])
-    def test_source_for_another_profile_is_rebuilt(self, kind):
-        hot = profile(C=50.0, k=0.25)
-        if kind == "phone-drop":
-            p, power = profile(C=30.0, k=0.2, f_nominal=2.5, f_throttled=1.5), 15.0
-        else:
-            p, power = self.pin_profile(), 5.9
-        power_of_freq = lambda f: power * f / p.f_nominal
-        plain, source = self.run_both(p, power_of_freq, 22.0, [600.0, 0.3, 2000.0],
-                                      source_profile=hot)
-        assert source == plain
-        assert plain[4]
+        per_call, reused = self.run_both(p, lambda f: 1.0, 85.0, [0.5] * 100 + [500.0])
+        assert reused == per_call
 
     @pytest.mark.parametrize("kind, watts", [
         ("phone-drop", 15.0),  # nominal equilibrium 82 C: trips at 77 C
@@ -610,7 +601,7 @@ class TestHeatSource:
         state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
         hottest = p.ambient_temp
         for _ in range(3000):
-            advance(state, p, source, 1.0)
+            advance(state, source, 1.0)
             hottest = max(hottest, state.temp)
         assert hottest <= source.hottest
         if p.pin_gain == 1e6:
@@ -624,17 +615,17 @@ class TestHeatSource:
 class TestOneBandExact:
     """Within one governor band ``advance`` is the textbook relaxation,
     ``T_eq + (T0 - T_eq) * exp(-rate * dt)``, to the last bit, whether the
-    caller passes a plain callable or a reused ``HeatSource``."""
+    caller passes a ``HeatSource`` built for the call or a reused one."""
 
     def relax(self, t_eq, rate, start, dt):
         return t_eq + (start - t_eq) * math.exp(-rate * dt)
 
     def both(self, p, power_of_freq, start, freq, throttled, dt):
-        source = HeatSource(p, power_of_freq)
+        reused = HeatSource(p, power_of_freq)
         temps = []
-        for heat in (power_of_freq, source, source):
+        for source in (HeatSource(p, power_of_freq), reused, reused):
             state = DeviceState(temp=start, freq=freq, throttled=throttled)
-            assert advance(state, p, heat, dt) == []
+            assert advance(state, source, dt) == []
             assert state.throttled == throttled
             temps.append(state.temp)
         return temps
@@ -647,7 +638,6 @@ class TestOneBandExact:
         freq = {"nominal": p.f_nominal, "throttled": p.f_throttled, "between": 2.5}[level]
         power_of_freq = lambda f: 15.0 * f / p.f_nominal
         t_eq = p.ambient_temp + power_of_freq(freq) / p.dissipation
-        assert equilibrium_temp(p, power_of_freq(freq)) == t_eq
         expected = self.relax(t_eq, p.dissipation / p.heat_capacity, start, 20.0)
         assert self.both(p, power_of_freq, start, freq, throttled, 20.0) == [expected] * 3
 
@@ -670,7 +660,7 @@ class TestOneBandExact:
             start, rate, t_eq = floor + 30.0, k / c, amb + p_thr / k
         expected = self.relax(t_eq, rate, start, 2.0)
         state = DeviceState(temp=start, freq=p.f_nominal)
-        governor_step(state, p)
+        governor(p)(state)
         temps = self.both(p, power_of_freq, start, state.freq, state.throttled, 2.0)
         assert temps == [expected] * 3
 
@@ -693,43 +683,13 @@ class TestPinGovernorRule:
         for edge in (trip, floor):
             temps += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
         temps += [trip - 2.0 + i * (floor - trip + 4.0) / 997 for i in range(998)]
+        rule = governor(p)
         for temp in temps:
             state = DeviceState(temp=temp, freq=p.f_nominal)
-            governor_step(state, p)
+            rule(state)
             expected = self.clamp_rule(p, temp)
             assert state.freq == expected, temp
             assert state.throttled == (expected < p.f_nominal - 1e-12), temp
-
-
-class TestGovernorEntryPoints:
-    """``governor_step`` and the rule a ``HeatSource`` holds are one governor."""
-
-    PROFILES = {
-        GovernorKind.PHONE_DROP: profile(),
-        GovernorKind.PI_PIN: profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN,
-                                     t_throttle=78.0, t_resume=73.0,
-                                     f_nominal=1.5, f_throttled=0.6, pin_gain=0.14),
-    }
-
-    @pytest.mark.parametrize("kind", list(GovernorKind))
-    def test_same_result_from_both(self, kind):
-        p = self.PROFILES[kind]
-        rule = HeatSource(p, lambda f: 5.0 * f / p.f_nominal).rule
-        floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain if p.pin_gain else None
-        temps = []
-        for edge in (p.t_resume, p.t_throttle, floor):
-            if edge is not None:
-                temps += [edge + d for d in (-1.0, -1e-9, 0.0, 1e-9, 1.0)]
-                temps += [math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
-        for temp in temps:
-            for throttled in (False, True):
-                freq = p.f_throttled if throttled else p.f_nominal
-                public = DeviceState(temp=temp, freq=freq, throttled=throttled)
-                stored = DeviceState(temp=temp, freq=freq, throttled=throttled)
-                event = governor_step(public, p)
-                assert rule(stored) == event, (temp, throttled)
-                assert (stored.temp, stored.freq, stored.throttled) == (
-                    public.temp, public.freq, public.throttled), (temp, throttled)
 
 
 class TestCalibrationTargetsFinite:
