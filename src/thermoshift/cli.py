@@ -54,22 +54,22 @@ def _summary_json(summary) -> str:
 
 
 def _load_runnable(path):
-    """``load_scenario``, then the run's heat sources built once, so a
-    device whose band equilibria are not finite (a pi-pin gain that sheds
-    an infinite power) is a ``device`` problem before any simulation."""
+    """``load_scenario`` and the scenario's ``hottest_reading``. Building
+    the run's heat sources for that bound makes a device whose band
+    equilibria are not finite (a pi-pin gain that sheds an infinite
+    power) a ``device`` problem before any simulation."""
     scenario = load_scenario(path)
     try:
-        hottest_reading(scenario)
+        return scenario, hottest_reading(scenario)
     except ProfileError as exc:
         raise ConfigFileError([f"device: {exc}"]) from exc
-    return scenario
 
 
 def cmd_run(args) -> int:
     summary_path = args.out + ".summary.json"
     check_writable(args.out, "trace")
     check_writable(summary_path, "summary")
-    scenario = _load_runnable(args.config)
+    scenario, hottest = _load_runnable(args.config)
     if args.baseline:
         scenario = replace(scenario, controller=None)
     if args.true_weight_sharing:
@@ -78,6 +78,13 @@ def cmd_run(args) -> int:
         if scenario.controller is None:
             raise ConfigFileError(["controller: --literal-init needs a controller section"])
         scenario = replace(scenario, controller=replace(scenario.controller, literal_init=True))
+    # A shift to SMALL needs a reading above temp_threshold, and no reading
+    # exceeds the bound: such a run is a baseline run in all but name.
+    threshold = scenario.controller.temp_threshold if scenario.controller else None
+    if threshold is not None and threshold >= hottest:
+        print(f"note: controller.temp_threshold {threshold} C is at or above {hottest} C, "
+              f"the hottest reading this device can reach, so the controller never shifts",
+              file=sys.stderr)
     trace = run_scenario(scenario)
     emit_trace(trace, args.out)
     summary = summarize(trace, scenario.large, scenario.small)
@@ -93,7 +100,7 @@ def cmd_ablate(args) -> int:
     table_path = args.out + ".txt"
     check_writable(args.out, "grid")
     check_writable(table_path, "table")
-    scenario = _load_runnable(args.config)
+    scenario, _ = _load_runnable(args.config)
     if scenario.controller is None:
         raise ConfigFileError(["controller: ablation needs a controller section in the config"])
     grid = ablation_grid(scenario, args.tlims, args.glims, duration=args.duration)

@@ -17,12 +17,11 @@ update in one pass on locals. It reads nothing from the frozen
 ``ControllerConfig``: the constructor binds the coefficients, their
 complements ``1 - coeff``, the thresholds and the flags once.
 ``observe(sample)`` is the same update for a ``TemperatureSample`` (what
-the temperature sources return) and only unpacks it. ``ema_update`` and
-``ShiftController.estimate_derivative`` are the reference forms of the
-two filters, reading the config: ``observe_reading`` must match them bit
-for bit, in the same float operations and order (a complement bound
-once is the same float computed every time), and a lockstep test
-compares the two.
+the temperature sources return) and only unpacks it. The reference
+forms of the two filters, which read the config, live in
+``tests/oracles.py``: ``observe_reading`` must match them bit for bit,
+in the same float operations and order (a complement bound once is the
+same float computed every time), and a lockstep test compares the two.
 """
 
 from __future__ import annotations
@@ -66,11 +65,6 @@ class TemperatureSample:
     celsius: float
 
 
-def ema_update(prev: float, value: float, coeff: float) -> float:
-    """One exponential-moving-average step: coeff*prev + (1 - coeff)*value."""
-    return coeff * prev + (1.0 - coeff) * value
-
-
 @dataclass(frozen=True)
 class ControllerConfig:
     temp_smoothing: float = 0.995  # EMA coefficient for temperature, in (0, 1)
@@ -105,7 +99,7 @@ class ShiftController:
         self.config = config
         # What observe_reading and reset_filters read, bound once: the
         # config is frozen, and the complements are the very floats
-        # ``ema_update`` computes as ``1.0 - coeff``.
+        # ``1.0 - coeff`` that the reference filters compute every step.
         self._temp_keep = config.temp_smoothing
         self._temp_take = 1.0 - config.temp_smoothing
         self._grad_keep = config.grad_smoothing
@@ -136,26 +130,6 @@ class ShiftController:
         self.avg_temp: float | None = seed
         self.prev_avg_temp: float | None = seed
 
-    def estimate_derivative(self, new_avg: float, dt: float | None = None) -> float:
-        """Fold one smoothed temperature into the slope estimate.
-
-        The raw slope is the change of the smoothed temperature since the
-        previous sample (defined as 0 when no previous sample exists since
-        the last reset). Returns the EMA-smoothed slope and advances the
-        remembered previous value.
-        """
-        if self.prev_avg_temp is None:
-            raw = 0.0
-        else:
-            raw = new_avg - self.prev_avg_temp
-            if self.config.per_second and dt is not None and dt > 0.0:
-                raw /= dt
-        self.prev_avg_temp = new_avg
-        if raw < 0.0:
-            self._saw_cooling = True
-        self.grad = ema_update(self.grad, raw, self.config.grad_smoothing)
-        return self.grad
-
     def observe(self, sample: TemperatureSample) -> Decision:
         """Consume one temperature sample: ``observe_reading`` of its fields."""
         return self.observe_reading(sample.time_s, sample.celsius)
@@ -174,7 +148,7 @@ class ShiftController:
         if celsius < ABSOLUTE_ZERO_C:
             raise SampleError(f"temperature below absolute zero: {celsius} C")
 
-        # ema_update and estimate_derivative, inline on the bound coefficients.
+        # The temperature EMA, then the raw slope and its EMA, on the bound coefficients.
         avg = self.avg_temp
         if avg is None:
             new_avg = float(celsius)  # first sample after a reset seeds the filter

@@ -82,14 +82,6 @@ class TraceRecord:
 class Trace(list):
     """An ordered list of TraceRecords."""
 
-    @property
-    def records(self):
-        """The trace itself: ``shuffle(trace.records)`` shuffles the trace."""
-        return self
-
-    def events(self, kind: str):
-        return [r for r in self if r.event == kind]
-
 
 def _row_format(blanks) -> str:
     # "%.0s" prints any value, None included, as nothing: a blank column.
@@ -348,20 +340,6 @@ def hottest_reading(scenario) -> float:
     return max(scenario.profile.ambient_temp, *(s.hottest for s in _heat_sources(scenario)))
 
 
-def pick_event(decision: Decision, governor_events) -> str:
-    """The row's event: a shift decision wins over governor events.
-
-    ``run_scenario`` shows a shift row's governor events on the next row
-    that raises none of its own.
-    """
-    if decision is Decision.STAY:
-        if EVENT_THROTTLE_ON in governor_events:
-            return EVENT_THROTTLE_ON
-        if EVENT_THROTTLE_OFF in governor_events:
-            return EVENT_THROTTLE_OFF
-    return decision._value_  # the plain attribute behind ``.value``
-
-
 def run_scenario(scenario: Scenario) -> Trace:
     """Run the closed loop until sim_time reaches the scenario duration.
 
@@ -373,9 +351,8 @@ def run_scenario(scenario: Scenario) -> Trace:
     Deterministic: the only randomness (logging and model-load stalls)
     comes from a generator seeded with scenario.seed. Both draws take
     their deviates from one ``normal_stream`` over that generator, which
-    repeats ``Random.gauss``; each is clamped at zero as
-    ``logging_overhead`` and ``shift_overhead`` clamp theirs, and weight
-    sharing takes no stall draw.
+    repeats ``Random.gauss``; each is clamped at zero, and weight sharing
+    takes no stall draw.
 
     Everything that does not change from row to row is read once per run:
     the scenario's fields, a ``HeatSource`` per power curve (band
@@ -461,7 +438,9 @@ def run_scenario(scenario: Scenario) -> Trace:
             if events or swallowed:
                 # The row's own events, and the load stall's before it, come
                 # first; a shift row's show only on a row that raises none.
-                event = pick_event(stay, events or swallowed)
+                # Governor events are throttle_on and throttle_off; on wins.
+                fired = events or swallowed
+                event = EVENT_THROTTLE_ON if EVENT_THROTTLE_ON in fired else EVENT_THROTTLE_OFF
                 swallowed = None
             else:
                 event = EVENT_NONE

@@ -14,7 +14,7 @@ from itertools import chain
 
 from .controller import ControllerConfig, Decision, ShiftController, TemperatureSample
 from .errors import LiveRunError, SampleError, SensorReadError, SourceExhausted
-from .harness import Trace, TraceRecord, parse_trace
+from .harness import Trace, TraceRecord
 from .thermal import DeviceProfile, DeviceState, HeatSource, advance
 
 MAX_CONSECUTIVE_ERRORS = 5
@@ -63,10 +63,6 @@ class ReplaySource:
     @classmethod
     def from_trace(cls, trace):
         return cls(TemperatureSample(r.sim_time, r.cpu_temp) for r in trace)
-
-    @classmethod
-    def from_csv(cls, path):
-        return cls.from_trace(parse_trace(path))
 
 
 class SimulatedSource:

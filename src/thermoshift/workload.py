@@ -5,6 +5,11 @@ dynamic power scales linearly with frequency at constant voltage. Idle
 time is injected after each inference to pad the iteration out to a
 target period, which keeps the comparison between variants at equal
 throughput.
+
+The logging and model-load stalls are normal draws clamped at zero:
+``LOGGING_OVERHEAD`` holds each platform's logging mean and std, each
+``ModelVariant`` its own load stall's, and ``run_scenario`` takes every
+deviate from one ``normal_stream``.
 """
 
 from __future__ import annotations
@@ -111,29 +116,3 @@ def normal_stream(random):
         g2rad = sqrt(-2.0 * log(1.0 - random()))
         yield cos(x2pi) * g2rad
         yield sin(x2pi) * g2rad
-
-
-def shift_overhead(variant, rng, weight_shared=False):
-    """Seconds stalled loading ``variant`` in during a shift.
-
-    Draws from a normal with the variant's measured mean/std, clamped at
-    zero. With true weight sharing there is nothing to load, so the stall
-    is zero and no random draw is consumed. This is the reference form:
-    ``run_scenario`` takes the same draw, ``shift_mean + z * shift_std``,
-    from its run's ``normal_stream``.
-    """
-    if weight_shared:
-        return 0.0
-    return max(0.0, rng.gauss(variant.shift_mean, variant.shift_std))
-
-
-def logging_overhead(platform: Platform, rng, enabled=True):
-    """Seconds spent writing the per-inference log row, clamped at zero.
-
-    The reference form: ``run_scenario`` takes the same draw, ``mean + z *
-    std``, from its run's ``normal_stream``.
-    """
-    if not enabled:
-        return 0.0
-    mean, std = LOGGING_OVERHEAD[platform]
-    return max(0.0, rng.gauss(mean, std))

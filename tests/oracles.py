@@ -1,0 +1,181 @@
+"""Reference forms the lean program code is checked against.
+
+Each is the plain form of an idea that ``src/`` holds once, in a faster
+shape: the controller's two filters (``observe_reading`` inlines them),
+the run's random draws (``run_scenario`` takes them from one
+``normal_stream``), the row-event pick, the whole controller update and
+the whole row loop. No program path calls them; the lockstep tests
+require the lean code to equal them bit for bit. Tests import this
+module as they import ``conftest``; it holds no tests.
+"""
+
+import random
+
+from thermoshift.controller import (
+    WARMUP_MIN_SAMPLES,
+    Decision,
+    Mode,
+    ShiftController,
+    TemperatureSample,
+)
+from thermoshift.harness import Trace, TraceRecord
+from thermoshift.thermal import (
+    EVENT_THROTTLE_OFF,
+    EVENT_THROTTLE_ON,
+    DeviceState,
+    HeatSource,
+    advance,
+)
+from thermoshift.workload import LOGGING_OVERHEAD, Platform, iteration_time, power_draw
+
+
+def ema_update(prev: float, value: float, coeff: float) -> float:
+    """One exponential-moving-average step: coeff*prev + (1 - coeff)*value."""
+    return coeff * prev + (1.0 - coeff) * value
+
+
+def estimate_derivative(ctl, new_avg: float, dt: float | None = None) -> float:
+    """Fold one smoothed temperature into ``ctl``'s slope estimate.
+
+    The raw slope is the change of the smoothed temperature since the
+    previous sample (defined as 0 when no previous sample exists since
+    the last reset). Returns the EMA-smoothed slope and advances the
+    remembered previous value.
+    """
+    if ctl.prev_avg_temp is None:
+        raw = 0.0
+    else:
+        raw = new_avg - ctl.prev_avg_temp
+        if ctl.config.per_second and dt is not None and dt > 0.0:
+            raw /= dt
+    ctl.prev_avg_temp = new_avg
+    if raw < 0.0:
+        ctl._saw_cooling = True
+    ctl.grad = ema_update(ctl.grad, raw, ctl.config.grad_smoothing)
+    return ctl.grad
+
+
+def reference_observe(ctl, sample):
+    """``observe`` stepped by hand with the reference filter forms."""
+    t = sample.celsius
+    cfg = ctl.config
+    dt = None if ctl._last_time is None else sample.time_s - ctl._last_time
+    if ctl.avg_temp is None:
+        new_avg = float(t)
+    else:
+        new_avg = ema_update(ctl.avg_temp, t, cfg.temp_smoothing)
+    ctl.avg_temp = new_avg
+    estimate_derivative(ctl, new_avg, dt)
+    ctl.samples_since_reset += 1
+    ctl._last_time = sample.time_s
+    ctl.last_avg_temp = new_avg
+    ctl.last_grad = ctl.grad
+    if ctl.mode is Mode.LARGE and t > cfg.temp_threshold:
+        ctl.mode = Mode.SMALL
+        ctl.reset_filters()
+        return Decision.SHIFT_TO_SMALL
+    if (ctl.mode is Mode.SMALL and ctl.grad > cfg.grad_threshold
+            and (cfg.literal_init or (ctl.samples_since_reset >= WARMUP_MIN_SAMPLES
+                                      and ctl._saw_cooling))):
+        ctl.mode = Mode.LARGE
+        ctl.reset_filters()
+        return Decision.SHIFT_TO_LARGE
+    return Decision.STAY
+
+
+def shift_overhead(variant, rng, weight_shared=False):
+    """Seconds stalled loading ``variant`` in during a shift.
+
+    Draws from a normal with the variant's measured mean/std, clamped at
+    zero. With true weight sharing there is nothing to load, so the stall
+    is zero and no random draw is consumed.
+    """
+    if weight_shared:
+        return 0.0
+    return max(0.0, rng.gauss(variant.shift_mean, variant.shift_std))
+
+
+def logging_overhead(platform: Platform, rng, enabled=True):
+    """Seconds spent writing the per-inference log row, clamped at zero."""
+    if not enabled:
+        return 0.0
+    mean, std = LOGGING_OVERHEAD[platform]
+    return max(0.0, rng.gauss(mean, std))
+
+
+def pick_event(decision: Decision, governor_events) -> str:
+    """The row's event: a shift decision wins over governor events, and
+    ``throttle_on`` over ``throttle_off``."""
+    if decision is Decision.STAY:
+        if EVENT_THROTTLE_ON in governor_events:
+            return EVENT_THROTTLE_ON
+        if EVENT_THROTTLE_OFF in governor_events:
+            return EVENT_THROTTLE_OFF
+    return decision.value
+
+
+def reference_run(scenario):
+    """The row loop as it stood before per-run lookups: every row calls
+    ``iteration_time``, ``logging_overhead`` and ``pick_event`` and reads
+    the scenario. Kept as the oracle the lean loop in ``run_scenario``
+    must equal."""
+    scenario.validate()
+    profile = scenario.profile
+    rng = random.Random(scenario.seed)
+    device = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
+    controller = ShiftController(scenario.controller) if scenario.controller else None
+    # One heat source per power curve, with its governor bands solved once.
+    large_heat = HeatSource(profile, lambda f: power_draw(scenario.large, f, profile))
+    small_heat = HeatSource(profile, lambda f: power_draw(scenario.small, f, profile))
+    idle_heat = HeatSource(profile, lambda f: profile.idle_power)
+    variant, heat = scenario.large, large_heat
+    trace = Trace()
+    carried_events: list[str] = []  # governor events raised after the previous row was sampled
+
+    while device.sim_time < scenario.duration:
+        compute, idle = iteration_time(variant, device.freq, profile, scenario.pacing)
+        events = carried_events
+        carried_events = []
+
+        events += advance(device, heat, compute)
+        if idle > 0.0:
+            events += advance(device, idle_heat, idle)
+        log_dt = logging_overhead(scenario.platform, rng, scenario.logging_enabled)
+        if log_dt > 0.0:
+            events += advance(device, heat, log_dt)
+
+        cpu_temp = device.temp
+        freq_now = device.freq
+        avg = grad = None
+        decision = Decision.STAY
+        if controller is not None:
+            decision = controller.observe(TemperatureSample(device.sim_time, cpu_temp))
+            avg = controller.last_avg_temp
+            grad = controller.last_grad
+
+        overhead = 0.0
+        if decision is not Decision.STAY:
+            if decision is Decision.SHIFT_TO_SMALL:
+                variant, heat = scenario.small, small_heat
+            else:
+                variant, heat = scenario.large, large_heat
+            overhead = shift_overhead(variant, rng, scenario.weight_shared)
+            if overhead > 0.0:
+                # Loading the incoming model is compute; events raised here
+                # belong to the next row (this one is already sampled).
+                carried_events += advance(device, heat, overhead)
+
+        trace.append(TraceRecord(
+            device.sim_time,
+            cpu_temp,
+            avg,
+            grad,
+            freq_now,
+            controller.mode if controller else Mode.LARGE,
+            compute,
+            idle,
+            pick_event(decision, events),
+            overhead,
+            log_dt,
+        ))
+    return trace

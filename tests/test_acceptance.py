@@ -14,6 +14,7 @@ import time
 import pytest
 
 from conftest import phone_scenario, pi_scenario
+from oracles import ema_update
 
 from thermoshift.analysis import ablation_grid, summarize
 from thermoshift.controller import (
@@ -22,7 +23,6 @@ from thermoshift.controller import (
     Mode,
     ShiftController,
     TemperatureSample,
-    ema_update,
 )
 from thermoshift.harness import (
     EVENT_SHIFT_LARGE,
@@ -82,7 +82,7 @@ def pi_hour():
 @report(1, "baseline run throttles and post-throttle latency rises >= 1.3x")
 def test_01_throttling_phenomenology(baseline_hour):
     trace, wall = baseline_hour
-    ons = trace.events(EVENT_THROTTLE_ON)
+    ons = [r for r in trace if r.event == EVENT_THROTTLE_ON]
     assert len(ons) >= 1, "no throttle_on event in a 3600 s large-only run"
     t_on = ons[0].sim_time
     pre = [r.inference_latency for r in trace if r.sim_time < t_on]
@@ -142,7 +142,7 @@ def test_04_ablation_trend(phone_suite):
 @report(5, "pi-style governor pins at the trip point with a 2-10% latency rise")
 def test_05_pi_pin(pi_hour, pi_suite):
     trace = pi_hour
-    tail = trace.records[-max(1, len(trace) // 10):]
+    tail = trace[-max(1, len(trace) // 10):]
     trip = 78.0
     for r in tail:
         assert abs(r.cpu_temp - trip) <= 1.0, f"temp {r.cpu_temp:.2f} drifted off the pin"
@@ -294,7 +294,7 @@ def test_09_replay_equivalence(tmp_path):
         direct = ShiftController(cfg)
         expected = [direct.observe(TemperatureSample(r.sim_time, r.cpu_temp))
                     for r in recorded]
-        live = live_run(ReplaySource.from_csv(path), cfg, period=0.25,
+        live = live_run(ReplaySource.from_trace(recorded), cfg, period=0.25,
                         sleep=lambda s: None)
         mapping = {EVENT_SHIFT_SMALL: Decision.SHIFT_TO_SMALL,
                    EVENT_SHIFT_LARGE: Decision.SHIFT_TO_LARGE}

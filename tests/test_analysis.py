@@ -83,7 +83,7 @@ class TestSummarize:
     def test_permutation_invariance(self):
         trace = synthetic_trace(438, 562)
         shuffled = Trace(list(trace))
-        random.Random(4).shuffle(shuffled.records)
+        random.Random(4).shuffle(shuffled)
         a = summarize(trace, LARGE, SMALL)
         b = summarize(shuffled, LARGE, SMALL)
         assert a.est_accuracy == pytest.approx(b.est_accuracy)

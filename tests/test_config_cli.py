@@ -154,7 +154,7 @@ class TestCliRun:
         assert main(["run", "--config", cfg_path, "--out", out]) == 0
         trace = parse_trace(out)
         assert len(trace) > 1000
-        summary = json.loads(open(out + ".summary.json").read())
+        summary = json.loads(Path(out + ".summary.json").read_text())
         assert summary["n_throttle_events"] == 0
         assert summary["n_shifts"] > 0
 
@@ -162,7 +162,7 @@ class TestCliRun:
         cfg_path = write_config(tmp_path, base_config(duration=1200))
         out = str(tmp_path / "trace.csv")
         assert main(["run", "--config", cfg_path, "--out", out, "--baseline"]) == 0
-        summary = json.loads(open(out + ".summary.json").read())
+        summary = json.loads(Path(out + ".summary.json").read_text())
         assert summary["n_throttle_events"] >= 1
         assert summary["n_shifts"] == 0
 
@@ -189,8 +189,8 @@ class TestCliRun:
         literal = replace(scenario, controller=replace(scenario.controller, literal_init=True))
         expected = str(tmp_path / "expected.csv")
         emit_trace(run_scenario(literal), expected)
-        assert open(out, "rb").read() == open(expected, "rb").read()
-        assert open(out, "rb").read() != open(plain, "rb").read()
+        assert Path(out).read_bytes() == Path(expected).read_bytes()
+        assert Path(out).read_bytes() != Path(plain).read_bytes()
 
     def test_config_errors_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(bogus=True))
@@ -198,13 +198,33 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "bogus" in err
 
+    def test_controller_that_can_never_shift_is_noted(self, tmp_path, capsys):
+        # 77.0 C is the built-in phone's trip point, its hottest reading.
+        cfg_path = write_config(tmp_path, base_config(
+            controller={"temp_threshold": 77, "grad_threshold": -0.07}))
+        out = str(tmp_path / "trace.csv")
+        capsys.readouterr()
+        assert main(["run", "--config", cfg_path, "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("note: controller.temp_threshold 77 C is at or above 77.0 C")
+        assert err.count("\n") == 1
+        summary = json.loads(Path(out + ".summary.json").read_text())
+        assert summary["n_shifts"] == 0
+        assert main(["run", "--config", cfg_path, "--out", out, "--baseline"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_quick_start_config_gets_no_note(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(duration=3600, seed=0))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "t.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["run", "--config", cfg_path, "--out", out1])
         main(["run", "--config", cfg_path, "--out", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-        assert open(out1 + ".summary.json").read() == open(out2 + ".summary.json").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+        assert Path(out1 + ".summary.json").read_text() == Path(out2 + ".summary.json").read_text()
 
 
 class TestCliAblate:
@@ -213,19 +233,19 @@ class TestCliAblate:
         out = str(tmp_path / "grid.csv")
         assert main(["ablate", "--config", cfg_path, "--tlims", "73",
                      "--glims=-0.07", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 2
-        first = open(out, "rb").read()
+        first = Path(out).read_bytes()
         main(["ablate", "--config", cfg_path, "--tlims", "73",
               "--glims=-0.07", "--out", out])
-        assert open(out, "rb").read() == first
+        assert Path(out).read_bytes() == first
 
     def test_insufficient_cycles_cell(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         out = str(tmp_path / "grid.csv")
         assert main(["ablate", "--config", cfg_path, "--tlims", "73",
                      "--glims=-0.07", "--out", out, "--duration", "60"]) == 0
-        assert "insufficient-cycles" in open(out).read()
+        assert "insufficient-cycles" in Path(out).read_text()
 
     def test_four_by_four_dimensions(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -233,7 +253,7 @@ class TestCliAblate:
         assert main(["ablate", "--config", cfg_path, "--tlims", "75,73,70,65",
                      "--glims=-0.005,-0.01,-0.07,-0.10", "--out", out,
                      "--duration", "60"]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 5  # header + one row per derivative threshold
         assert all(len(line.split(",")) == 5 for line in lines)
 
@@ -290,11 +310,11 @@ class TestCliSummarizePlot:
         prefix = str(tmp_path / "fig")
         assert main(["plot", "--trace", out, "--overlay", base_out,
                      "--out", prefix, "--tlim", "73", "--t-throttle", "77"]) == 0
-        svg = open(prefix + "_temperature.svg").read()
+        svg = Path(prefix + "_temperature.svg").read_text()
         assert svg.count("<polyline") == 2
         main(["plot", "--trace", out, "--overlay", base_out,
               "--out", prefix, "--tlim", "73", "--t-throttle", "77"])
-        assert open(prefix + "_temperature.svg").read() == svg
+        assert Path(prefix + "_temperature.svg").read_text() == svg
 
     def test_missing_trace_errors(self, tmp_path):
         assert main(["summarize", "--trace", str(tmp_path / "nope.csv"),

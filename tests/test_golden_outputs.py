@@ -6,12 +6,14 @@ differently from Python 3.12 on.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from thermoshift.analysis import ablation_grid
 from thermoshift.config import build_scenario
 from thermoshift.harness import emit_trace, run_scenario
+from thermoshift.sensors import ReplaySource, live_run
 
 # The pi-pin device that ``device.calibration`` builds for the pi-sweep
 # benchmark workload and the CI ablate check.
@@ -45,6 +47,12 @@ BASELINE_HOUR_SHA256 = {
     ("slimmable-resnet50-pi", 8675309):
         "2ca2967c51667cfb8873d1807e5b864d3647eeb430288bda9db33bcbe791ff36",
 }
+# ``live_run`` replaying the golden phone hour's readings through the
+# suite controller: one row per poll, with blank freq, latency and idle.
+LIVE_REPLAY_SHA256 = {
+    0: "ba4d19657bd8b00bfe1640f1236998c83e5aa2ae04911561ee86abb387c54845",
+    8675309: "8a3f2fa3e71850843260e031c573e149c69070e64693cba67c03334ff677e917",
+}
 PIN_GRID_SHA256 = {
     0: "423e0652c638c27cdfa7c4b23353978c3fc08792d53b950a5d78d84fd6894042",
     8675309: "a3e3dc4175ba8028fc8e088dc3795078e8e0c04cefcf2886b0c770e20503ed37",
@@ -62,6 +70,18 @@ def test_phone_hour_trace(tmp_path, seed):
     out = tmp_path / "trace.csv"
     emit_trace(run_scenario(scenario), out)
     assert sha256_of(out) == PHONE_HOUR_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(LIVE_REPLAY_SHA256))
+def test_live_replay_trace(tmp_path, seed):
+    scenario = build_scenario({"suite": "slimmable-resnet50-phone", "seed": seed,
+                               "controller": "default", "duration": 3600.0})
+    ticks = itertools.count()
+    live = live_run(ReplaySource.from_trace(run_scenario(scenario)), scenario.controller,
+                    period=0.25, sleep=lambda s: None, clock=lambda: float(next(ticks)))
+    out = tmp_path / "live.csv"
+    emit_trace(live, out)
+    assert sha256_of(out) == LIVE_REPLAY_SHA256[seed]
 
 
 @pytest.mark.parametrize("suite, seed", sorted(BASELINE_HOUR_SHA256))

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -48,14 +49,14 @@ class TestEmitPlots:
         assert [p.rsplit("_", 1)[1] for p in paths] == \
             ["temperature.svg", "frequency.svg", "latency.svg"]
         for p in paths:
-            text = open(p).read()
+            text = Path(p).read_text()
             assert text.startswith("<svg")
             assert "<polyline" in text
 
     def test_polyline_points_inside_canvas(self, short_trace, tmp_path):
         paths = emit_plots(short_trace, str(tmp_path / "run"))
         for p in paths:
-            text = open(p).read()
+            text = Path(p).read_text()
             for match in re.finditer(r'points="([^"]+)"', text):
                 for pair in match.group(1).split():
                     x, y = map(float, pair.split(","))
@@ -64,21 +65,21 @@ class TestEmitPlots:
 
     def test_overlay_adds_second_series(self, short_trace, baseline_trace, tmp_path):
         paths = emit_plots(short_trace, str(tmp_path / "both"), overlay=baseline_trace)
-        temp_svg = open(paths[0]).read()
+        temp_svg = Path(paths[0]).read_text()
         assert temp_svg.count("<polyline") == 2
 
     def test_reference_lines(self, short_trace, tmp_path):
         paths = emit_plots(short_trace, str(tmp_path / "refs"),
                            temp_threshold=73.0, trip_temp=77.0)
-        temp_svg = open(paths[0]).read()
+        temp_svg = Path(paths[0]).read_text()
         assert "shift threshold" in temp_svg
         assert "throttle trip" in temp_svg
-        lat_svg = open(paths[2]).read()
+        lat_svg = Path(paths[2]).read_text()
         assert "shift threshold" not in lat_svg
 
     def test_shift_markers_present(self, short_trace, tmp_path):
         paths = emit_plots(short_trace, str(tmp_path / "marks"))
-        temp_svg = open(paths[0]).read()
+        temp_svg = Path(paths[0]).read_text()
         assert 'stroke-dasharray="2,3"' in temp_svg
 
     def test_empty_trace_rejected(self, tmp_path):

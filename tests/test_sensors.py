@@ -16,6 +16,7 @@ from thermoshift.harness import (
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
     emit_trace,
+    parse_trace,
     run_scenario,
 )
 from thermoshift.sensors import (
@@ -119,7 +120,7 @@ class TestReplaySource:
         trace = run_scenario(phone_scenario(duration=120.0, baseline=True))
         path = tmp_path / "t.csv"
         emit_trace(trace, path)
-        src = ReplaySource.from_csv(path)
+        src = ReplaySource.from_trace(parse_trace(path))
         first = src.read_now()
         assert first.celsius == pytest.approx(trace[0].cpu_temp, rel=1e-5)
 

@@ -13,17 +13,10 @@ import random
 import pytest
 
 from conftest import phone_scenario
+from oracles import pick_event, reference_observe
 
 from thermoshift.analysis import Summary, summarize
-from thermoshift.controller import (
-    WARMUP_MIN_SAMPLES,
-    ControllerConfig,
-    Decision,
-    Mode,
-    ShiftController,
-    TemperatureSample,
-    ema_update,
-)
+from thermoshift.controller import ControllerConfig, Decision, ShiftController, TemperatureSample
 from thermoshift.errors import SampleError, SensorReadError, SourceExhausted
 from thermoshift.harness import (
     EVENT_NONE,
@@ -32,7 +25,6 @@ from thermoshift.harness import (
     Trace,
     emit_trace,
     parse_trace,
-    pick_event,
     run_scenario,
 )
 from thermoshift.sensors import ReplaySource, live_run
@@ -79,22 +71,13 @@ class TestTraceIsAList:
     def test_every_producer_returns_a_list(self, tmp_path):
         for name, trace in self.traces(tmp_path).items():
             assert isinstance(trace, Trace) and isinstance(trace, list), name
-            assert trace.records is trace, name
             assert len(trace) > 0, name
-            kind = trace[0].event
-            assert trace.events(kind) == [r for r in trace if r.event == kind], name
 
     def test_constructors(self):
         assert Trace() == [] and len(Trace()) == 0
         records = run_scenario(phone_scenario(duration=60.0))
         copy = Trace(iter(records))
         assert isinstance(copy, Trace) and copy == records
-
-    def test_shuffling_records_shuffles_the_trace(self):
-        trace = run_scenario(phone_scenario(duration=120.0))
-        before = list(trace)
-        random.Random(4).shuffle(trace.records)
-        assert list(trace) != before and sorted(map(id, trace)) == sorted(map(id, before))
 
 
 class TestSummaryToDict:
@@ -155,34 +138,6 @@ class TestLivePacing:
         assert len(trace) == 100
         # One read before the loop, two per poll, one for the exhausted 101st.
         assert next(reads) == 202
-
-
-def reference_observe(ctl, sample):
-    """``observe`` stepped by hand with the reference filter forms."""
-    t = sample.celsius
-    cfg = ctl.config
-    dt = None if ctl._last_time is None else sample.time_s - ctl._last_time
-    if ctl.avg_temp is None:
-        new_avg = float(t)
-    else:
-        new_avg = ema_update(ctl.avg_temp, t, cfg.temp_smoothing)
-    ctl.avg_temp = new_avg
-    ctl.estimate_derivative(new_avg, dt)
-    ctl.samples_since_reset += 1
-    ctl._last_time = sample.time_s
-    ctl.last_avg_temp = new_avg
-    ctl.last_grad = ctl.grad
-    if ctl.mode is Mode.LARGE and t > cfg.temp_threshold:
-        ctl.mode = Mode.SMALL
-        ctl.reset_filters()
-        return Decision.SHIFT_TO_SMALL
-    if (ctl.mode is Mode.SMALL and ctl.grad > cfg.grad_threshold
-            and (cfg.literal_init or (ctl.samples_since_reset >= WARMUP_MIN_SAMPLES
-                                      and ctl._saw_cooling))):
-        ctl.mode = Mode.LARGE
-        ctl.reset_filters()
-        return Decision.SHIFT_TO_LARGE
-    return Decision.STAY
 
 
 def bits(ctl):

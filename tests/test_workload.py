@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from oracles import logging_overhead, shift_overhead
+
 from thermoshift.errors import ScenarioError
 from thermoshift.suites import PHONE_PROFILE, SUITES
 from thermoshift.workload import (
@@ -12,10 +14,8 @@ from thermoshift.workload import (
     inference_latency,
     iteration_time,
     LOGGING_OVERHEAD,
-    logging_overhead,
     normal_stream,
     power_draw,
-    shift_overhead,
 )
 
 
