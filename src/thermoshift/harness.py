@@ -13,9 +13,10 @@ variant's ``(compute, idle)`` at the two fixed frequency levels, the
 logging draw's mean and std, and one ``workload.normal_stream`` that both
 the logging and the model-load stall draws take their deviates from.
 Each row then does only the work that varies: the ``advance`` calls, the
-draws, the controller's update and the record. The controller gets the
-reading as two plain numbers through its bound ``observe_reading``; no
-``TemperatureSample`` is built per row.
+draws, the controller's update and the record. Compute and logging with
+no idle between them are one ``advance`` over their sum. The controller
+gets the reading as two plain numbers through its bound
+``observe_reading``; no ``TemperatureSample`` is built per row.
 """
 
 from __future__ import annotations
@@ -359,9 +360,12 @@ def run_scenario(scenario: Scenario) -> Trace:
     closure and governor rule), each variant's ``(compute, idle)`` at
     ``f_nominal`` and ``f_throttled``, the platform's logging mean and
     std, the normal stream's bound ``__next__``, and the controller's
-    bound ``observe_reading``. At any other frequency (pi-pin's
-    continuous sag) the loop repeats ``iteration_time``'s float
-    operations inline; those values are not kept.
+    bound ``observe_reading``.
+
+    A row with idle time takes three ``advance`` calls: compute, idle and
+    logging. Without idle, compute and logging run back to back at the
+    running model's power, and ``advance`` solves each band exactly, so
+    one call over their sum is the same step up to rounding.
 
     A shift decision names its row's event. The governor events that row
     raised show on the next row that raises none of its own (nor in the
@@ -383,9 +387,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     observe = controller.observe_reading if controller else None
     # One heat source per power curve, with its governor bands solved once.
     large_heat, small_heat, idle_heat = _heat_sources(scenario)
-    f_nominal = profile.f_nominal
-    latency_multiplier, target_period = pacing.latency_multiplier, pacing.target_period
-    levels = (f_nominal, profile.f_throttled)
+    levels = (profile.f_nominal, profile.f_throttled)
     large_times = {f: iteration_time(large, f, profile, pacing) for f in levels}
     small_times = {f: iteration_time(small, f, profile, pacing) for f in levels}
     variant, heat, times = large, large_heat, large_times
@@ -397,31 +399,22 @@ def run_scenario(scenario: Scenario) -> Trace:
     swallowed = None  # governor events of the last shift row, not shown yet
 
     while device.sim_time < duration and small_shifts_left != 0:
-        freq = device.freq
-        hit = times.get(freq)
-        if hit is None:
-            # pi-pin's continuous sag: iteration_time's float operations, inline.
-            compute = variant.base_latency * (f_nominal / freq) * latency_multiplier
-            if target_period is None:
-                idle = 0.0
-            else:
-                idle = target_period - compute
-                if not idle > 0.0:  # max(0.0, idle) without the builtin call
-                    idle = 0.0
+        # A frequency between the two levels (pi-pin's sag) misses the table.
+        compute, idle = times.get(device.freq) or iteration_time(variant, device.freq, profile, pacing)
+        log_dt = log_mean + normal() * log_std if logging_enabled else 0.0
+        if not log_dt > 0.0:
+            log_dt = 0.0  # the draw is clamped at zero
+        if idle > 0.0:
+            events = advance(device, heat, compute)
+            events += advance(device, idle_heat, idle)
+            if log_dt > 0.0:
+                events += advance(device, heat, log_dt)
         else:
-            compute, idle = hit
-
-        events = advance(device, heat, compute)
+            # Logging follows compute at the same power: one exact step.
+            events = advance(device, heat, compute + log_dt)
         if carried_events:
             events[:0] = carried_events
             carried_events = []
-        if idle > 0.0:
-            events += advance(device, idle_heat, idle)
-        log_dt = log_mean + normal() * log_std if logging_enabled else 0.0
-        if log_dt > 0.0:
-            events += advance(device, heat, log_dt)
-        else:
-            log_dt = 0.0  # the draw is clamped at zero
 
         cpu_temp = device.temp
         freq_now = device.freq

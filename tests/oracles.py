@@ -114,11 +114,16 @@ def pick_event(decision: Decision, governor_events) -> str:
     return decision.value
 
 
-def reference_run(scenario):
+def reference_run(scenario, split=False):
     """The row loop as it stood before per-run lookups: every row calls
     ``iteration_time``, ``logging_overhead`` and ``pick_event`` and reads
     the scenario. Kept as the oracle the lean loop in ``run_scenario``
-    must equal."""
+    must equal.
+
+    A row with no idle advances once over compute plus logging, as
+    ``run_scenario`` does. ``split=True`` advances over each on its own,
+    as the loop did before that merge: the exact solver makes the two
+    differ only by rounding."""
     scenario.validate()
     profile = scenario.profile
     rng = random.Random(scenario.seed)
@@ -137,12 +142,15 @@ def reference_run(scenario):
         events = carried_events
         carried_events = []
 
-        events += advance(device, heat, compute)
-        if idle > 0.0:
-            events += advance(device, idle_heat, idle)
         log_dt = logging_overhead(scenario.platform, rng, scenario.logging_enabled)
-        if log_dt > 0.0:
-            events += advance(device, heat, log_dt)
+        if idle > 0.0 or split:
+            events += advance(device, heat, compute)
+            if idle > 0.0:
+                events += advance(device, idle_heat, idle)
+            if log_dt > 0.0:
+                events += advance(device, heat, log_dt)
+        else:
+            events += advance(device, heat, compute + log_dt)
 
         cpu_temp = device.temp
         freq_now = device.freq

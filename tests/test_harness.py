@@ -33,6 +33,7 @@ from thermoshift.suites import SUITE_NAMES, SUITES, default_profile
 from thermoshift.thermal import (
     EVENT_THROTTLE_OFF,
     EVENT_THROTTLE_ON,
+    GovernorKind,
     HeatSource,
     advance,
 )
@@ -633,9 +634,13 @@ class TestHeatSourcesInRun:
         assert fast == slow
         assert any(r.event == EVENT_THROTTLE_ON for r in fast) == baseline
 
-    def test_every_interval_draws_its_phase_power(self, monkeypatch, phone_suite):
+    @pytest.mark.parametrize("overrides", [
+        {}, {"logging_enabled": False}, {"pacing": PacingPolicy()},
+    ], ids=["suite", "no-logging", "no-idle"])
+    def test_every_interval_draws_its_phase_power(self, monkeypatch, phone_suite, overrides):
         # Per row: compute and logging at the running model's power, idle at
         # idle power, and a shift's load stall at the incoming model's power.
+        # With no idle between them, compute and logging are one interval.
         calls = []
 
         def record(state, source, dt):
@@ -643,25 +648,28 @@ class TestHeatSourcesInRun:
             return advance(state, source, dt)
 
         monkeypatch.setattr(harness, "advance", record)
-        scenario = phone_scenario(duration=900.0)
+        scenario = phone_scenario(duration=900.0, **overrides)
         trace = run_scenario(scenario)
-        assert len({id(source) for source, _ in calls}) == 3
+        assert len({id(source) for source, _ in calls}) == 3 - ("pacing" in overrides)
         power = {Mode.LARGE: phone_suite.large.power_nominal,
                  Mode.SMALL: phone_suite.small.power_nominal}
         expected, running = [], Mode.LARGE
         for r in trace:
-            expected.append((power[running], r.inference_latency))
             if r.idle > 0.0:
+                expected.append((power[running], r.inference_latency))
                 expected.append((scenario.profile.idle_power, r.idle))
-            if r.log_time > 0.0:
-                expected.append((power[running], r.log_time))
+                if r.log_time > 0.0:
+                    expected.append((power[running], r.log_time))
+            else:
+                expected.append((power[running], r.inference_latency + r.log_time))
             if r.overhead > 0.0:
                 expected.append((power[r.mode], r.overhead))
             running = r.mode
         f_nominal = scenario.profile.f_nominal
         assert [(source.power_of_freq(f_nominal), dt) for source, dt in calls] == expected
         assert any(r.overhead > 0.0 and r.mode is Mode.LARGE for r in trace)
-        assert any(r.idle > 0.0 for r in trace)
+        assert any(r.idle > 0.0 for r in trace) == ("pacing" not in overrides)
+        assert any(r.log_time > 0.0 for r in trace) == ("logging_enabled" not in overrides)
 
 
 class TestLeanLoopMatchesReference:
@@ -719,9 +727,11 @@ class TestLeanLoopMatchesReference:
                    if r.event == EVENT_SHIFT_SMALL and r.overhead <= 0.0]
         assert clamped
         assert all(math.copysign(1.0, o) == 1.0 for o in clamped)  # 0.0, never -0.0
-        # Per row: compute, then idle, logging and a load stall when > 0.
+        # Per row: compute, idle and logging when idle separates them (each
+        # when > 0), else compute plus logging; then a load stall when > 0.
         assert intervals == [dt for r in records for dt in (
-            r.inference_latency, r.idle, r.log_time, r.overhead) if dt > 0.0]
+            (r.inference_latency, r.idle, r.log_time) if r.idle > 0.0
+            else (r.inference_latency + r.log_time,)) + (r.overhead,) if dt > 0.0]
 
     def test_pi_pin_sag_takes_the_fallback(self):
         # A throttled pi-pin device runs at frequencies between its two
@@ -755,6 +765,40 @@ class TestLeanLoopMatchesReference:
         emit_trace(run_scenario(scenario), lean)
         emit_trace(reference_run(scenario), reference)
         assert lean.read_bytes() == reference.read_bytes()
+
+
+class TestMergedStepMatchesSplit:
+    """Solving a row's compute and logging as one ``advance`` changes a run
+    only by rounding: the same rows, modes, events and draws as advancing
+    over each on its own (``reference_run(split=True)``), with the
+    temperature within 1e-9 C and the clock within 1e-6 s. On pi-pin the
+    sag frequency follows the temperature, and compute follows the sag, so
+    there ``freq`` may move by 1e-12 GHz and ``inference_latency`` by
+    1e-12 s; on phone-drop both are exact."""
+
+    @pytest.mark.parametrize("weight_sharing", [False, True])
+    @pytest.mark.parametrize("controller", [None, "default"])
+    @pytest.mark.parametrize("seed", [0, 8675309])
+    @pytest.mark.parametrize("suite_name", SUITE_NAMES)
+    def test_suite_hour(self, suite_name, seed, controller, weight_sharing):
+        cfg = {"suite": suite_name, "seed": seed, "duration": 3600.0,
+               "weight_sharing": weight_sharing}
+        if controller:
+            cfg["controller"] = controller
+        scenario = build_scenario(cfg)
+        merged, split = run_scenario(scenario), reference_run(scenario, split=True)
+        assert len(merged) == len(split)
+        sags = scenario.profile.governor is GovernorKind.PI_PIN
+        for m, s in zip(merged, split):
+            assert (m.mode, m.event, m.overhead, m.idle, m.log_time) == (
+                s.mode, s.event, s.overhead, s.idle, s.log_time)
+            assert abs(m.cpu_temp - s.cpu_temp) <= 1e-9
+            assert abs(m.sim_time - s.sim_time) <= 1e-6
+            if sags:
+                assert abs(m.freq - s.freq) <= 1e-12
+                assert abs(m.inference_latency - s.inference_latency) <= 1e-12
+            else:
+                assert (m.freq, m.inference_latency) == (s.freq, s.inference_latency)
 
 
 class TestNoSamplePerRow:

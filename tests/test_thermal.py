@@ -665,6 +665,84 @@ class TestOneBandExact:
         assert temps == [expected] * 3
 
 
+class TestSplitIntervalEqualsWhole:
+    """``advance(s, src, a)`` then ``advance(s, src, b)`` lands where
+    ``advance(s, src, a + b)`` does: the same events, ``throttled`` and
+    phone-drop ``freq``; the temperature within 1e-12 C, and pi-pin's
+    ``freq`` within 1e-12 GHz, since its sag follows the temperature.
+    ``run_scenario`` relies on this to solve a row's compute and logging
+    as one step."""
+
+    TEMP_TOL = FREQ_TOL = 1e-12
+
+    def drop_profile(self):
+        return profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
+
+    def pin_profile(self):
+        return profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN,
+                       t_throttle=78.0, t_resume=73.0,
+                       f_nominal=1.5, f_throttled=0.6, pin_gain=0.14)
+
+    def check(self, p, source, start, a, b):
+        """Advance two copies of ``start`` over ``a`` then ``b`` and over
+        ``a + b``; return the whole interval's events."""
+        split = DeviceState(**vars(start))
+        split_events = advance(split, source, a) + advance(split, source, b)
+        whole = DeviceState(**vars(start))
+        whole_events = advance(whole, source, a + b)
+        assert split_events == whole_events
+        assert split.throttled == whole.throttled
+        assert abs(split.temp - whole.temp) <= self.TEMP_TOL
+        if p.governor is GovernorKind.PHONE_DROP:
+            assert split.freq == whole.freq
+        else:
+            assert abs(split.freq - whole.freq) <= self.FREQ_TOL
+        return whole_events
+
+    # Each start is under 0.7 s from a band edge. 15 W phone-drop: the trip
+    # point from 76.99 C, the resume point from 72.01 C throttled. 5.9 W
+    # pi-pin: the trip point from 77.99 C; 20 W: the floor (84.43 C) from
+    # 84.4 C.
+    @pytest.mark.parametrize("a, b", [(0.2, 0.5), (0.5, 0.2), (0.1, 3000.0), (3000.0, 0.1)])
+    @pytest.mark.parametrize("kind, watts, temp, throttled, edge", [
+        ("phone-drop", 15.0, 76.99, False, 77.0),
+        ("phone-drop", 15.0, 72.01, True, 72.0),
+        ("pi-pin", 5.9, 77.99, False, 78.0),
+        ("pi-pin", 20.0, 84.4, True, 78.0 + 0.9 / 0.14),
+    ])
+    def test_across_a_band_edge(self, kind, watts, temp, throttled, edge, a, b):
+        p = self.drop_profile() if kind == "phone-drop" else self.pin_profile()
+        source = HeatSource(p, lambda f: watts * f / p.f_nominal)
+        start = DeviceState(temp=temp, freq=p.f_nominal)
+        if kind == "phone-drop":
+            start.throttled, start.freq = throttled, p.f_throttled if throttled else p.f_nominal
+        else:
+            governor(p)(start)
+        assert start.throttled == throttled
+        # The edge is reached within 0.7 s: it raises an event, or (the
+        # pi-pin floor, which raises none) the temperature ends past it.
+        probe = DeviceState(**vars(start))
+        assert advance(probe, source, 0.7) or (start.temp - edge) * (probe.temp - edge) < 0.0
+        self.check(p, source, start, a, b)
+
+    @pytest.mark.parametrize("kind", ["phone-drop", "pi-pin"])
+    def test_random_intervals(self, kind):
+        # States reached by heating from ambient, so each is one the
+        # governor can produce, then split at a random point; the 1 W curve
+        # lets intervals also cool back across the edges.
+        p = self.drop_profile() if kind == "phone-drop" else self.pin_profile()
+        rng = random.Random(20240)
+        sources = [HeatSource(p, lambda f, w=w: w * f / p.f_nominal)
+                   for w in (1.0, 5.9, 11.0, 15.0, 20.0)]
+        crossed = 0
+        for _ in range(1000):
+            start = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
+            advance(start, rng.choice(sources), rng.uniform(1.0, 3000.0))
+            a, b = (10.0 ** rng.uniform(-3.0, 2.5) for _ in range(2))
+            crossed += bool(self.check(p, rng.choice(sources), start, a, b))
+        assert crossed >= 50
+
+
 class TestPinGovernorRule:
     """The branch form of the pi-pin rule equals the clamp form bit for bit."""
 
