@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice, product
-from math import isfinite
+from math import copysign, isfinite
 
 from .controller import ControllerConfig, Decision, Mode, ShiftController
 from .errors import ScenarioError, TraceFormatError, non_finite_fields, write_text
@@ -84,34 +84,56 @@ class Trace(list):
     """An ordered list of TraceRecords."""
 
 
-def _row_format(blanks) -> str:
+def _formats(template, blanks):
     # "%.0s" prints any value, None included, as nothing: a blank column.
-    avg, grad, freq, latency, idle = ("%.0s" if blank else "%.6g" for blank in blanks)
-    return f"%.6g,%.6g,{avg},{grad},{freq},%s,{latency},{idle},%s,%.6g\n"
+    return template.format(*("%.0s" if blank else "%.6g" for blank in blanks))
 
 
-# One row format per pattern of blank optional columns, keyed by which of
-# avg_temp, grad, freq, inference_latency and idle are None.
-_ROW_FORMATS = {blanks: _row_format(blanks) for blanks in product((False, True), repeat=5)}
+# The formats of a row's "head" (sim_time to grad, then the tail text and
+# the overhead), keyed by which of avg_temp and grad are None, and of its
+# "tail" (freq to event), keyed by which of freq, inference_latency and
+# idle are None.
+_HEAD_FORMATS = {blanks: _formats("%.6g,%.6g,{},{},%s%.6g\n", blanks)
+                 for blanks in product((False, True), repeat=2)}
+_TAIL_FORMATS = {blanks: _formats("{},%s,{},{},%s,", blanks)
+                 for blanks in product((False, True), repeat=3)}
 
 _ROWS_PER_BLOCK = 1024  # rows that emit_trace formats, joins and writes at a time
+_TAILS_HELD = 256  # distinct tails that one emit_trace or parse_trace call keeps
 
 
 def _csv_blocks(trace):
-    """The trace's CSV text: the header line, then one string per ``_ROWS_PER_BLOCK`` rows."""
+    """The trace's CSV text: the header line, then one string per ``_ROWS_PER_BLOCK`` rows.
+
+    Tails are looked up by value, and ``-0.0 == 0.0``, so the key also
+    holds a zero ``idle``'s sign, and a tail with a nan, or with a zero
+    ``freq`` or ``inference_latency``, is never kept.
+    """
     yield CSV_HEADER + "\n"
+    tails = {}
+    both = _HEAD_FORMATS[False, False]
     rows = iter(trace)
     while True:
         lines = []
+        append = lines.append
         for r in islice(rows, _ROWS_PER_BLOCK):
-            avg, grad, freq, latency, idle = (
-                r.avg_temp, r.grad, r.freq, r.inference_latency, r.idle)
-            row_format = _ROW_FORMATS[
-                avg is None, grad is None, freq is None, latency is None, idle is None]
+            freq, latency, idle = r.freq, r.inference_latency, r.idle
             # ``_name_`` is the member's plain instance attribute; ``.name`` is
             # an enum property, a Python-level call on every row.
-            lines.append(row_format % (r.sim_time, r.cpu_temp, avg, grad, freq, r.mode._name_,
-                                       latency, idle, r.event, r.overhead))
+            key = (freq, r.mode._name_, latency, idle, r.event, idle == 0 and copysign(1.0, idle))
+            tail = tails.get(key)
+            if tail is None:
+                tail = _TAIL_FORMATS[freq is None, latency is None, idle is None] % key[:5]
+                # No nan (None == None; nan != nan), and no zero freq or latency,
+                # whose sign the key does not hold.
+                if freq == freq != 0 and latency == latency != 0 and idle == idle:
+                    if len(tails) >= _TAILS_HELD:
+                        tails.clear()
+                    tails[key] = tail
+            avg, grad = r.avg_temp, r.grad
+            head = both if avg is not None and grad is not None else _HEAD_FORMATS[
+                avg is None, grad is None]
+            append(head % (r.sim_time, r.cpu_temp, avg, grad, tail, r.overhead))
         if not lines:
             return
         yield "".join(lines)
@@ -121,9 +143,14 @@ def emit_trace(trace: Trace, path) -> None:
     """Write the trace as CSV: fixed header, floats at 6 significant digits.
 
     Rows are formatted and written ``_ROWS_PER_BLOCK`` at a time, so the
-    writer holds one block of text, never the whole file. A record that
-    cannot be formatted raises after the blocks before it were written,
-    leaving a partial file behind.
+    writer holds one block of text, never the whole file. A row's tail,
+    ``freq``, ``mode``, ``inference_latency``, ``idle`` and ``event``, is
+    formatted once per distinct value and call, and reused from a table
+    of at most ``_TAILS_HELD`` texts, emptied when full, so a trace whose
+    tails never repeat holds no more than that. The other five columns
+    are formatted on every row: each shift draws its own ``overhead``.
+    A record that cannot be formatted raises after the blocks before it
+    were written, leaving a partial file behind.
     """
     write_text(path, _csv_blocks(trace), "trace", TraceFormatError)
 
@@ -131,8 +158,10 @@ def emit_trace(trace: Trace, path) -> None:
 _MODES = {mode.name: mode for mode in Mode}
 
 # ``overhead`` is 0 on every row but a shift's, and each shift draws its own
-# value: the zeros share one float, the rest convert as they come.
-_NO_OVERHEAD = frozenset(("", "0"))
+# value: the zeros share one float, the rest convert as they come. A row's
+# last column may still end in its newline.
+_NO_OVERHEAD = frozenset(("", "0", "\n", "0\n"))
+_FLOATS_HELD = 512  # distinct texts that one parse shares a float for
 
 
 class _Floats(dict):
@@ -142,15 +171,19 @@ class _Floats(dict):
     the first time. Keyed by text, not by value, so ``"-0"`` and ``"0"``
     stay distinct. Text that ``float`` refuses raises its usual
     ``ValueError``, and so does text that it reads as nan or infinite
-    (``nan``, ``inf``, ``1e999``), which is not stored.
+    (``nan``, ``inf``, ``1e999``), which is not stored. A blank text is
+    None. It holds at most ``_FLOATS_HELD`` texts and is emptied when
+    full, so a column that never repeats holds no more than that.
     """
 
     __slots__ = ()
 
     def __missing__(self, text):
-        value = float(text)
-        if not isfinite(value):
+        value = float(text) if text else None
+        if value is not None and not isfinite(value):
             raise ValueError(f"{text!r} is not finite")
+        if len(self) >= _FLOATS_HELD:
+            self.clear()
         self[text] = value
         return value
 
@@ -168,7 +201,10 @@ def parse_trace(path) -> Trace:
     ``inference_latency``, ``idle``) share one float object per distinct
     text, every zero ``overhead`` is one float, and ``event`` is the
     module's own string, so a parsed trace holds little more than one run
-    of ``run_scenario``.
+    of ``run_scenario``. A row's tail text (``freq`` to ``event``) is
+    checked and converted once per distinct text, and each row after that
+    converts only ``sim_time``, ``cpu_temp``, ``avg_temp``, ``grad`` and
+    ``overhead``.
 
     A file is parsed in one pass, line by line, without holding its text.
     After a header or row error, or a byte that does not decode, it is
@@ -218,50 +254,91 @@ def _row_problem(fields) -> str | None:
 def _parse_lines(path, lines) -> Trace:
     """Parse the header and rows of ``lines``; each may end in ``"\\n"``.
 
-    Each row is converted first and judged by its values: ``_Floats``
+    A row is split at its first four commas and its last one. The text
+    between them, its tail, maps to the values of a row that held that
+    very text and passed every check, so only the other five columns
+    convert, and one ``isfinite`` of their sum checks them. A blank line,
+    a tail not seen yet or a value that fails takes ``_checked_row``, the
+    full ten-column path, which words every error; its tail is then kept
+    in a table of at most ``_TAILS_HELD`` texts, emptied when full, so a
+    trace whose tails never repeat holds no more than that.
+    """
+    lines = iter(lines)
+    if next(lines, "").rstrip("\n") != CSV_HEADER:
+        raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
+    repeated = _Floats()  # freq, inference_latency and idle
+    tails = {}  # tail text -> (freq, mode, inference_latency, idle, event)
+    get = tails.get
+    trace = Trace()
+    append = trace.append
+    for n, line in enumerate(lines, start=2):
+        try:
+            sim_time, cpu_temp, avg, grad, tail = line.split(",", 4)
+            tail, _, overhead = tail.rpartition(",")
+            values = get(tail)
+            record = values and TraceRecord(  # None for a tail not seen yet
+                float(sim_time),
+                float(cpu_temp),
+                float(avg) if avg else None,
+                float(grad) if grad else None,
+                *values,
+                0.0 if overhead in _NO_OVERHEAD else float(overhead),
+            )
+        except ValueError:
+            record = None
+        if record is None or not isfinite(record.sim_time + record.cpu_temp + record.overhead
+                                          + (record.avg_temp or 0.0) + (record.grad or 0.0)):
+            record = _checked_row(path, n, line, repeated)
+            if record is None:
+                continue
+            # Only a ten-column row gives a record, and the split above took it
+            # apart, so ``tail`` is this row's.
+            if len(tails) >= _TAILS_HELD:
+                tails.clear()
+            tails[tail] = (record.freq, record.mode, record.inference_latency, record.idle,
+                           record.event)
+        append(record)
+    return trace
+
+
+def _checked_row(path, n, line, repeated) -> TraceRecord | None:
+    """The record of line ``n``, or None for a blank line, by the full path.
+
+    The row is converted first and judged by its values: ``repeated``
     refuses a shared column that is not finite, and one ``isfinite`` of
     the sum of the other floats checks the rest. A row that fails to
     convert or check takes its message from ``_row_problem``, which finds
     nothing when finite values only overflow the sum; that row is kept.
     """
-    lines = iter(lines)
-    if next(lines, "").rstrip("\n") != CSV_HEADER:
-        raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
-    repeated = _Floats({"": None})  # freq, inference_latency and idle: blank is None
-    trace = Trace()
-    append = trace.append
-    for n, line in enumerate(lines, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(",")
-        try:
-            sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = fields
-        except ValueError:
-            raise TraceFormatError(
-                f"{path}:{n}: expected 10 columns, got {len(fields)}") from None
-        try:
-            record = TraceRecord(
-                float(sim_time),
-                float(cpu_temp),
-                float(avg) if avg else None,
-                float(grad) if grad else None,
-                repeated[freq],
-                _MODES[mode],
-                repeated[latency],
-                repeated[idle],
-                _EVENTS[event],
-                0.0 if overhead in _NO_OVERHEAD else float(overhead),
-            )
-        except (ValueError, KeyError):
-            record = None
-        if record is None or not isfinite(record.sim_time + record.cpu_temp + record.overhead
-                                          + (record.avg_temp or 0.0) + (record.grad or 0.0)):
-            problem = _row_problem(fields)
-            if problem:
-                raise TraceFormatError(f"{path}:{n}: {problem}")
-        append(record)
-    return trace
+    line = line.rstrip("\n")
+    if not line:
+        return None
+    fields = line.split(",")
+    try:
+        sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = fields
+    except ValueError:
+        raise TraceFormatError(f"{path}:{n}: expected 10 columns, got {len(fields)}") from None
+    try:
+        record = TraceRecord(
+            float(sim_time),
+            float(cpu_temp),
+            float(avg) if avg else None,
+            float(grad) if grad else None,
+            repeated[freq],
+            _MODES[mode],
+            repeated[latency],
+            repeated[idle],
+            _EVENTS[event],
+            0.0 if overhead in _NO_OVERHEAD else float(overhead),
+        )
+    except (ValueError, KeyError):
+        record = None
+    if record is None or not isfinite(record.sim_time + record.cpu_temp + record.overhead
+                                      + (record.avg_temp or 0.0) + (record.grad or 0.0)):
+        problem = _row_problem(fields)
+        if problem:
+            raise TraceFormatError(f"{path}:{n}: {problem}")
+    return record
 
 
 @dataclass(frozen=True)

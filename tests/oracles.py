@@ -3,13 +3,17 @@
 Each is the plain form of an idea that ``src/`` holds once, in a faster
 shape: the controller's two filters (``observe_reading`` inlines them),
 the run's random draws (``run_scenario`` takes them from one
-``normal_stream``), the row-event pick, the whole controller update and
-the whole row loop. No program path calls them; the lockstep tests
-require the lean code to equal them bit for bit. Tests import this
-module as they import ``conftest``; it holds no tests.
+``normal_stream``), the row-event pick, the whole controller update, the
+whole row loop, and the trace CSV's row formatting and row parsing
+(``emit_trace`` and ``parse_trace`` handle each distinct tail once). No
+program path calls them; the lockstep tests require the lean code to
+equal them bit for bit. Tests import this module as they import
+``conftest``; it holds no tests.
 """
 
 import random
+from itertools import product
+from math import isfinite
 
 from thermoshift.controller import (
     WARMUP_MIN_SAMPLES,
@@ -18,7 +22,17 @@ from thermoshift.controller import (
     ShiftController,
     TemperatureSample,
 )
-from thermoshift.harness import Trace, TraceRecord
+from thermoshift.errors import TraceFormatError
+from thermoshift.harness import (
+    CSV_HEADER,
+    _EVENTS,
+    _MODES,
+    _NO_OVERHEAD,
+    Trace,
+    TraceRecord,
+    _Floats,
+    _row_problem,
+)
 from thermoshift.thermal import (
     EVENT_THROTTLE_OFF,
     EVENT_THROTTLE_ON,
@@ -186,4 +200,71 @@ def reference_run(scenario, split=False):
             overhead,
             log_dt,
         ))
+    return trace
+
+
+def _row_format(blanks) -> str:
+    # "%.0s" prints any value, None included, as nothing: a blank column.
+    avg, grad, freq, latency, idle = ("%.0s" if blank else "%.6g" for blank in blanks)
+    return f"%.6g,%.6g,{avg},{grad},{freq},%s,{latency},{idle},%s,%.6g\n"
+
+
+# One row format per pattern of blank optional columns, keyed by which of
+# avg_temp, grad, freq, inference_latency and idle are None.
+_ROW_FORMATS = {blanks: _row_format(blanks) for blanks in product((False, True), repeat=5)}
+
+
+def reference_csv_text(trace) -> str:
+    """The text ``emit_trace`` writes, as it was formed before the tail
+    table: every row is one ``%`` over all ten columns."""
+    lines = [CSV_HEADER + "\n"]
+    for r in trace:
+        avg, grad, freq, latency, idle = r.avg_temp, r.grad, r.freq, r.inference_latency, r.idle
+        row_format = _ROW_FORMATS[
+            avg is None, grad is None, freq is None, latency is None, idle is None]
+        lines.append(row_format % (r.sim_time, r.cpu_temp, avg, grad, freq, r.mode._name_,
+                                   latency, idle, r.event, r.overhead))
+    return "".join(lines)
+
+
+def reference_parse_lines(path, lines) -> Trace:
+    """``parse_trace``'s parse of ``lines``, as it was before the tail table:
+    every row is split into its ten columns, converted, and judged by its
+    values, and a row that fails takes its message from ``_row_problem``."""
+    lines = iter(lines)
+    if next(lines, "").rstrip("\n") != CSV_HEADER:
+        raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
+    repeated = _Floats({"": None})  # freq, inference_latency and idle: blank is None
+    trace = Trace()
+    for n, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = fields
+        except ValueError:
+            raise TraceFormatError(
+                f"{path}:{n}: expected 10 columns, got {len(fields)}") from None
+        try:
+            record = TraceRecord(
+                float(sim_time),
+                float(cpu_temp),
+                float(avg) if avg else None,
+                float(grad) if grad else None,
+                repeated[freq],
+                _MODES[mode],
+                repeated[latency],
+                repeated[idle],
+                _EVENTS[event],
+                0.0 if overhead in _NO_OVERHEAD else float(overhead),
+            )
+        except (ValueError, KeyError):
+            record = None
+        if record is None or not isfinite(record.sim_time + record.cpu_temp + record.overhead
+                                          + (record.avg_temp or 0.0) + (record.grad or 0.0)):
+            problem = _row_problem(fields)
+            if problem:
+                raise TraceFormatError(f"{path}:{n}: {problem}")
+        trace.append(record)
     return trace

@@ -2,8 +2,8 @@
 ``Trace`` as a list, ``Summary.to_dict``, the decision values as row
 events, the live loop's pacing sleep and clock reads, the governor
 table, the profile and controller constants read once per run, and the
-one-pass controller update (through both entry points) and ``live_run``
-loop against their reference forms."""
+one-pass controller update (through both entry points), ``live_run``
+loop and trace CSV rows against their reference forms."""
 
 import dataclasses
 import itertools
@@ -12,23 +12,32 @@ import random
 
 import pytest
 
-from conftest import phone_scenario
-from oracles import pick_event, reference_observe
+from conftest import phone_scenario, pi_sweep_scenario
+from oracles import pick_event, reference_csv_text, reference_observe, reference_parse_lines
 
+from thermoshift import harness
 from thermoshift.analysis import Summary, summarize
-from thermoshift.controller import ControllerConfig, Decision, ShiftController, TemperatureSample
-from thermoshift.errors import SampleError, SensorReadError, SourceExhausted
+from thermoshift.config import build_scenario
+from thermoshift.controller import (
+    ControllerConfig,
+    Decision,
+    Mode,
+    ShiftController,
+    TemperatureSample,
+)
+from thermoshift.errors import SampleError, SensorReadError, SourceExhausted, TraceFormatError
 from thermoshift.harness import (
     EVENT_NONE,
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
     Trace,
+    TraceRecord,
     emit_trace,
     parse_trace,
     run_scenario,
 )
 from thermoshift.sensors import ReplaySource, live_run
-from thermoshift.suites import PHONE_PROFILE, PI_PROFILE
+from thermoshift.suites import PHONE_PROFILE, PI_PROFILE, SUITE_NAMES
 from thermoshift.thermal import DeviceProfile, DeviceState, HeatSource, advance
 
 # Attributes that are not filter state: the config, the mode and the
@@ -342,3 +351,135 @@ class TestGovernorTable:
         state.temp = p.t_throttle + 0.5
         pinned_rate, pinned_eq, edge = source.band(state)
         assert pinned_rate > rate and p.t_throttle < pinned_eq and edge is None
+
+
+def record_bits(record):
+    """Every field of a TraceRecord, floats as their hex text (so -0.0 != 0.0,
+    and nan == nan)."""
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in (getattr(record, f.name) for f in dataclasses.fields(record))]
+
+
+def suite_hour(suite_name, seed, baseline):
+    config = {"suite": suite_name, "seed": seed, "duration": 3600.0}
+    if not baseline:
+        config["controller"] = "default"
+    return run_scenario(build_scenario(config))
+
+
+def live_replay():
+    """``live_run`` over the seed-0 phone hour: freq, latency and idle are blank."""
+    scenario = phone_scenario(duration=3600.0, seed=0)
+    return live_run(ReplaySource.from_trace(run_scenario(scenario)), scenario.controller,
+                    period=0.25, sleep=lambda s: None, clock=fake_clock())
+
+
+def pinned_hours():
+    """Two hours of the pi-sweep device with no controller: freq sags row by row."""
+    return run_scenario(dataclasses.replace(pi_sweep_scenario(), controller=None,
+                                            duration=7200.0))
+
+
+EVENTS = tuple(harness._EVENTS)
+
+
+def hand_built(finite):
+    """Records that hold signed zeros, int and bool values and every pattern of
+    blank optional columns, with nan and infinities unless ``finite``; each
+    tail comes back with the other zero sign, and the whole list twice."""
+    rng = random.Random(25)
+    optional = [None, 0.0, -0.0, 0, False, 1, True, 2.86, -1.5, 1e-300]
+    required = [0.0, -0.0, 0, 3, 72.5, -40.25, 1e300]
+    if not finite:
+        optional += [math.nan, math.inf, -math.inf]
+        required += [math.nan, -math.inf]
+    records = []
+    for i, blanks in enumerate(itertools.product((False, True), repeat=5)):
+        for _ in range(8):
+            avg, grad, freq, latency, idle = (None if blank else rng.choice(optional[1:])
+                                              for blank in blanks)
+            records.append(TraceRecord(rng.choice(required), rng.choice(required), avg, grad,
+                                       freq, rng.choice(list(Mode)), latency, idle,
+                                       EVENTS[i % 5], rng.choice(required[:4])))
+    for _ in range(400):
+        records.append(TraceRecord(*(rng.choice(required) for _ in range(2)),
+                                   *(rng.choice(optional) for _ in range(3)),
+                                   rng.choice(list(Mode)), rng.choice(optional),
+                                   rng.choice(optional), rng.choice(EVENTS),
+                                   rng.choice(required)))
+    flipped = [dataclasses.replace(r, **{name: -value for name in ("freq", "inference_latency",
+                                                                  "idle", "overhead")
+                                         if (value := getattr(r, name)) == 0.0
+                                         and type(value) is float})
+               for r in records]
+    return Trace(records + flipped + records)
+
+
+CORPUS = {
+    **{f"{name}-{seed}-{'baseline' if baseline else 'controller'}":
+       (lambda name=name, seed=seed, baseline=baseline: suite_hour(name, seed, baseline))
+       for name in SUITE_NAMES for seed in (0, 8675309) for baseline in (False, True)},
+    "live-replay": live_replay,
+    "pinned-2h": pinned_hours,
+    "hand-built-finite": lambda: hand_built(finite=True),
+    "hand-built": lambda: hand_built(finite=False),
+}
+
+
+def parse_outcome(parse, path, *lines):
+    """The bits of every record ``parse`` gives, or the message it raises."""
+    try:
+        return [record_bits(r) for r in parse(path, *lines)]
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+def reference_parse(path):
+    with open(path) as fh:
+        return reference_parse_lines(path, fh)
+
+
+class TestTraceCsvLockstep:
+    """``emit_trace`` formats each distinct tail once and ``parse_trace``
+    converts each distinct tail text once; both equal the ten-column
+    reference forms byte for byte and bit for bit."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_bytes_and_records_equal_the_reference(self, tmp_path, name):
+        trace = CORPUS[name]()
+        path = tmp_path / "t.csv"
+        emit_trace(trace, path)
+        with open(path, newline="") as fh:
+            assert fh.read() == reference_csv_text(trace)
+        outcome = parse_outcome(parse_trace, path)
+        assert outcome == parse_outcome(reference_parse, path)
+        assert name == "hand-built" or len(outcome) == len(trace)
+
+    def test_each_row_before_and_after_its_tail_is_seen(self, tmp_path):
+        """Every hand-built row, non-finite ones included, read as the first
+        row and again after a finite row with the same tail text (freq to
+        event), gives the reference's records or message."""
+        path = tmp_path / "t.csv"
+        emit_trace(hand_built(finite=False), path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        cached = 0  # rows read after a good row with their tail
+        for row in dict.fromkeys(rows):
+            seen = ",".join(["1", "50", "", "", *row.split(",")[4:9], "0\n"])
+            for lines in ([header, row], [header, seen, row]):
+                outcome = parse_outcome(harness._parse_lines, path, lines)
+                assert outcome == parse_outcome(reference_parse_lines, path, lines)
+            cached += isinstance(parse_outcome(harness._parse_lines, path, [header, seen]), list)
+        assert 100 < cached < len(set(rows))
+
+    def test_hand_built_corpus_covers_the_cases(self):
+        trace = hand_built(finite=False)
+        values = [getattr(r, name) for r in trace
+                  for name in ("freq", "inference_latency", "idle", "overhead")]
+        assert {math.copysign(1.0, v) for v in values if v == 0.0 and type(v) is float} == {
+            -1.0, 1.0}
+        assert any(v != v for v in values)
+        assert {type(v) for v in values} >= {float, int, bool, type(None)}
+        blanks = {tuple(getattr(r, name) is None for name in ("avg_temp", "grad", "freq",
+                                                              "inference_latency", "idle"))
+                  for r in trace}
+        assert len(blanks) == 32
