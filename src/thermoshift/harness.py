@@ -161,31 +161,6 @@ _MODES = {mode.name: mode for mode in Mode}
 # value: the zeros share one float, the rest convert as they come. A row's
 # last column may still end in its newline.
 _NO_OVERHEAD = frozenset(("", "0", "\n", "0\n"))
-_FLOATS_HELD = 512  # distinct texts that one parse shares a float for
-
-
-class _Floats(dict):
-    """Column text -> finite float, one float object per distinct text.
-
-    A repeated text is one C-level subscript and yields the object made
-    the first time. Keyed by text, not by value, so ``"-0"`` and ``"0"``
-    stay distinct. Text that ``float`` refuses raises its usual
-    ``ValueError``, and so does text that it reads as nan or infinite
-    (``nan``, ``inf``, ``1e999``), which is not stored. A blank text is
-    None. It holds at most ``_FLOATS_HELD`` texts and is emptied when
-    full, so a column that never repeats holds no more than that.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, text):
-        value = float(text) if text else None
-        if value is not None and not isfinite(value):
-            raise ValueError(f"{text!r} is not finite")
-        if len(self) >= _FLOATS_HELD:
-            self.clear()
-        self[text] = value
-        return value
 
 
 def parse_trace(path) -> Trace:
@@ -197,14 +172,11 @@ def parse_trace(path) -> Trace:
     is refused: ``path:line: <column> must be finite, got <text>``.
     Within a row the first bad column from the left is reported, whether
     it does not parse or is not finite.
-    The columns that repeat from row to row (``freq``,
-    ``inference_latency``, ``idle``) share one float object per distinct
-    text, every zero ``overhead`` is one float, and ``event`` is the
-    module's own string, so a parsed trace holds little more than one run
-    of ``run_scenario``. A row's tail text (``freq`` to ``event``) is
-    checked and converted once per distinct text, and each row after that
-    converts only ``sim_time``, ``cpu_temp``, ``avg_temp``, ``grad`` and
-    ``overhead``.
+    A row's tail text (``freq`` to ``event``) is converted and checked
+    once, and the rows that repeat it share its ``freq``,
+    ``inference_latency`` and ``idle`` float objects. Every zero
+    ``overhead`` is one float and ``event`` is the module's own string,
+    so a parsed trace holds little more than one run of ``run_scenario``.
 
     A file is parsed in one pass, line by line, without holding its text.
     After a header or row error, or a byte that does not decode, it is
@@ -226,47 +198,21 @@ def parse_trace(path) -> Trace:
         raise TraceFormatError(f"cannot read trace from {path}: {exc}") from exc
 
 
-_COLUMNS = CSV_HEADER.split(",")
-_MAY_BE_BLANK = frozenset(("avg_temp", "grad", "freq", "inference_latency", "idle", "overhead"))
-
-
-def _row_problem(fields) -> str | None:
-    """What is wrong with a row's ten column texts, or None: the first
-    column from the left that is not a float, not finite or not a mode,
-    else an unknown event. Every row error but a wrong column count is
-    worded here."""
-    for name, text in zip(_COLUMNS, fields):
-        if name == "mode":
-            if text not in _MODES:
-                return repr(text)  # the KeyError's text
-        elif name != "event" and (text or name not in _MAY_BE_BLANK):
-            try:
-                value = float(text)
-            except ValueError as exc:
-                return str(exc)
-            if not isfinite(value):
-                return f"{name} must be finite, got {text}"
-    if fields[8] not in _EVENTS:
-        return f"unknown event {fields[8]!r}"
-    return None
-
-
 def _parse_lines(path, lines) -> Trace:
     """Parse the header and rows of ``lines``; each may end in ``"\\n"``.
 
     A row is split at its first four commas and its last one. The text
     between them, its tail, maps to the values of a row that held that
     very text and passed every check, so only the other five columns
-    convert, and one ``isfinite`` of their sum checks them. A blank line,
-    a tail not seen yet or a value that fails takes ``_checked_row``, the
-    full ten-column path, which words every error; its tail is then kept
-    in a table of at most ``_TAILS_HELD`` texts, emptied when full, so a
-    trace whose tails never repeat holds no more than that.
+    convert, and one ``isfinite`` of their sum checks them. A tail not
+    seen yet is converted and checked here, then kept in a table of at
+    most ``_TAILS_HELD`` texts, emptied when full, so a trace whose tails
+    never repeat holds no more than that. Any row this refuses, a blank
+    line included, goes to ``_checked_row``, which words every row error.
     """
     lines = iter(lines)
     if next(lines, "").rstrip("\n") != CSV_HEADER:
         raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
-    repeated = _Floats()  # freq, inference_latency and idle
     tails = {}  # tail text -> (freq, mode, inference_latency, idle, event)
     get = tails.get
     trace = Trace()
@@ -276,7 +222,17 @@ def _parse_lines(path, lines) -> Trace:
             sim_time, cpu_temp, avg, grad, tail = line.split(",", 4)
             tail, _, overhead = tail.rpartition(",")
             values = get(tail)
-            record = values and TraceRecord(  # None for a tail not seen yet
+            if values is None:
+                freq, mode, latency, idle, event = tail.split(",")
+                freq = float(freq) if freq else None
+                latency = float(latency) if latency else None
+                idle = float(idle) if idle else None
+                if not isfinite((freq or 0.0) + (latency or 0.0) + (idle or 0.0)):
+                    raise ValueError(tail)  # worded by ``_checked_row``
+                if len(tails) >= _TAILS_HELD:
+                    tails.clear()
+                values = tails[tail] = (freq, _MODES[mode], latency, idle, _EVENTS[event])
+            record = TraceRecord(
                 float(sim_time),
                 float(cpu_temp),
                 float(avg) if avg else None,
@@ -284,61 +240,55 @@ def _parse_lines(path, lines) -> Trace:
                 *values,
                 0.0 if overhead in _NO_OVERHEAD else float(overhead),
             )
-        except ValueError:
+        except (ValueError, KeyError):
             record = None
         if record is None or not isfinite(record.sim_time + record.cpu_temp + record.overhead
                                           + (record.avg_temp or 0.0) + (record.grad or 0.0)):
-            record = _checked_row(path, n, line, repeated)
+            record = _checked_row(path, n, line)
             if record is None:
                 continue
-            # Only a ten-column row gives a record, and the split above took it
-            # apart, so ``tail`` is this row's.
-            if len(tails) >= _TAILS_HELD:
-                tails.clear()
-            tails[tail] = (record.freq, record.mode, record.inference_latency, record.idle,
-                           record.event)
         append(record)
     return trace
 
 
-def _checked_row(path, n, line, repeated) -> TraceRecord | None:
-    """The record of line ``n``, or None for a blank line, by the full path.
+_COLUMNS = CSV_HEADER.split(",")
+_BLANKS = {**dict.fromkeys(("avg_temp", "grad", "freq", "inference_latency", "idle")),
+           "overhead": 0.0}  # what each column that may be blank reads as
 
-    The row is converted first and judged by its values: ``repeated``
-    refuses a shared column that is not finite, and one ``isfinite`` of
-    the sum of the other floats checks the rest. A row that fails to
-    convert or check takes its message from ``_row_problem``, which finds
-    nothing when finite values only overflow the sum; that row is kept.
+
+def _checked_row(path, n, line) -> TraceRecord | None:
+    """The record of line ``n``, or None for a blank line; the one judge of a row.
+
+    The row is converted column by column from the left. The first that
+    is not a float, not finite or not a mode raises, then an unknown
+    event, so every row error is worded here. A row of finite values
+    whose sum overflows, which ``_parse_lines`` refuses, passes.
     """
     line = line.rstrip("\n")
     if not line:
         return None
     fields = line.split(",")
+    if len(fields) != 10:
+        raise TraceFormatError(f"{path}:{n}: expected 10 columns, got {len(fields)}")
+    values = []
     try:
-        sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = fields
-    except ValueError:
-        raise TraceFormatError(f"{path}:{n}: expected 10 columns, got {len(fields)}") from None
-    try:
-        record = TraceRecord(
-            float(sim_time),
-            float(cpu_temp),
-            float(avg) if avg else None,
-            float(grad) if grad else None,
-            repeated[freq],
-            _MODES[mode],
-            repeated[latency],
-            repeated[idle],
-            _EVENTS[event],
-            0.0 if overhead in _NO_OVERHEAD else float(overhead),
-        )
-    except (ValueError, KeyError):
-        record = None
-    if record is None or not isfinite(record.sim_time + record.cpu_temp + record.overhead
-                                      + (record.avg_temp or 0.0) + (record.grad or 0.0)):
-        problem = _row_problem(fields)
-        if problem:
-            raise TraceFormatError(f"{path}:{n}: {problem}")
-    return record
+        for name, text in zip(_COLUMNS, fields):
+            if name == "mode":
+                values.append(_MODES[text])  # an unknown mode's message is its repr
+            elif name == "event":
+                values.append(None)  # judged after every other column
+            elif not text and name in _BLANKS:
+                values.append(_BLANKS[name])
+            elif isfinite(value := float(text)):
+                values.append(value)
+            else:
+                raise ValueError(f"{name} must be finite, got {text}")
+    except (ValueError, KeyError) as exc:
+        raise TraceFormatError(f"{path}:{n}: {exc}") from None
+    values[8] = _EVENTS.get(fields[8])
+    if values[8] is None:
+        raise TraceFormatError(f"{path}:{n}: unknown event {fields[8]!r}")
+    return TraceRecord(*values)
 
 
 @dataclass(frozen=True)

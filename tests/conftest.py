@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -49,6 +49,13 @@ def pi_sweep_scenario(seed=0, **controller):
                                "seed": seed, "controller": "default",
                                "device": {"calibration": PI_SWEEP_TARGETS}})
     return replace(scenario, controller=replace(scenario.controller, **controller))
+
+
+def record_bits(record):
+    """Every field of a TraceRecord, floats as their hex text (so -0.0 != 0.0,
+    and nan == nan)."""
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in (getattr(record, f.name) for f in fields(record))]
 
 
 @pytest.fixture

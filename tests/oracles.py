@@ -5,10 +5,12 @@ shape: the controller's two filters (``observe_reading`` inlines them),
 the run's random draws (``run_scenario`` takes them from one
 ``normal_stream``), the row-event pick, the whole controller update, the
 whole row loop, and the trace CSV's row formatting and row parsing
-(``emit_trace`` and ``parse_trace`` handle each distinct tail once). No
-program path calls them; the lockstep tests require the lean code to
-equal them bit for bit. Tests import this module as they import
-``conftest``; it holds no tests.
+(``emit_trace`` and ``parse_trace`` handle each distinct tail once). The
+row parse has its own judge, ``row_problem``, which words a row's error
+without the program's ``_checked_row``, so the two are checked against
+each other. No program path calls them; the lockstep tests require the
+lean code to equal them bit for bit. Tests import this module as they
+import ``conftest``; it holds no tests.
 """
 
 import random
@@ -25,13 +27,11 @@ from thermoshift.controller import (
 from thermoshift.errors import TraceFormatError
 from thermoshift.harness import (
     CSV_HEADER,
-    _EVENTS,
-    _MODES,
-    _NO_OVERHEAD,
+    EVENT_NONE,
+    EVENT_SHIFT_LARGE,
+    EVENT_SHIFT_SMALL,
     Trace,
     TraceRecord,
-    _Floats,
-    _row_problem,
 )
 from thermoshift.thermal import (
     EVENT_THROTTLE_OFF,
@@ -227,44 +227,71 @@ def reference_csv_text(trace) -> str:
     return "".join(lines)
 
 
+_COLUMNS = CSV_HEADER.split(",")
+_MAY_BE_BLANK = frozenset(("avg_temp", "grad", "freq", "inference_latency", "idle", "overhead"))
+_EVENTS = frozenset((EVENT_NONE, EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE, EVENT_THROTTLE_ON,
+                     EVENT_THROTTLE_OFF))
+
+
+def row_problem(fields) -> str | None:
+    """What is wrong with a row's ten column texts, or None: the first
+    column from the left that is not a float, not finite or not a mode,
+    else an unknown event, worded as ``parse_trace`` words it."""
+    for name, text in zip(_COLUMNS, fields):
+        if name == "mode":
+            if text not in Mode.__members__:
+                return repr(text)
+        elif name != "event" and (text or name not in _MAY_BE_BLANK):
+            try:
+                value = float(text)
+            except ValueError as exc:
+                return str(exc)
+            if not isfinite(value):
+                return f"{name} must be finite, got {text}"
+    if fields[8] not in _EVENTS:
+        return f"unknown event {fields[8]!r}"
+    return None
+
+
+def finite_float(text):
+    """``float(text)``, or None for a blank text; a text that is not
+    finite raises ``ValueError``."""
+    value = float(text) if text else None
+    if value is not None and not isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def reference_parse_lines(path, lines) -> Trace:
     """``parse_trace``'s parse of ``lines``, as it was before the tail table:
-    every row is split into its ten columns, converted, and judged by its
-    values, and a row that fails takes its message from ``_row_problem``."""
+    every row is split into its ten columns and judged by ``row_problem``,
+    then converted. A row the judge passes but the conversion refuses
+    raises ``ValueError``, not a message."""
     lines = iter(lines)
     if next(lines, "").rstrip("\n") != CSV_HEADER:
         raise TraceFormatError(f"{path}: missing or wrong header (want {CSV_HEADER!r})")
-    repeated = _Floats({"": None})  # freq, inference_latency and idle: blank is None
     trace = Trace()
     for n, line in enumerate(lines, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
         fields = line.split(",")
-        try:
-            sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = fields
-        except ValueError:
-            raise TraceFormatError(
-                f"{path}:{n}: expected 10 columns, got {len(fields)}") from None
-        try:
-            record = TraceRecord(
-                float(sim_time),
-                float(cpu_temp),
-                float(avg) if avg else None,
-                float(grad) if grad else None,
-                repeated[freq],
-                _MODES[mode],
-                repeated[latency],
-                repeated[idle],
-                _EVENTS[event],
-                0.0 if overhead in _NO_OVERHEAD else float(overhead),
-            )
-        except (ValueError, KeyError):
-            record = None
-        if record is None or not isfinite(record.sim_time + record.cpu_temp + record.overhead
-                                          + (record.avg_temp or 0.0) + (record.grad or 0.0)):
-            problem = _row_problem(fields)
-            if problem:
-                raise TraceFormatError(f"{path}:{n}: {problem}")
-        trace.append(record)
+        if len(fields) != 10:
+            raise TraceFormatError(f"{path}:{n}: expected 10 columns, got {len(fields)}")
+        problem = row_problem(fields)
+        if problem:
+            raise TraceFormatError(f"{path}:{n}: {problem}")
+        sim_time, cpu_temp, avg, grad, freq, mode, latency, idle, event, overhead = fields
+        trace.append(TraceRecord(
+            finite_float(sim_time),
+            finite_float(cpu_temp),
+            finite_float(avg),
+            finite_float(grad),
+            finite_float(freq),
+            Mode[mode],
+            finite_float(latency),
+            finite_float(idle),
+            event,
+            finite_float(overhead) if overhead else 0.0,
+        ))
     return trace

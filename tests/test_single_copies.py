@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import phone_scenario, pi_sweep_scenario
+from conftest import phone_scenario, pi_sweep_scenario, record_bits
 from oracles import pick_event, reference_csv_text, reference_observe, reference_parse_lines
 
 from thermoshift import harness
@@ -351,13 +351,6 @@ class TestGovernorTable:
         state.temp = p.t_throttle + 0.5
         pinned_rate, pinned_eq, edge = source.band(state)
         assert pinned_rate > rate and p.t_throttle < pinned_eq and edge is None
-
-
-def record_bits(record):
-    """Every field of a TraceRecord, floats as their hex text (so -0.0 != 0.0,
-    and nan == nan)."""
-    return [(type(v), v.hex() if isinstance(v, float) else v)
-            for v in (getattr(record, f.name) for f in dataclasses.fields(record))]
 
 
 def suite_hour(suite_name, seed, baseline):
