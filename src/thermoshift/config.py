@@ -24,6 +24,7 @@ Schema sketch::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, fields
 from typing import get_type_hints
 
@@ -272,6 +273,8 @@ def build_scenario(cfg: dict) -> Scenario:
         duration = _number("duration", cfg["duration"], problems)
     if duration is not None and duration <= 0:
         problems.append(f"duration: must be > 0, got {duration}")
+    elif duration is not None and not math.isfinite(duration):
+        problems.append(f"duration: must be finite, got {duration}")
 
     seed = cfg.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

@@ -11,11 +11,18 @@ logarithm. The constants of each band (rates, equilibria, band edges)
 depend only on the profile and the power curve, and those of the governor
 rule (trip and release points, frequency levels, gain) only on the
 profile, so a ``HeatSource`` solves both once per source, into a band
-closure and a rule closure that ``advance`` calls on every band without
-reading the profile again. A ``HeatSource`` is the one way into the
-model: ``advance(state, source, dt)`` takes nothing else. ``_GOVERNORS``
-maps each governor kind to its rule factory and its band solver, and
+closure and a rule closure that ``advance`` calls without reading the
+profile again. A ``HeatSource`` is the one way into the model:
+``advance(state, source, dt)`` takes nothing else. ``_GOVERNORS`` maps
+each governor kind to its rule factory and its band solver, and
 ``HeatSource`` alone reads it, so the kind is dispatched in one place.
+
+The rule changes the clock only at a threshold (phone-drop) or inside
+the band where its clock follows the temperature (pi-pin). So a band
+closure also marks the steady bands, where the rule provably leaves the
+state as it is, and ``advance`` runs the rule at every band edge it
+stops on but skips it where a step ends strictly inside a steady band:
+a run that the controller keeps short of the trip point calls no rule.
 
 The same band constants bound every temperature a source can carry the
 device to: a solver also returns ``hottest``, the highest temperature
@@ -41,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from math import exp, inf, isfinite, log  # module-level names for advance's per-band loop
+from math import exp, inf, isfinite, log, nextafter  # module-level names for the band loops
 
 from .errors import CalibrationError, ProfileError, non_finite_fields
 
@@ -157,11 +164,22 @@ class HeatSource:
     ``power_of_freq`` maps a frequency to input power and must be affine
     in frequency. A source holds two closures over constants read from
     the profile once, when it is built: ``rule(state)``, the profile's
-    governor rule, and ``band(state) -> (rate, t_eq, edge)``, giving the
-    relaxation rate (1/s), the equilibrium and the threshold ahead of the
-    temperature (None if none). Build one per power curve and run, and
-    pass it to every ``advance`` call of that run. A source keeps the
-    constants it was built with, so a profile changed later (by
+    governor rule, and ``band(state) -> (rate, t_eq, edge, steady)``,
+    giving the relaxation rate (1/s), the equilibrium, the threshold
+    ahead of the temperature (None if none) and ``steady``: None, or the
+    bound of a steady band, on which the rule leaves the state as it is
+    wherever the temperature lies strictly on the state's side of the
+    bound. Steady are phone-drop's bands at f_nominal, unthrottled, short
+    of the trip point and at f_throttled, throttled, above the release
+    point; pi-pin's at f_nominal, unthrottled, below the trip point; and
+    pi-pin's at f_throttled, throttled, above the floor, where the rule
+    keeps that state just above it. A state on or past a threshold, or
+    whose clock or throttle flag does not match its band, and pi-pin's
+    pinned band, whose clock follows the temperature, get None. A steady
+    band's edge is None or its bound, and the band is one tuple, built
+    once per source and returned as is. Build one source per power curve
+    and run, and pass it to every ``advance`` call of that run. A source
+    keeps the constants it was built with, so a profile changed later (by
     ``dataclasses.replace``) needs a new source.
 
     ``hottest`` is the highest temperature ``advance`` can carry a state
@@ -176,7 +194,7 @@ class HeatSource:
         self.power_of_freq = power_of_freq
         make_rule, solve = _GOVERNORS[profile.governor]
         self.rule = make_rule(profile)
-        self.band, self.hottest = solve(profile, power_of_freq)
+        self.band, self.hottest = solve(profile, power_of_freq, self.rule)
 
 
 def advance(state, source, dt) -> list[str]:
@@ -186,9 +204,10 @@ def advance(state, source, dt) -> list[str]:
     On each governor band the temperature relaxes in closed form; where
     it reaches the band's threshold it is set to the threshold exactly
     and the source's governor rule runs there, so a mid-interval
-    frequency drop also lowers the heat flowing in. The rule runs once
-    more at the end of the interval. Returns the throttle events raised
-    along the way, in order.
+    frequency drop also lowers the heat flowing in. Where the interval
+    ends, the rule runs once more, unless the temperature ends strictly
+    inside a steady band, where the rule cannot act. Returns the
+    throttle events raised along the way, in order.
     """
     if not 0.0 < dt < inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
@@ -196,9 +215,15 @@ def advance(state, source, dt) -> list[str]:
     events = []
     left = dt
     while left > 0.0:
-        rate, t_eq, edge = band(state)
+        rate, t_eq, edge, steady = band(state)
         temp = state.temp
         end = t_eq + (temp - t_eq) * exp(-rate * left)
+        # A steady band starts strictly on one side of its bound, which is
+        # its edge if it has one ahead: an end on that side too (not on the
+        # bound) ends the interval with nothing for the rule to do.
+        if steady is not None and (end - steady) * (temp - steady) > 0.0:
+            state.temp = end
+            break
         if edge is None or edge == t_eq or (edge - temp) * (end - edge) < 0.0:
             state.temp = end
             left = 0.0
@@ -220,12 +245,13 @@ def _finite_equilibria(*equilibria):
                 f"band equilibria must be finite, got {', '.join(map(str, equilibria))} C")
 
 
-def _drop_bands(profile, power_of_freq):
+def _drop_bands(profile, power_of_freq, rule):
     """Phone-drop: constant power at the current level until the next threshold.
 
     Returns ``(band, hottest)``: unthrottled, the temperature stops at the
     trip point or its equilibrium, whichever is lower; throttled, it goes
-    no higher than the throttled equilibrium.
+    no higher than the throttled equilibrium. ``rule`` is not needed: the
+    phone-drop rule acts only at its thresholds.
     """
     k, amb = profile.dissipation, profile.ambient_temp
     rate = k / profile.heat_capacity
@@ -234,28 +260,36 @@ def _drop_bands(profile, power_of_freq):
     nominal_eq = amb + power_of_freq(f_nominal) / k
     throttled_eq = amb + power_of_freq(f_throttled) / k
     _finite_equilibria(nominal_eq, throttled_eq)
+    # The steady bands: running at f_nominal short of the trip point, and
+    # held at f_throttled above the release point. The rule acts on neither.
+    running = (rate, nominal_eq, t_throttle, t_throttle)
+    held = (rate, throttled_eq, t_resume, t_resume)
 
     def band(state):
-        freq = state.freq
+        freq, temp = state.freq, state.temp
+        if state.throttled:
+            edge = t_resume
+            due = temp <= edge
+            if freq == f_throttled and not due:
+                return held
+        else:
+            edge = t_throttle
+            due = temp >= edge
+            if freq == f_nominal and not due:
+                return running
         if freq == f_nominal:
             t_eq = nominal_eq
         elif freq == f_throttled:
             t_eq = throttled_eq
         else:
             t_eq = amb + power_of_freq(freq) / k
-        if state.throttled:
-            edge = t_resume
-            due = state.temp <= edge
-        else:
-            edge = t_throttle
-            due = state.temp >= edge
         # A state already past its threshold trips the governor at once.
-        return rate, t_eq, state.temp if due else edge
+        return rate, t_eq, temp if due else edge, None
 
     return band, max(min(nominal_eq, t_throttle), throttled_eq)
 
 
-def _pin_bands(profile, power_of_freq):
+def _pin_bands(profile, power_of_freq, rule):
     """Pi-pin bands: nominal power below the trip point, throttled power
     above the frequency floor, and power affine in T in between, shedding
     ``pin_gain * dP/df`` watts per degree above the trip point.
@@ -264,33 +298,60 @@ def _pin_bands(profile, power_of_freq):
     does not lie above the trip point (so a state at the trip point takes
     the nominal band), else the pinned one if it stays below the
     frequency floor, else the throttled one (or the floor, where it
-    stops).
+    stops). ``rule``, the source's governor rule, is probed once, on the
+    first state held at f_throttled above the floor.
     """
     c, k, amb = profile.heat_capacity, profile.dissipation, profile.ambient_temp
     trip = profile.t_throttle
-    p_nom = power_of_freq(profile.f_nominal)
-    p_thr = power_of_freq(profile.f_throttled)
+    f_nominal, f_throttled = profile.f_nominal, profile.f_throttled
+    p_nom = power_of_freq(f_nominal)
+    p_thr = power_of_freq(f_throttled)
     if p_thr > p_nom:
         raise ValueError(f"power must not fall as frequency rises, got {p_nom} W at "
                          f"f_nominal and {p_thr} W at f_throttled")
-    span = profile.f_nominal - profile.f_throttled
+    span = f_nominal - f_throttled
     shed = profile.pin_gain * (p_nom - p_thr) / span
     floor = trip + span / profile.pin_gain
     free_rate, below_eq, above_eq = k / c, amb + p_nom / k, amb + p_thr / k
     pinned_eq = (p_nom + shed * trip + k * amb) / (k + shed)
     _finite_equilibria(below_eq, above_eq, pinned_eq)
     pinned_edge = trip if pinned_eq < trip else floor if pinned_eq > floor else None
-    pinned = ((k + shed) / c, pinned_eq, pinned_edge)
+    pinned = ((k + shed) / c, pinned_eq, pinned_edge, None)
+    below_edge = trip if below_eq > trip else None
+    above_edge = floor if above_eq < floor else None
+    # Below the trip point the rule keeps f_nominal, unthrottled: a steady band.
+    running = (free_rate, below_eq, below_edge, trip)
+    # The band above the floor at f_throttled, throttled, is solved on first
+    # use: most sources, such as calibration's 61 probes, never get there.
+    held = None
 
     def band(state):
         # The band the temperature is in or, on a band edge, moving into. An
         # edge counts as ahead only when the temperature is strictly short
-        # of it, so every crossing makes progress.
+        # of it, so every crossing makes progress. Only a state on its
+        # band's clock level and throttle flag takes the steady form.
+        nonlocal held
         temp = state.temp
-        if temp < trip or (temp == trip and pinned_eq <= trip):
-            return free_rate, below_eq, trip if temp < trip and below_eq > trip else None
-        if temp > floor or (temp == floor and pinned_eq >= floor):
-            return free_rate, above_eq, floor if temp > floor and above_eq < floor else None
+        if temp < trip:
+            if state.freq == f_nominal and not state.throttled:
+                return running
+            return free_rate, below_eq, below_edge, None
+        if temp == trip and pinned_eq <= trip:
+            return free_rate, below_eq, None, None
+        if temp > floor:
+            if state.freq == f_throttled and state.throttled:
+                if held is None:
+                    # The rule keeps this state wherever it does so just above
+                    # the floor, as its clock never rises with the temperature;
+                    # rounding may leave the clock an ulp off there instead.
+                    # Threads that race here solve equal tuples.
+                    probe = DeviceState(nextafter(floor, inf), f_throttled, True)
+                    floored = rule(probe) is None and probe.freq == f_throttled
+                    held = (free_rate, above_eq, above_edge, floor if floored else None)
+                return held
+            return free_rate, above_eq, above_edge, None
+        if temp == floor and pinned_eq >= floor:
+            return free_rate, above_eq, None, None
         return pinned
 
     hottest = (below_eq if pinned_eq <= trip else pinned_eq if pinned_eq <= floor
@@ -298,8 +359,8 @@ def _pin_bands(profile, power_of_freq):
     return band, hottest
 
 
-# Each governor kind's rule factory, ``rule(profile)``, and band solver;
-# the one dispatch on the kind.
+# Each governor kind's rule factory, ``rule(profile)``, and band solver,
+# ``solve(profile, power_of_freq, rule)``; the one dispatch on the kind.
 _GOVERNORS = {
     GovernorKind.PHONE_DROP: (_drop_rule, _drop_bands),
     GovernorKind.PI_PIN: (_pin_rule, _pin_bands),

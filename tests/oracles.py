@@ -1,10 +1,12 @@
 """Reference forms the lean program code is checked against.
 
 Each is the plain form of an idea that ``src/`` holds once, in a faster
-shape: the controller's two filters (``observe_reading`` inlines them),
-the run's random draws (``run_scenario`` takes them from one
-``normal_stream``), the row-event pick, the whole controller update, the
-whole row loop, and the trace CSV's row formatting and row parsing
+shape: the integrator (``advance`` skips the governor rule where a step
+ends inside a steady band), the controller's two filters
+(``observe_reading`` inlines them), the run's random draws
+(``run_scenario`` takes them from one ``normal_stream``), the row-event
+pick, the whole controller update, the whole row loop, and the trace
+CSV's row formatting and row parsing
 (``emit_trace`` and ``parse_trace`` handle each distinct tail once). The
 row parse has its own judge, ``row_problem``, which words a row's error
 without the program's ``_checked_row``, so the two are checked against
@@ -15,7 +17,7 @@ import ``conftest``; it holds no tests.
 
 import random
 from itertools import product
-from math import isfinite
+from math import exp, inf, isfinite, log
 
 from thermoshift.controller import (
     WARMUP_MIN_SAMPLES,
@@ -126,6 +128,32 @@ def pick_event(decision: Decision, governor_events) -> str:
         if EVENT_THROTTLE_OFF in governor_events:
             return EVENT_THROTTLE_OFF
     return decision.value
+
+
+def reference_advance(state, source, dt) -> list[str]:
+    """``advance`` as it stood before steady bands: it reads only the
+    first three band constants and runs the governor rule after every
+    band step, also where the step ends strictly inside a band on which
+    the rule cannot act."""
+    if not 0.0 < dt < inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    events = []
+    left = dt
+    while left > 0.0:
+        rate, t_eq, edge = source.band(state)[:3]
+        temp = state.temp
+        end = t_eq + (temp - t_eq) * exp(-rate * left)
+        if edge is None or edge == t_eq or (edge - temp) * (end - edge) < 0.0:
+            state.temp = end
+            left = 0.0
+        else:
+            state.temp = edge
+            left -= log((t_eq - temp) / (t_eq - edge)) / rate
+        event = source.rule(state)
+        if event:
+            events.append(event)
+    state.sim_time += dt
+    return events
 
 
 def reference_run(scenario, split=False):

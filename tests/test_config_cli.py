@@ -384,7 +384,7 @@ class TestNonFiniteConfig:
              "--out", str(tmp_path / "t.csv")],
             capture_output=True, text=True, timeout=60, env=env)
         assert done.returncode == 2
-        assert "duration must be finite" in done.stderr + done.stdout
+        assert "duration: must be finite" in done.stderr + done.stdout
 
     def test_nan_heat_capacity_named(self):
         device = {"profile": {

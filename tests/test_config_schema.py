@@ -158,6 +158,8 @@ EXACT_PROBLEMS = [
     ("duration-string", base(duration="1h"), ["duration: expected a number, got '1h'"]),
     ("duration-zero", base(duration=0), ["duration: must be > 0, got 0"]),
     ("duration-minus-inf", base(duration=-math.inf), ["duration: must be > 0, got -inf"]),
+    ("duration-inf", base(duration=math.inf), ["duration: must be finite, got inf"]),
+    ("duration-nan", base(duration=math.nan), ["duration: must be finite, got nan"]),
     ("seed-and-flags", base(seed=True, weight_sharing="yes", logging_overhead=0),
      ["seed: expected an integer, got True", "weight_sharing: expected a boolean",
       "logging_overhead: expected a boolean"]),

@@ -16,7 +16,7 @@ from conftest import phone_scenario, pi_sweep_scenario, record_bits
 from oracles import pick_event, reference_csv_text, reference_observe, reference_parse_lines
 
 from thermoshift import harness
-from thermoshift.analysis import Summary, summarize
+from thermoshift.analysis import Summary, cell_seed, summarize
 from thermoshift.config import build_scenario
 from thermoshift.controller import (
     ControllerConfig,
@@ -38,7 +38,13 @@ from thermoshift.harness import (
 )
 from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import PHONE_PROFILE, PI_PROFILE, SUITE_NAMES
-from thermoshift.thermal import DeviceProfile, DeviceState, HeatSource, advance
+from thermoshift.thermal import (
+    EVENT_THROTTLE_ON,
+    DeviceProfile,
+    DeviceState,
+    HeatSource,
+    advance,
+)
 
 # Attributes that are not filter state: the config, the mode and the
 # telemetry that survives a reset.
@@ -326,31 +332,136 @@ class TestLiveRunSubstitutions:
 
 
 class TestGovernorTable:
-    """A ``HeatSource`` holds one band closure over constants solved once."""
+    """A ``HeatSource`` holds one band closure over constants solved once.
+    A band is ``(rate, t_eq, edge, steady)``; ``steady`` is the bound of a
+    band on which the rule cannot act, or None. A steady band is one tuple,
+    built once per source and returned as is."""
 
     def test_phone_drop_band(self):
         p = PHONE_PROFILE
-        watts = {p.f_nominal: 6.0, p.f_throttled: 4.3}
+        watts = {p.f_nominal: 6.0, p.f_throttled: 4.3, 2.5: 5.0}
         source = HeatSource(p, lambda f: watts[f])
         rate = p.dissipation / p.heat_capacity
         nominal_eq = p.ambient_temp + 6.0 / p.dissipation
         throttled_eq = p.ambient_temp + 4.3 / p.dissipation
+        # Steady: at f_nominal short of the trip point, and at f_throttled,
+        # throttled, above the release point.
         state = DeviceState(temp=50.0, freq=p.f_nominal)
-        assert source.band(state) == (rate, nominal_eq, p.t_throttle)
+        running = source.band(state)
+        assert running == (rate, nominal_eq, p.t_throttle, p.t_throttle)
+        state.temp = math.nextafter(p.t_throttle, -math.inf)
+        assert source.band(state) is running
         state.temp, state.freq, state.throttled = 70.0, p.f_throttled, True
-        assert source.band(state) == (rate, throttled_eq, p.t_resume)
-        state.temp = p.t_resume - 1.0  # past its threshold: due at once
-        assert source.band(state) == (rate, throttled_eq, state.temp)
+        held = source.band(state)
+        assert held == (rate, throttled_eq, p.t_resume, p.t_resume)
+        state.temp = 90.0
+        assert source.band(state) is held
+        # Not steady: past the threshold (due at once), on it, or on a
+        # clock or throttle flag that does not match the band.
+        state.temp = p.t_resume - 1.0
+        assert source.band(state) == (rate, throttled_eq, state.temp, None)
+        state.temp = p.t_resume
+        assert source.band(state) == (rate, throttled_eq, p.t_resume, None)
+        state = DeviceState(temp=p.t_throttle, freq=p.f_nominal)
+        assert source.band(state) == (rate, nominal_eq, p.t_throttle, None)
+        state = DeviceState(temp=50.0, freq=p.f_throttled)
+        assert source.band(state) == (rate, throttled_eq, p.t_throttle, None)
+        state = DeviceState(temp=70.0, freq=p.f_nominal, throttled=True)
+        assert source.band(state) == (rate, nominal_eq, p.t_resume, None)
+        state = DeviceState(temp=50.0, freq=2.5)
+        assert source.band(state) == (rate, p.ambient_temp + 5.0 / p.dissipation,
+                                      p.t_throttle, None)
 
     def test_pi_pin_band(self):
         p = PI_PROFILE
         source = HeatSource(p, lambda f: 8.0 * f / p.f_nominal)
         rate = p.dissipation / p.heat_capacity
+        below_eq = p.ambient_temp + 8.0 / p.dissipation
+        above_eq = p.ambient_temp + 8.0 * p.f_throttled / p.f_nominal / p.dissipation
+        floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
+        # Steady below the trip point at f_nominal, unthrottled.
         state = DeviceState(temp=40.0, freq=p.f_nominal)
-        assert source.band(state) == (rate, p.ambient_temp + 8.0 / p.dissipation, p.t_throttle)
-        state.temp = p.t_throttle + 0.5
-        pinned_rate, pinned_eq, edge = source.band(state)
+        running = source.band(state)
+        assert running == (rate, below_eq, p.t_throttle, p.t_throttle)
+        state.temp = math.nextafter(p.t_throttle, -math.inf)
+        assert source.band(state) is running
+        # Steady above the floor at f_throttled, throttled.
+        state = DeviceState(temp=floor + 1.0, freq=p.f_throttled, throttled=True)
+        held = source.band(state)
+        assert held == (rate, above_eq, floor, floor)
+        state.temp = floor + 30.0
+        assert source.band(state) is held
+        # The pinned band is never steady: its clock follows the temperature.
+        state = DeviceState(temp=p.t_throttle + 0.5, freq=p.f_nominal)
+        pinned_rate, pinned_eq, edge, steady = source.band(state)
         assert pinned_rate > rate and p.t_throttle < pinned_eq and edge is None
+        assert steady is None
+        state.freq, state.throttled = p.f_throttled, True
+        assert source.band(state)[3] is None
+        # Nor a band whose state's clock or throttle flag does not match it.
+        for freq, throttled in [(p.f_throttled, True), (p.f_nominal, True), (1.0, False)]:
+            state = DeviceState(temp=40.0, freq=freq, throttled=throttled)
+            assert source.band(state) == (rate, below_eq, p.t_throttle, None)
+        for freq, throttled in [(p.f_nominal, False), (p.f_throttled, False), (1.0, True)]:
+            state = DeviceState(temp=floor + 1.0, freq=freq, throttled=throttled)
+            assert source.band(state) == (rate, above_eq, floor, None)
+
+class TestRuleCalledWhereItActs:
+    """``advance`` runs a source's governor rule only where it can act. The
+    controller keeps both benchmark workloads short of the trip point, so
+    their runs call no rule at all; where the governor does act, every
+    call raises an event."""
+
+    @staticmethod
+    def rule_calls(monkeypatch, scenario):
+        """(trace, [event of each rule call]) of a run whose heat sources
+        count their rule calls."""
+        calls = []
+        heat_sources = harness._heat_sources
+
+        def counted(rule):
+            def rule_counted(state):
+                calls.append(rule(state))
+                return calls[-1]
+            return rule_counted
+
+        def counting_sources(scenario):
+            sources = heat_sources(scenario)
+            for source in sources:
+                source.rule = counted(source.rule)
+            return sources
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_heat_sources", counting_sources)
+            trace = run_scenario(scenario)
+        return trace, calls
+
+    def test_phone_hour_calls_no_rule(self, monkeypatch):
+        scenario = build_scenario({"suite": "slimmable-resnet50-phone", "seed": 0,
+                                   "duration": 3600.0, "controller": "default"})
+        trace, calls = self.rule_calls(monkeypatch, scenario)
+        # A rule call after every band step made 13,528 calls here.
+        assert len(trace) == 8620 and calls == []
+
+    def test_pi_sweep_cell_calls_no_rule(self, monkeypatch):
+        cell = pi_sweep_scenario(temp_threshold=75.0, grad_threshold=-0.01)
+        cell = dataclasses.replace(cell, seed=cell_seed(0, 75.0, -0.01),
+                                   stop_after_small_shifts=3)
+        trace, calls = self.rule_calls(monkeypatch, cell)
+        # A rule call after every band step made 430 calls here.
+        assert sum(r.event == EVENT_SHIFT_SMALL for r in trace) == 3 and calls == []
+
+    def test_baseline_hour_calls_only_to_act(self, monkeypatch):
+        scenario = build_scenario({"suite": "slimmable-resnet50-phone", "seed": 0,
+                                   "duration": 3600.0})
+        trace, calls = self.rule_calls(monkeypatch, scenario)
+        # The device trips once and its throttled equilibrium lies above the
+        # release point: one call, where a call after every band step made
+        # 12,342 calls that raised the same one event.
+        assert calls == [EVENT_THROTTLE_ON]
+        assert sum(r.event == EVENT_THROTTLE_ON for r in trace) == 1
+        assert [record_bits(r) for r in trace] == [record_bits(r)
+                                                   for r in run_scenario(scenario)]
 
 
 def suite_hour(suite_name, seed, baseline):

@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+from oracles import reference_advance
+
 from thermoshift.errors import CalibrationError, ProfileError
 from thermoshift.thermal import (
     EVENT_THROTTLE_OFF,
@@ -741,6 +743,160 @@ class TestSplitIntervalEqualsWhole:
             a, b = (10.0 ** rng.uniform(-3.0, 2.5) for _ in range(2))
             crossed += bool(self.check(p, rng.choice(sources), start, a, b))
         assert crossed >= 50
+
+
+def power_for(p, t_eq):
+    """A power whose band equilibrium ``ambient + P / k`` is ``t_eq`` to the bit."""
+    power = (t_eq - p.ambient_temp) * p.dissipation
+    for _ in range(64):
+        got = p.ambient_temp + power / p.dissipation
+        if got == t_eq:
+            return power
+        power = math.nextafter(power, math.inf if got < t_eq else -math.inf)
+    raise AssertionError(f"no power puts the equilibrium on {t_eq}")
+
+
+def state_bits(state):
+    """A state's fields, floats as their hex text."""
+    return state.temp.hex(), state.freq.hex(), state.throttled, state.sim_time.hex()
+
+
+def two_level(p, p_nom, p_thr):
+    """A power curve with ``p_nom`` at f_nominal, ``p_thr`` at f_throttled
+    and the line through them in between."""
+    slope = (p_nom - p_thr) / (p.f_nominal - p.f_throttled)
+
+    def power_of_freq(f):
+        if f == p.f_nominal:
+            return p_nom
+        if f == p.f_throttled:
+            return p_thr
+        return p_thr + (f - p.f_throttled) * slope
+
+    return power_of_freq
+
+
+def pin_floor(p):
+    """The pi-pin frequency floor, as the band solver computes it."""
+    return p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
+
+
+class TestAdvanceLockstep:
+    """``advance``, which skips the governor rule where a step ends strictly
+    inside a steady band, equals ``reference_advance``, which runs it after
+    every band step: ``temp``, ``freq``, ``throttled`` and ``sim_time`` bit
+    for bit, and the same events. Starts sit on, and one ulp either side
+    of, every threshold and equilibrium, with clocks and throttle flags
+    that match their band and that do not; some power curves put an
+    equilibrium exactly on a band edge."""
+
+    def drop_cases(self):
+        p = profile(C=50.0, k=0.1, f_nominal=2.86, f_throttled=2.0)
+        hot = power_for(p, 82.0)
+        return p, [
+            (hot, hot * 2.0 / 2.86),                  # trips, then cools to resume
+            (power_for(p, p.t_throttle), 3.0),        # nominal equilibrium on the trip point
+            (hot, power_for(p, p.t_resume)),          # throttled equilibrium on the release point
+            (power_for(p, p.t_resume), 2.0),          # nominal equilibrium on the release point
+            (hot, power_for(p, 74.0)),                # sticky: throttled, never released
+            (0.0, 0.0),                               # cools toward ambient
+        ]
+
+    def pin_cases(self, gain, f_throttled):
+        # k = 1/8 scales power exactly, so every edge is some power's equilibrium.
+        p = profile(C=20.1, k=0.125, governor=GovernorKind.PI_PIN, t_throttle=78.0,
+                    t_resume=73.0, f_nominal=1.5, f_throttled=f_throttled, pin_gain=gain)
+        floor = pin_floor(p)
+        on_floor = power_for(p, floor)
+        return p, [
+            (8.0, 8.0 * f_throttled / 1.5),           # pinned above the trip point
+            (power_for(p, p.t_throttle), 2.0),        # below equilibrium on the trip point
+            (on_floor * 1.2, on_floor),               # above equilibrium on the floor
+            (20.0, 15.0),                             # past the floor
+            (8.0, 8.0),                               # no power shed
+            (4.75, 1.9),                              # stays below the trip point
+        ]
+
+    def starts(self, p, source, rng):
+        """(temp, freq, throttled) starts for ``source``."""
+        band = source.band
+        if p.governor is GovernorKind.PHONE_DROP:
+            edges = [p.t_throttle, p.t_resume]
+            equilibria = [band(DeviceState(temp=-1e3, freq=p.f_nominal))[1],
+                          band(DeviceState(temp=1e3, freq=p.f_throttled, throttled=True))[1]]
+        else:
+            edges = [p.t_throttle, pin_floor(p)]
+            equilibria = [band(DeviceState(temp=-1e3, freq=p.f_nominal))[1],
+                          band(DeviceState(temp=1e4, freq=p.f_throttled))[1],
+                          band(DeviceState(temp=sum(edges) / 2, freq=p.f_nominal))[1]]
+        temps = [p.ambient_temp]
+        for t in edges + equilibria:
+            temps += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        low, high = min(temps) - 5.0, max(temps) + 5.0
+        temps += [rng.uniform(low, high) for _ in range(8)]
+        clocks = [p.f_nominal, p.f_throttled, (p.f_nominal + p.f_throttled) / 2]
+        return [(t, f, throttled) for t in temps for f in clocks for throttled in (False, True)]
+
+    def dts(self, p, rng):
+        tau = p.heat_capacity / p.dissipation
+        dts = [1e-9, 1e-6, 1e-3, 0.205, 1.1, tau / 10, tau, 5 * tau, 20 * tau]
+        return dts + [math.exp(rng.uniform(math.log(1e-9), math.log(20 * tau)))
+                      for _ in range(3)]
+
+    def check(self, p, cases, seed):
+        rng = random.Random(seed)
+        events = set()
+        for p_nom, p_thr in cases:
+            source = HeatSource(p, two_level(p, p_nom, p_thr))
+            dts = self.dts(p, rng)
+            for temp, freq, throttled in self.starts(p, source, rng):
+                for dt in dts:
+                    lean = DeviceState(temp=temp, freq=freq, throttled=throttled)
+                    plain = DeviceState(temp=temp, freq=freq, throttled=throttled)
+                    # A second step goes on from wherever the first one ended.
+                    for step in (dt, rng.choice(dts)):
+                        got = advance(lean, source, step)
+                        assert got == reference_advance(plain, source, step), (temp, freq, dt)
+                        assert state_bits(lean) == state_bits(plain), (temp, freq, dt)
+                        events.update(got)
+        assert events == {EVENT_THROTTLE_ON, EVENT_THROTTLE_OFF}
+
+    @pytest.mark.parametrize("seed", [0, 8675309])
+    def test_phone_drop(self, seed):
+        p, cases = self.drop_cases()
+        self.check(p, cases, seed)
+
+    @pytest.mark.parametrize("seed", [0, 8675309])
+    @pytest.mark.parametrize("gain, f_throttled", [
+        (0.14, 0.6),
+        # On this floor the rule leaves the clock ulps above f_throttled, so
+        # a step that ends on it must run the rule.
+        (0.1013, 0.6),
+        # Just above this floor too, so the band above it is not steady.
+        (0.0273, 0.3),
+    ])
+    def test_pi_pin(self, gain, f_throttled, seed):
+        p, cases = self.pin_cases(gain, f_throttled)
+        self.check(p, cases, seed)
+
+    def test_floor_cases_hold(self):
+        # Gain 0.1013: the rule moves the clock on the floor but not above it,
+        # so the band above the floor is steady and an end on it is not.
+        p, _ = self.pin_cases(0.1013, 0.6)
+        on_floor = DeviceState(temp=pin_floor(p), freq=p.f_throttled, throttled=True)
+        governor(p)(on_floor)
+        assert on_floor.freq != p.f_throttled and on_floor.throttled
+        held = DeviceState(temp=pin_floor(p) + 1.0, freq=p.f_throttled, throttled=True)
+        assert HeatSource(p, lambda f: 20.0 * f).band(held)[3] == pin_floor(p)
+        # Gain 0.0273: it moves the clock just above the floor too, so the
+        # band above the floor is not steady.
+        p, _ = self.pin_cases(0.0273, 0.3)
+        above = DeviceState(temp=math.nextafter(pin_floor(p), math.inf),
+                            freq=p.f_throttled, throttled=True)
+        governor(p)(above)
+        assert above.freq != p.f_throttled and above.throttled
+        held = DeviceState(temp=pin_floor(p) + 1.0, freq=p.f_throttled, throttled=True)
+        assert HeatSource(p, lambda f: 20.0 * f).band(held)[3] is None
 
 
 class TestPinGovernorRule:
