@@ -13,7 +13,10 @@ the same ``reset_filters`` that seeds them at construction.
 
 ``ShiftController.observe_reading(time_s, celsius)`` runs on every
 poll or simulated row, so it takes plain numbers and does the whole
-update in one pass on locals. It reads nothing from the frozen
+update in one pass on locals. A finite float at or above absolute zero
+is accepted by one test, a type check and one chained comparison; every
+other value takes the full checks, which word each refusal as a
+``SampleError``. It reads nothing from the frozen
 ``ControllerConfig``: the constructor binds the coefficients, their
 complements ``1 - coeff``, the thresholds and the flags once.
 ``observe(sample)`` is the same update for a ``TemperatureSample`` (what
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 
 from .errors import ConfigError, SampleError
 
@@ -139,14 +142,22 @@ class ShiftController:
 
         Update order: smooth the temperature, update the slope, then
         evaluate the mode transitions (the LARGE -> SMALL trigger compares
-        the raw reading, not the smoothed one). Non-finite or
-        below-absolute-zero readings raise SampleError with no state
-        change.
+        the raw reading, not the smoothed one). A finite float at or above
+        absolute zero is accepted by one test. Every other value takes the
+        full checks, which still accept an int, a bool or a float subclass
+        in that range and word every refusal: a non-number, nan, an
+        infinity, an int too large for a float or a reading below absolute
+        zero raises SampleError with no state change.
         """
-        if not (isinstance(celsius, (int, float)) and isfinite(celsius)):
-            raise SampleError(f"non-finite temperature reading: {celsius!r}")
-        if celsius < ABSOLUTE_ZERO_C:
-            raise SampleError(f"temperature below absolute zero: {celsius} C")
+        if not (type(celsius) is float and ABSOLUTE_ZERO_C <= celsius < inf):
+            try:
+                finite = isinstance(celsius, (int, float)) and isfinite(celsius)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise SampleError(f"non-finite temperature reading: {celsius!r}")
+            if celsius < ABSOLUTE_ZERO_C:
+                raise SampleError(f"temperature below absolute zero: {celsius} C")
 
         # The temperature EMA, then the raw slope and its EMA, on the bound coefficients.
         avg = self.avg_temp

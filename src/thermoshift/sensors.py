@@ -21,7 +21,11 @@ MAX_CONSECUTIVE_ERRORS = 5
 
 
 def read_sysfs_temp(path) -> float:
-    """Read a Linux thermal-zone file: ASCII millidegrees -> degrees C."""
+    """Read a Linux thermal-zone file: ASCII millidegrees -> degrees C.
+
+    A file that cannot be read, or whose text is not an integer that fits
+    a float, raises SensorReadError naming the path.
+    """
     try:
         with open(path) as fh:
             text = fh.read().strip()
@@ -31,6 +35,9 @@ def read_sysfs_temp(path) -> float:
         return int(text) / 1000.0
     except ValueError:
         raise SensorReadError(f"{path}: expected integer millidegrees, got {text!r}") from None
+    except OverflowError:
+        raise SensorReadError(f"{path}: integer millidegrees too large for a float, "
+                              f"{len(text)} characters") from None
 
 
 class SysfsSource:

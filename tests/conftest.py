@@ -58,6 +58,11 @@ def record_bits(record):
             for v in (getattr(record, f.name) for f in fields(record))]
 
 
+def controller_bits(ctl):
+    """Every attribute of a ShiftController, floats as their exact bits (so -0.0 != 0.0)."""
+    return {k: (type(v), v.hex() if isinstance(v, float) else v) for k, v in vars(ctl).items()}
+
+
 @pytest.fixture
 def phone_suite():
     return SUITES["slimmable-resnet50-phone"]

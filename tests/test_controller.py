@@ -1,11 +1,14 @@
 import copy
 import dataclasses
+import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import ema_update, estimate_derivative
+from conftest import controller_bits
+from oracles import ema_update, estimate_derivative, reference_observe
 
 from thermoshift.controller import (
     ControllerConfig,
@@ -21,6 +24,10 @@ def make(temp_threshold=73.0, grad_threshold=-0.07, alpha=0.995, beta=0.99, **kw
     return ShiftController(ControllerConfig(
         temp_smoothing=alpha, grad_smoothing=beta,
         temp_threshold=temp_threshold, grad_threshold=grad_threshold, **kw))
+
+
+class Celsius(float):
+    """A float subclass: a reading the one-test path hands to the full checks."""
 
 
 def feed(ctl, temps, t0=0.0, dt=1.0):
@@ -188,14 +195,41 @@ class TestObserve:
         assert ctl.observe(TemperatureSample(0.0, 70.0)) is Decision.STAY
         assert ctl.mode is Mode.SMALL
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -300.0])
-    def test_rejects_bad_sample_without_state_change(self, bad):
+    @pytest.mark.parametrize("bad,message", [
+        (float("nan"), "non-finite temperature reading: nan"),
+        (float("inf"), "non-finite temperature reading: inf"),
+        (-float("inf"), "non-finite temperature reading: -inf"),
+        (-300.0, "temperature below absolute zero: -300.0 C"),
+        (math.nextafter(-273.15, -math.inf),
+         "temperature below absolute zero: -273.15000000000003 C"),
+        (Celsius("nan"), "non-finite temperature reading: nan"),
+        (Fraction(70), "non-finite temperature reading: Fraction(70, 1)"),
+        ("70", "non-finite temperature reading: '70'"),
+        (None, "non-finite temperature reading: None"),
+        (10 ** 400, "non-finite temperature reading: 1" + "0" * 400),
+    ], ids=["nan", "inf", "-inf", "-300", "below-by-one-ulp", "subclass-nan", "fraction",
+            "str", "none", "int-past-float"])
+    def test_rejects_bad_sample_without_state_change(self, bad, message):
         ctl = make()
         feed(ctl, [60.0, 61.0, 62.0])
-        before = (ctl.mode, ctl.avg_temp, ctl.prev_avg_temp, ctl.grad, ctl.samples_since_reset)
-        with pytest.raises(SampleError):
+        before = controller_bits(ctl)
+        with pytest.raises(SampleError) as info:
             ctl.observe(TemperatureSample(99.0, bad))
-        assert (ctl.mode, ctl.avg_temp, ctl.prev_avg_temp, ctl.grad, ctl.samples_since_reset) == before
+        assert str(info.value) == message
+        assert controller_bits(ctl) == before
+
+    @pytest.mark.parametrize("reading", [
+        -273.15, -0.0, 5e-324, 1.7976931348623157e308, 70, True, Celsius(70.0),
+    ], ids=["absolute-zero", "-0.0", "denormal", "float-max", "int", "bool", "subclass"])
+    @pytest.mark.parametrize("history", [0, 3])
+    def test_accepts_edge_reading_like_the_reference(self, reading, history):
+        ctl, ref = make(), make()
+        for i, temp in enumerate([60.0, 61.0, 62.0][:history]):
+            ctl.observe(TemperatureSample(float(i), temp))
+            reference_observe(ref, TemperatureSample(float(i), temp))
+        sample = TemperatureSample(10.0, reading)
+        assert ctl.observe(sample) is reference_observe(ref, sample)
+        assert controller_bits(ctl) == controller_bits(ref)
 
 
 class TestReset:

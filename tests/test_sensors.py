@@ -59,6 +59,13 @@ class TestReadSysfs:
         with pytest.raises(SensorReadError):
             read_sysfs_temp(zone)
 
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path):
+        zone = tmp_path / "temp"
+        zone.write_text("1" + "0" * 399 + "\n")
+        with pytest.raises(SensorReadError, match="too large for a float") as info:
+            read_sysfs_temp(zone)
+        assert str(zone) in str(info.value)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SensorReadError):
             read_sysfs_temp(tmp_path / "nope")
@@ -179,6 +186,17 @@ class TestLiveRun:
         with pytest.raises(LiveRunError, match="5 consecutive"):
             live_run(src, self.CFG, period=0.25, sleep=NOSLEEP, clock=fake_clock())
         assert src.calls == 5
+
+    def test_int_past_float_range_counts_as_read_error(self):
+        samples = [TemperatureSample(float(i), celsius)
+                   for i, celsius in enumerate([60.0, 10 ** 400, 61.0, 62.0])]
+        trace = live_run(ReplaySource(samples), self.CFG, period=0.25,
+                         sleep=NOSLEEP, clock=fake_clock())
+        direct = ShiftController(self.CFG)
+        for sample in samples[:1] + samples[2:]:
+            direct.observe(sample)
+        assert [r.cpu_temp for r in trace] == [60.0, 61.0, 62.0]
+        assert (trace[-1].avg_temp, trace[-1].grad) == (direct.avg_temp, direct.grad)
 
     def test_read_errors_do_not_touch_controller_state(self):
         temps = [60.0, 61.0, 62.0, 63.0, 64.0]

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import phone_scenario, pi_sweep_scenario, record_bits
+from conftest import controller_bits, phone_scenario, pi_sweep_scenario, record_bits
 from oracles import pick_event, reference_csv_text, reference_observe, reference_parse_lines
 
 from thermoshift import harness
@@ -155,11 +155,6 @@ class TestLivePacing:
         assert next(reads) == 202
 
 
-def bits(ctl):
-    """Every attribute, floats as their exact bits (so -0.0 != 0.0)."""
-    return {k: (type(v), v.hex() if isinstance(v, float) else v) for k, v in vars(ctl).items()}
-
-
 def random_samples(seed, n=3000):
     """A noisy oscillation through the thresholds, with zero, repeated,
     negative and irregular time steps and some integer readings."""
@@ -252,7 +247,7 @@ class TestObserveLockstep:
         for sample in random_samples(seed):
             decision = fast.observe(sample)
             assert decision is reference_observe(slow, sample)
-            assert bits(fast) == bits(slow)
+            assert controller_bits(fast) == controller_bits(slow)
             seen.add(decision)
         assert seen == set(Decision)
 
@@ -278,7 +273,7 @@ class TestObserveLockstep:
                 entry = "observe_reading"
                 decision = fast.observe_reading(sample.time_s, sample.celsius)
             assert decision is reference_observe(slow, sample)
-            assert bits(fast) == bits(slow)
+            assert controller_bits(fast) == controller_bits(slow)
             seen[entry].add(decision)
         assert seen["observe"] | seen["observe_reading"] == set(Decision)
         assert all(len(decisions) > 1 for decisions in seen.values())
@@ -291,10 +286,10 @@ class TestObserveLockstep:
         ctl = ShiftController(self.config(per_second, literal_init))
         for sample in random_samples(0, n=200):
             ctl.observe_reading(sample.time_s, sample.celsius)
-        before = bits(ctl)
+        before = controller_bits(ctl)
         with pytest.raises(SampleError):
             ctl.observe_reading(1e6, celsius)
-        assert bits(ctl) == before
+        assert controller_bits(ctl) == before
 
 
 class TestLiveRunSubstitutions:
