@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from .analysis import DEFAULT_CELL_DURATION, ablation_grid, summarize
 from .config import load_scenario
-from .controller import ControllerConfig
+from .controller import ControllerConfig, ShiftController
 from .errors import ConfigFileError, ProfileError, ThermoshiftError, check_writable, write_text
 from .harness import emit_trace, hottest_reading, parse_trace, run_scenario
 from .plots import emit_plots
@@ -142,8 +142,9 @@ def cmd_live(args) -> int:
         grad_threshold=args.glim,
     )
     source = SysfsSource(args.zone)
-    # Fail fast on an unreadable zone rather than five polls in.
-    source.read_now()
+    # Fail fast on an unreadable zone, or on a reading the controller
+    # refuses, rather than five polls in.
+    ShiftController(config).observe(source.read_now())
 
     def on_shift(decision, sample):
         print(f"[{sample.time_s:.2f}s] {decision.value} at {sample.celsius:.2f} C")

@@ -218,7 +218,7 @@ def load_config(path) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigFileError([f"cannot read {path}: {exc}"]) from exc
+        raise ConfigFileError([f"cannot read '{path}': {exc}"]) from exc
     except ValueError as exc:  # JSONDecodeError, or an integer over the str-digits limit
         raise ConfigFileError([f"{path}: not valid JSON: {exc}"]) from exc
 

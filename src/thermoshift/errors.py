@@ -80,7 +80,7 @@ def write_text(path, text: str | Iterable[str], what: str, error=ThermoshiftErro
         with open(path, "w", newline="") as fh:
             fh.writelines(pieces)
     except OSError as exc:
-        raise error(f"cannot write {what} to {path}: {exc}") from exc
+        raise error(f"cannot write {what} to '{path}': {exc}") from exc
 
 
 def check_writable(path, what: str) -> None:
@@ -96,6 +96,6 @@ def check_writable(path, what: str) -> None:
         with open(path, "a"):
             pass
     except OSError as exc:
-        raise ThermoshiftError(f"cannot write {what} to {path}: {exc}") from exc
+        raise ThermoshiftError(f"cannot write {what} to '{path}': {exc}") from exc
     if not existed:
         os.remove(path)

@@ -195,7 +195,7 @@ def parse_trace(path) -> Trace:
                 fh.read()  # raises at the file's first bad byte, if it has one
                 raise
     except (OSError, UnicodeDecodeError) as exc:
-        raise TraceFormatError(f"cannot read trace from {path}: {exc}") from exc
+        raise TraceFormatError(f"cannot read trace from '{path}': {exc}") from exc
 
 
 def _parse_lines(path, lines) -> Trace:

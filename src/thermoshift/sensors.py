@@ -30,7 +30,7 @@ def read_sysfs_temp(path) -> float:
         with open(path) as fh:
             text = fh.read().strip()
     except OSError as exc:
-        raise SensorReadError(f"cannot read {path}: {exc}") from exc
+        raise SensorReadError(f"cannot read '{path}': {exc}") from exc
     try:
         return int(text) / 1000.0
     except ValueError:

@@ -23,6 +23,7 @@ closure also marks the steady bands, where the rule provably leaves the
 state as it is, and ``advance`` runs the rule at every band edge it
 stops on but skips it where a step ends strictly inside a steady band:
 a run that the controller keeps short of the trip point calls no rule.
+Pi-pin is steady only below its trip point, at ``f_nominal``.
 
 The same band constants bound every temperature a source can carry the
 device to: a solver also returns ``hottest``, the highest temperature
@@ -48,7 +49,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from math import exp, inf, isfinite, log, nextafter  # module-level names for the band loops
+from math import exp, inf, isfinite, log  # module-level names for the band loops
 
 from .errors import CalibrationError, ProfileError, non_finite_fields
 
@@ -171,16 +172,14 @@ class HeatSource:
     wherever the temperature lies strictly on the state's side of the
     bound. Steady are phone-drop's bands at f_nominal, unthrottled, short
     of the trip point and at f_throttled, throttled, above the release
-    point; pi-pin's at f_nominal, unthrottled, below the trip point; and
-    pi-pin's at f_throttled, throttled, above the floor, where the rule
-    keeps that state just above it. A state on or past a threshold, or
-    whose clock or throttle flag does not match its band, and pi-pin's
-    pinned band, whose clock follows the temperature, get None. A steady
-    band's edge is None or its bound, and the band is one tuple, built
-    once per source and returned as is. Build one source per power curve
-    and run, and pass it to every ``advance`` call of that run. A source
-    keeps the constants it was built with, so a profile changed later (by
-    ``dataclasses.replace``) needs a new source.
+    point, and pi-pin's at f_nominal, unthrottled, below the trip point.
+    Every other band, and a state on or past a threshold or off its band's
+    clock or throttle flag, gets None. A steady band's edge is None or its
+    bound, and the band is one tuple, built once per source and returned
+    as is. The rule and the bands are solved independently. Build one
+    source per power curve and run, and pass it to every ``advance`` call
+    of that run. A source keeps the constants it was built with, so a
+    profile changed later (by ``dataclasses.replace``) needs a new source.
 
     ``hottest`` is the highest temperature ``advance`` can carry a state
     at or below it to under this source. Building a source whose
@@ -194,7 +193,7 @@ class HeatSource:
         self.power_of_freq = power_of_freq
         make_rule, solve = _GOVERNORS[profile.governor]
         self.rule = make_rule(profile)
-        self.band, self.hottest = solve(profile, power_of_freq, self.rule)
+        self.band, self.hottest = solve(profile, power_of_freq)
 
 
 def advance(state, source, dt) -> list[str]:
@@ -245,13 +244,12 @@ def _finite_equilibria(*equilibria):
                 f"band equilibria must be finite, got {', '.join(map(str, equilibria))} C")
 
 
-def _drop_bands(profile, power_of_freq, rule):
+def _drop_bands(profile, power_of_freq):
     """Phone-drop: constant power at the current level until the next threshold.
 
     Returns ``(band, hottest)``: unthrottled, the temperature stops at the
     trip point or its equilibrium, whichever is lower; throttled, it goes
-    no higher than the throttled equilibrium. ``rule`` is not needed: the
-    phone-drop rule acts only at its thresholds.
+    no higher than the throttled equilibrium.
     """
     k, amb = profile.dissipation, profile.ambient_temp
     rate = k / profile.heat_capacity
@@ -289,7 +287,7 @@ def _drop_bands(profile, power_of_freq, rule):
     return band, max(min(nominal_eq, t_throttle), throttled_eq)
 
 
-def _pin_bands(profile, power_of_freq, rule):
+def _pin_bands(profile, power_of_freq):
     """Pi-pin bands: nominal power below the trip point, throttled power
     above the frequency floor, and power affine in T in between, shedding
     ``pin_gain * dP/df`` watts per degree above the trip point.
@@ -298,8 +296,7 @@ def _pin_bands(profile, power_of_freq, rule):
     does not lie above the trip point (so a state at the trip point takes
     the nominal band), else the pinned one if it stays below the
     frequency floor, else the throttled one (or the floor, where it
-    stops). ``rule``, the source's governor rule, is probed once, on the
-    first state held at f_throttled above the floor.
+    stops). Only the band below the trip point is steady.
     """
     c, k, amb = profile.heat_capacity, profile.dissipation, profile.ambient_temp
     trip = profile.t_throttle
@@ -318,19 +315,15 @@ def _pin_bands(profile, power_of_freq, rule):
     pinned_edge = trip if pinned_eq < trip else floor if pinned_eq > floor else None
     pinned = ((k + shed) / c, pinned_eq, pinned_edge, None)
     below_edge = trip if below_eq > trip else None
-    above_edge = floor if above_eq < floor else None
+    above = (free_rate, above_eq, floor if above_eq < floor else None, None)
     # Below the trip point the rule keeps f_nominal, unthrottled: a steady band.
     running = (free_rate, below_eq, below_edge, trip)
-    # The band above the floor at f_throttled, throttled, is solved on first
-    # use: most sources, such as calibration's 61 probes, never get there.
-    held = None
 
     def band(state):
         # The band the temperature is in or, on a band edge, moving into. An
         # edge counts as ahead only when the temperature is strictly short
         # of it, so every crossing makes progress. Only a state on its
         # band's clock level and throttle flag takes the steady form.
-        nonlocal held
         temp = state.temp
         if temp < trip:
             if state.freq == f_nominal and not state.throttled:
@@ -339,17 +332,7 @@ def _pin_bands(profile, power_of_freq, rule):
         if temp == trip and pinned_eq <= trip:
             return free_rate, below_eq, None, None
         if temp > floor:
-            if state.freq == f_throttled and state.throttled:
-                if held is None:
-                    # The rule keeps this state wherever it does so just above
-                    # the floor, as its clock never rises with the temperature;
-                    # rounding may leave the clock an ulp off there instead.
-                    # Threads that race here solve equal tuples.
-                    probe = DeviceState(nextafter(floor, inf), f_throttled, True)
-                    floored = rule(probe) is None and probe.freq == f_throttled
-                    held = (free_rate, above_eq, above_edge, floor if floored else None)
-                return held
-            return free_rate, above_eq, above_edge, None
+            return above
         if temp == floor and pinned_eq >= floor:
             return free_rate, above_eq, None, None
         return pinned
@@ -360,7 +343,7 @@ def _pin_bands(profile, power_of_freq, rule):
 
 
 # Each governor kind's rule factory, ``rule(profile)``, and band solver,
-# ``solve(profile, power_of_freq, rule)``; the one dispatch on the kind.
+# ``solve(profile, power_of_freq)``; the one dispatch on the kind.
 _GOVERNORS = {
     GovernorKind.PHONE_DROP: (_drop_rule, _drop_bands),
     GovernorKind.PI_PIN: (_pin_rule, _pin_bands),

@@ -63,6 +63,11 @@ def controller_bits(ctl):
     return {k: (type(v), v.hex() if isinstance(v, float) else v) for k, v in vars(ctl).items()}
 
 
+def state_bits(state):
+    """A DeviceState's fields, floats as their hex text."""
+    return state.temp.hex(), state.freq.hex(), state.throttled, state.sim_time.hex()
+
+
 @pytest.fixture
 def phone_suite():
     return SUITES["slimmable-resnet50-phone"]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import thermoshift
+from thermoshift import cli
 from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_scenario
 from thermoshift.errors import ConfigFileError
@@ -339,9 +340,22 @@ class TestCliLive:
                      "--period", "0.01", "--duration", "0.05"]) == 0
         assert "shift_to_small at 80.00 C" in capsys.readouterr().out
 
-    def test_live_missing_zone_errors(self, tmp_path):
-        assert main(["live", "--zone", str(tmp_path / "nope"), "--tlim", "73",
-                     "--glim", "-0.07"]) == 1
+    def test_live_missing_zone_errors(self, tmp_path, capsys):
+        zone = tmp_path / "nope"
+        assert main(["live", "--zone", str(zone), "--tlim", "73", "--glim", "-0.07"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read '{zone}': ")
+
+    def test_live_refuses_first_reading_before_polling(self, tmp_path, capsys, monkeypatch):
+        # The controller's own check refuses the fail-fast reading, so a
+        # zone below absolute zero is not polled MAX_CONSECUTIVE_ERRORS times.
+        zone = tmp_path / "temp"
+        zone.write_text("-300000\n")
+        polled = []
+        monkeypatch.setattr(cli, "live_run", lambda *args, **kwargs: polled.append(args))
+        assert main(["live", "--zone", str(zone), "--tlim", "73", "--glim", "-0.07",
+                     "--period", "5"]) == 1
+        assert capsys.readouterr().err == "error: temperature below absolute zero: -300.0 C\n"
+        assert polled == []
 
 
 class TestCliParser:

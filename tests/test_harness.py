@@ -347,7 +347,7 @@ class TestParseTraceErrors:
             parse_trace(path)
         assert len(head) > 8192
         assert str(info.value) == (
-            f"cannot read trace from {path}: 'utf-8' codec can't decode byte 0xff "
+            f"cannot read trace from '{path}': 'utf-8' codec can't decode byte 0xff "
             f"in position {len(head) + 3}: invalid start byte")
 
 
@@ -443,7 +443,7 @@ class TestStreamedTraceIo:
             parse_trace(path)
         assert len(head) > (8 if good_rows == 300 else 64) * 1024
         assert str(info.value) == (
-            f"cannot read trace from {path}: 'utf-8' codec can't decode byte 0xff "
+            f"cannot read trace from '{path}': 'utf-8' codec can't decode byte 0xff "
             f"in position {len(head) + 3}: invalid start byte")
 
     @pytest.mark.parametrize("head", [
@@ -458,7 +458,7 @@ class TestStreamedTraceIo:
         with pytest.raises(TraceFormatError) as info:
             parse_trace(path)
         assert str(info.value) == (
-            f"cannot read trace from {path}: 'utf-8' codec can't decode byte 0xff "
+            f"cannot read trace from '{path}': 'utf-8' codec can't decode byte 0xff "
             f"in position {len(head) + 3}: invalid start byte")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -478,7 +478,7 @@ class TestStreamedTraceIo:
         assert not writer.is_alive()
         assert len(head) > 64 * 1024
         assert str(info.value) == (
-            f"cannot read trace from {pipe}: 'utf-8' codec can't decode byte 0xff "
+            f"cannot read trace from '{pipe}': 'utf-8' codec can't decode byte 0xff "
             f"in position {len(head) + 3}: invalid start byte")
 
     def test_bad_row_past_the_first_read_names_its_line(self, tmp_path):
@@ -597,7 +597,7 @@ class TestNonFiniteTraceValues:
         path = tmp_path / "t.csv"
         path.write_bytes(head + b"1,5\xff,,,,LARGE,,,none,0\n")
         assert parse_message(path) == (
-            f"cannot read trace from {path}: 'utf-8' codec can't decode byte 0xff "
+            f"cannot read trace from '{path}': 'utf-8' codec can't decode byte 0xff "
             f"in position {len(head) + 3}: invalid start byte")
 
     @pytest.mark.parametrize("suite_name", SUITE_NAMES)

@@ -129,28 +129,27 @@ class TestUnwritableOutputs:
         out = str(tmp_path / "missing" / "g.csv")
         assert self.ablate(tmp_path, out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot write grid to ") and out in err
+        assert err.startswith(f"error: cannot write grid to '{out}': ")
 
     def test_ablate_table_path_is_a_directory(self, tmp_path, capsys):
         out = str(tmp_path / "g.csv")
         (tmp_path / "g.csv.txt").mkdir()
         assert self.ablate(tmp_path, out) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot write table to ") and out + ".txt" in err
+        assert err.startswith(f"error: cannot write table to '{out}.txt': ")
 
     def test_run_summary_path_is_a_directory(self, tmp_path, capsys):
         out = str(tmp_path / "run.csv")
         (tmp_path / "run.csv.summary.json").mkdir()
         assert main(["run", "--config", self.config(tmp_path), "--out", out]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot write summary to ")
-        assert out + ".summary.json" in err
+        assert err.startswith(f"error: cannot write summary to '{out}.summary.json': ")
 
     def test_run_trace_in_missing_directory(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "run.csv")
         assert main(["run", "--config", self.config(tmp_path), "--out", out]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot write trace to ") and out in err
+        assert err.startswith(f"error: cannot write trace to '{out}': ")
 
     def test_plot_in_missing_directory(self, tmp_path, capsys):
         trace = str(tmp_path / "run.csv")
@@ -158,7 +157,7 @@ class TestUnwritableOutputs:
         prefix = str(tmp_path / "missing" / "p")
         assert main(["plot", "--trace", trace, "--out", prefix]) == 1
         err = capsys.readouterr().err
-        assert "error: cannot write chart to " + prefix + "_temperature.svg" in err
+        assert f"error: cannot write chart to '{prefix}_temperature.svg': " in err
 
 
 class TestOutputsCheckedUpFront:
@@ -189,7 +188,7 @@ class TestOutputsCheckedUpFront:
         out = str(tmp_path / "missing" / "o.csv")
         assert main(self.command(kind, out)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {what} to {out}: ")
+        assert err.startswith(f"error: cannot write {what} to '{out}': ")
 
     @pytest.mark.parametrize("kind,suffix,what", [("run", ".summary.json", "summary"),
                                                   ("ablate", ".txt", "table")])
@@ -198,7 +197,7 @@ class TestOutputsCheckedUpFront:
         (tmp_path / ("o.csv" + suffix)).mkdir()
         assert main(self.command(kind, str(out))) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {what} to {out}{suffix}: ")
+        assert err.startswith(f"error: cannot write {what} to '{out}{suffix}': ")
         assert not out.exists()
 
     def test_existing_output_is_left_as_it_was(self, tmp_path):
@@ -221,14 +220,14 @@ class TestEmptyOptionalPaths:
         monkeypatch.setattr(cli, "live_run", refuse)
         assert main(["live", "--zone", "unused", "--tlim", "73", "--glim", "-0.07",
                      "--duration", "1", "--out", ""]) == 1
-        assert capsys.readouterr().err.startswith("error: cannot write trace to : ")
+        assert capsys.readouterr().err.startswith("error: cannot write trace to '': ")
 
     def test_plot_overlay_refused(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         emit_trace(run_scenario(phone_scenario(duration=60.0)), trace)
         assert main(["plot", "--trace", str(trace), "--overlay", "",
                      "--out", str(tmp_path / "p")]) == 1
-        assert capsys.readouterr().err.startswith("error: cannot read trace from : ")
+        assert capsys.readouterr().err.startswith("error: cannot read trace from '': ")
         assert not list(tmp_path.glob("p_*.svg"))
 
 
@@ -356,7 +355,7 @@ class TestUndecodableTrace:
         path.write_bytes(b"sim_time\xff")
         assert main(command + ["--trace", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read trace from {path}: ")
+        assert err.startswith(f"error: cannot read trace from '{path}': ")
         assert "can't decode byte 0xff in position 8" in err
 
 
@@ -503,12 +502,12 @@ class TestConfigFileChecks:
         path = tmp_path / "missing.json"
         with pytest.raises(ConfigFileError) as exc:
             load_config(path)
-        assert exc.value.problems[0].startswith(f"cannot read {path}: ")
+        assert exc.value.problems[0].startswith(f"cannot read '{path}': ")
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
-        assert f"cannot read {path}: " in capsys.readouterr().err
+        assert f"cannot read '{path}': " in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[]", "42", '"suite"', "null"])
     def test_top_level_not_an_object(self, tmp_path, text):

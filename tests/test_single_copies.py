@@ -12,7 +12,13 @@ import random
 
 import pytest
 
-from conftest import controller_bits, phone_scenario, pi_sweep_scenario, record_bits
+from conftest import (
+    controller_bits,
+    phone_scenario,
+    pi_sweep_scenario,
+    record_bits,
+    state_bits,
+)
 from oracles import pick_event, reference_csv_text, reference_observe, reference_parse_lines
 
 from thermoshift import harness
@@ -380,12 +386,11 @@ class TestGovernorTable:
         assert running == (rate, below_eq, p.t_throttle, p.t_throttle)
         state.temp = math.nextafter(p.t_throttle, -math.inf)
         assert source.band(state) is running
-        # Steady above the floor at f_throttled, throttled.
+        # Not steady above the floor, even at f_throttled, throttled.
         state = DeviceState(temp=floor + 1.0, freq=p.f_throttled, throttled=True)
-        held = source.band(state)
-        assert held == (rate, above_eq, floor, floor)
+        assert source.band(state) == (rate, above_eq, floor, None)
         state.temp = floor + 30.0
-        assert source.band(state) is held
+        assert source.band(state) == (rate, above_eq, floor, None)
         # The pinned band is never steady: its clock follows the temperature.
         state = DeviceState(temp=p.t_throttle + 0.5, freq=p.f_nominal)
         pinned_rate, pinned_eq, edge, steady = source.band(state)
@@ -402,10 +407,12 @@ class TestGovernorTable:
             assert source.band(state) == (rate, above_eq, floor, None)
 
 class TestRuleCalledWhereItActs:
-    """``advance`` runs a source's governor rule only where it can act. The
-    controller keeps both benchmark workloads short of the trip point, so
-    their runs call no rule at all; where the governor does act, every
-    call raises an event."""
+    """``advance`` runs a source's governor rule only where it can act, and
+    at the end of every step above pi-pin's frequency floor. The controller
+    keeps both benchmark workloads short of the trip point, so their runs
+    call no rule at all; where the phone-drop governor acts, every call
+    raises an event; above the pi-pin floor, which no suite's readings
+    reach, every call leaves the state as it is."""
 
     @staticmethod
     def rule_calls(monkeypatch, scenario):
@@ -457,6 +464,30 @@ class TestRuleCalledWhereItActs:
         assert sum(r.event == EVENT_THROTTLE_ON for r in trace) == 1
         assert [record_bits(r) for r in trace] == [record_bits(r)
                                                    for r in run_scenario(scenario)]
+
+    def test_saturated_pi_pin_calls_above_floor_change_nothing(self):
+        p = PI_PROFILE
+        floor = p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
+        hot = HeatSource(p, lambda f: 20.0 * f / p.f_nominal)
+        cool = HeatSource(p, lambda f: 2.0 * f / p.f_nominal)
+        # Saturated: the pinned equilibrium lies above the floor.
+        assert hot.band(DeviceState(temp=p.t_throttle + 1.0, freq=p.f_nominal))[1] > floor
+        above = []
+        for source in (hot, cool):
+            def watched(state, rule=source.rule):
+                before = state_bits(state)
+                event = rule(state)
+                if state.temp > floor:
+                    above.append((before, event, state_bits(state)))
+                return event
+            source.rule = watched
+        # Heat past the floor, then cool back below it.
+        state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
+        for source in (hot, cool):
+            for _ in range(2000):
+                advance(state, source, 1.1)
+        assert state.temp < p.t_throttle and len(above) > 1000
+        assert all(event is None and after == before for before, event, after in above)
 
 
 def suite_hour(suite_name, seed, baseline):

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from conftest import state_bits
 from oracles import reference_advance
 
 from thermoshift.errors import CalibrationError, ProfileError
@@ -756,11 +757,6 @@ def power_for(p, t_eq):
     raise AssertionError(f"no power puts the equilibrium on {t_eq}")
 
 
-def state_bits(state):
-    """A state's fields, floats as their hex text."""
-    return state.temp.hex(), state.freq.hex(), state.throttled, state.sim_time.hex()
-
-
 def two_level(p, p_nom, p_thr):
     """A power curve with ``p_nom`` at f_nominal, ``p_thr`` at f_throttled
     and the line through them in between."""
@@ -872,7 +868,7 @@ class TestAdvanceLockstep:
         # On this floor the rule leaves the clock ulps above f_throttled, so
         # a step that ends on it must run the rule.
         (0.1013, 0.6),
-        # Just above this floor too, so the band above it is not steady.
+        # Just above this floor too.
         (0.0273, 0.3),
     ])
     def test_pi_pin(self, gain, f_throttled, seed):
@@ -880,23 +876,20 @@ class TestAdvanceLockstep:
         self.check(p, cases, seed)
 
     def test_floor_cases_hold(self):
-        # Gain 0.1013: the rule moves the clock on the floor but not above it,
-        # so the band above the floor is steady and an end on it is not.
+        # Gain 0.1013: the rule moves the clock on the floor but not above it.
         p, _ = self.pin_cases(0.1013, 0.6)
         on_floor = DeviceState(temp=pin_floor(p), freq=p.f_throttled, throttled=True)
         governor(p)(on_floor)
         assert on_floor.freq != p.f_throttled and on_floor.throttled
-        held = DeviceState(temp=pin_floor(p) + 1.0, freq=p.f_throttled, throttled=True)
-        assert HeatSource(p, lambda f: 20.0 * f).band(held)[3] == pin_floor(p)
-        # Gain 0.0273: it moves the clock just above the floor too, so the
-        # band above the floor is not steady.
+        above = DeviceState(temp=math.nextafter(pin_floor(p), math.inf),
+                            freq=p.f_throttled, throttled=True)
+        assert governor(p)(above) is None and above.freq == p.f_throttled
+        # Gain 0.0273: it moves the clock just above the floor too.
         p, _ = self.pin_cases(0.0273, 0.3)
         above = DeviceState(temp=math.nextafter(pin_floor(p), math.inf),
                             freq=p.f_throttled, throttled=True)
         governor(p)(above)
         assert above.freq != p.f_throttled and above.throttled
-        held = DeviceState(temp=pin_floor(p) + 1.0, freq=p.f_throttled, throttled=True)
-        assert HeatSource(p, lambda f: 20.0 * f).band(held)[3] is None
 
 
 class TestPinGovernorRule:
