@@ -26,6 +26,7 @@ from .thermal import EVENT_THROTTLE_ON
 from .workload import ModelVariant
 
 DEFAULT_CELL_DURATION = 1800.0  # 30 simulated minutes per grid cell
+STABLE_CYCLES = 2  # complete shift cycles that stable_iteration_accuracy reads
 
 
 @dataclass(frozen=True)
@@ -87,23 +88,21 @@ def summarize(trace: Trace, large: ModelVariant, small: ModelVariant) -> Summary
     )
 
 
-def stable_iteration_accuracy(trace, large, small, n_cycles: int = 2) -> float:
-    """Count-weighted accuracy over the first ``n_cycles`` complete cycles.
+def stable_iteration_accuracy(trace, large, small) -> float:
+    """Count-weighted accuracy over the first ``STABLE_CYCLES`` complete cycles.
 
     A cycle starts at a shift-to-small event and runs up to (excluding)
     the next one, so it covers one small phase and the following large
     phase. A cycle counts as complete only when the next shift-to-small
     exists to close it.
     """
-    if n_cycles < 1:
-        raise AnalysisError(f"n_cycles must be >= 1, got {n_cycles}")
     starts = [i for i, r in enumerate(trace) if r.event == EVENT_SHIFT_SMALL]
     complete = max(0, len(starts) - 1)
-    if complete < n_cycles:
+    if complete < STABLE_CYCLES:
         raise AnalysisError(
-            f"need {n_cycles} complete shift cycles, found {complete}"
+            f"need {STABLE_CYCLES} complete shift cycles, found {complete}"
         )
-    rows = trace[starts[0]:starts[n_cycles]]
+    rows = trace[starts[0]:starts[STABLE_CYCLES]]
     n_large = sum(1 for r in rows if r.mode is Mode.LARGE)
     n_small = len(rows) - n_large
     return (n_large * large.accuracy + n_small * small.accuracy) / len(rows)
@@ -175,10 +174,9 @@ def ablation_grid(base_scenario: Scenario, temp_thresholds, grad_thresholds,
     template = base_scenario.controller
     if template is None:
         raise AnalysisError("ablation needs a scenario with a controller config")
-    n_cycles = 2
     hottest = hottest_reading(base_scenario)
     try:
-        stable_iteration_accuracy(Trace(), base_scenario.large, base_scenario.small, n_cycles)
+        stable_iteration_accuracy(Trace(), base_scenario.large, base_scenario.small)
     except AnalysisError as exc:
         never_shifts = str(exc)
     values = []
@@ -197,11 +195,11 @@ def ablation_grid(base_scenario: Scenario, temp_thresholds, grad_thresholds,
                 controller=cfg,
                 duration=duration,
                 seed=cell_seed(base_scenario.seed, t, g),
-                stop_after_small_shifts=n_cycles + 1,
+                stop_after_small_shifts=STABLE_CYCLES + 1,
             )
             trace = run_scenario(cell)
             try:
-                row.append(stable_iteration_accuracy(trace, cell.large, cell.small, n_cycles))
+                row.append(stable_iteration_accuracy(trace, cell.large, cell.small))
                 row_notes.append("")
             except AnalysisError as exc:
                 row.append(None)

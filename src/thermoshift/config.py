@@ -24,13 +24,12 @@ Schema sketch::
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, fields
 from typing import get_type_hints
 
 from .controller import ControllerConfig
 from .errors import ConfigFileError, ScenarioError, ThermoshiftError
-from .harness import Scenario
+from .harness import Scenario, duration_problems
 from .suites import default_profile, get_profile, get_suite
 from .thermal import CalibrationTargets, DeviceProfile, GovernorKind, calibrate_profile
 from .workload import ModelVariant, PacingPolicy, Platform
@@ -147,7 +146,8 @@ def _section(section, data, cls, problems, required=(), then=None):
 
 def _device(data, platform, problems):
     if data is None:
-        return default_profile(platform)
+        # A missing platform is already a problem; there is no profile to default to.
+        return default_profile(platform) if platform is not None else None
     if not isinstance(data, dict):
         problems.append("device: expected an object")
         return None
@@ -271,10 +271,8 @@ def build_scenario(cfg: dict) -> Scenario:
         problems.append("duration: missing required key")
     else:
         duration = _number("duration", cfg["duration"], problems)
-    if duration is not None and duration <= 0:
-        problems.append(f"duration: must be > 0, got {duration}")
-    elif duration is not None and not math.isfinite(duration):
-        problems.append(f"duration: must be finite, got {duration}")
+        if duration is not None:
+            problems += duration_problems(duration)
 
     seed = cfg.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

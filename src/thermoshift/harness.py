@@ -27,7 +27,7 @@ from itertools import islice, product
 from math import copysign, isfinite
 
 from .controller import ControllerConfig, Decision, Mode, ShiftController
-from .errors import ScenarioError, TraceFormatError, non_finite_fields, write_text
+from .errors import ScenarioError, TraceFormatError, write_text
 from .thermal import (
     EVENT_THROTTLE_OFF,
     EVENT_THROTTLE_ON,
@@ -291,6 +291,16 @@ def _checked_row(path, n, line) -> TraceRecord | None:
     return TraceRecord(*values)
 
 
+def duration_problems(duration) -> list[str]:
+    """The one rule for a run's duration: no problem if it is finite and
+    > 0, else one message, which names the key as the config loader does."""
+    if duration <= 0:
+        return [f"duration: must be > 0, got {duration}"]
+    if not isfinite(duration):
+        return [f"duration: must be finite, got {duration}"]
+    return []
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything needed for one deterministic closed-loop run.
@@ -314,11 +324,7 @@ class Scenario:
     stop_after_small_shifts: int | None = None
 
     def validate(self):
-        problems = non_finite_fields(self)
-        if problems:
-            raise ScenarioError("; ".join(problems))
-        if self.duration <= 0:
-            problems.append(f"duration must be > 0, got {self.duration}")
+        problems = duration_problems(self.duration)
         stop = self.stop_after_small_shifts
         if stop is not None and (type(stop) is not int or stop < 1):
             problems.append(

@@ -126,4 +126,4 @@ def get_profile(name: str) -> DeviceProfile:
 
 
 def default_profile(platform: Platform) -> DeviceProfile:
-    return PHONE_PROFILE if platform is Platform.PHONE else PI_PROFILE
+    return PROFILES[platform.value]

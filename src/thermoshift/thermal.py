@@ -7,15 +7,14 @@ Temperature follows newtonian heating/cooling,
 ``advance``, the one integrator, solves it exactly: on every governor band
 the right-hand side is linear in T, so the temperature relaxes
 exponentially and the time to the next governor threshold is one
-logarithm. The constants of each band (rates, equilibria, band edges)
-depend only on the profile and the power curve, and those of the governor
-rule (trip and release points, frequency levels, gain) only on the
-profile, so a ``HeatSource`` solves both once per source, into a band
-closure and a rule closure that ``advance`` calls without reading the
-profile again. A ``HeatSource`` is the one way into the model:
-``advance(state, source, dt)`` takes nothing else. ``_GOVERNORS`` maps
-each governor kind to its rule factory and its band solver, and
-``HeatSource`` alone reads it, so the kind is dispatched in one place.
+logarithm. Each governor kind has one solver. It reads the profile's
+trip and release points, frequency levels and gain once, solves the
+band constants (rates, equilibria, band edges) of one power curve, and
+returns a band closure and a rule closure over them, which ``advance``
+calls without reading the profile again. A ``HeatSource`` is the one way
+into the model: ``advance(state, source, dt)`` takes nothing else.
+``_GOVERNORS`` maps each governor kind to its solver, and ``HeatSource``
+alone reads it, so the kind is dispatched in one place.
 
 The rule changes the clock only at a threshold (phone-drop) or inside
 the band where its clock follows the temperature (pi-pin). So a band
@@ -23,7 +22,7 @@ closure also marks the steady bands, where the rule provably leaves the
 state as it is, and ``advance`` runs the rule at every band edge it
 stops on but skips it where a step ends strictly inside a steady band:
 a run that the controller keeps short of the trip point calls no rule.
-Pi-pin is steady only below its trip point, at ``f_nominal``.
+Each solver's docstring names its steady bands, beside the rule.
 
 The same band constants bound every temperature a source can carry the
 device to: a solver also returns ``hottest``, the highest temperature
@@ -111,53 +110,6 @@ class DeviceState:
     sim_time: float = 0.0
 
 
-def _drop_rule(profile):
-    """Phone-drop rule: drop to ``f_throttled`` at the trip point, back to
-    ``f_nominal`` at the release point."""
-    t_throttle, t_resume = profile.t_throttle, profile.t_resume
-    f_nominal, f_throttled = profile.f_nominal, profile.f_throttled
-
-    def rule(state):
-        if not state.throttled and state.temp >= t_throttle:
-            state.freq = f_throttled
-            state.throttled = True
-            return EVENT_THROTTLE_ON
-        if state.throttled and state.temp <= t_resume:
-            state.freq = f_nominal
-            state.throttled = False
-            return EVENT_THROTTLE_OFF
-        return None
-
-    return rule
-
-
-def _pin_rule(profile):
-    """Pi-pin rule: shed ``pin_gain`` GHz per degree above the trip point,
-    down to the ``f_throttled`` floor."""
-    trip, gain = profile.t_throttle, profile.pin_gain
-    f_nominal, f_throttled = profile.f_nominal, profile.f_throttled
-    unthrottled = f_nominal - 1e-12  # the lowest frequency that is not throttled
-
-    def rule(state):
-        excess = state.temp - trip
-        if excess > 0.0:
-            freq = f_nominal - gain * excess
-            if freq < f_throttled:
-                freq = f_throttled
-        else:
-            freq = f_nominal
-        was_throttled = state.throttled
-        state.freq = freq
-        state.throttled = throttled = freq < unthrottled
-        if throttled and not was_throttled:
-            return EVENT_THROTTLE_ON
-        if was_throttled and not throttled:
-            return EVENT_THROTTLE_OFF
-        return None
-
-    return rule
-
-
 class HeatSource:
     """Input power as a function of frequency, with the governor rule and
     bands of one profile solved once: what ``advance`` runs on.
@@ -170,16 +122,15 @@ class HeatSource:
     ahead of the temperature (None if none) and ``steady``: None, or the
     bound of a steady band, on which the rule leaves the state as it is
     wherever the temperature lies strictly on the state's side of the
-    bound. Steady are phone-drop's bands at f_nominal, unthrottled, short
-    of the trip point and at f_throttled, throttled, above the release
-    point, and pi-pin's at f_nominal, unthrottled, below the trip point.
-    Every other band, and a state on or past a threshold or off its band's
+    bound. The governor's solver names which bands are steady. Every
+    other band, and a state on or past a threshold or off its band's
     clock or throttle flag, gets None. A steady band's edge is None or its
     bound, and the band is one tuple, built once per source and returned
-    as is. The rule and the bands are solved independently. Build one
-    source per power curve and run, and pass it to every ``advance`` call
-    of that run. A source keeps the constants it was built with, so a
-    profile changed later (by ``dataclasses.replace``) needs a new source.
+    as is. One call to the governor's solver builds the rule, the bands
+    and ``hottest`` together. Build one source per power curve and run,
+    and pass it to every ``advance`` call of that run. A source keeps the
+    constants it was built with, so a profile changed later (by
+    ``dataclasses.replace``) needs a new source.
 
     ``hottest`` is the highest temperature ``advance`` can carry a state
     at or below it to under this source. Building a source whose
@@ -191,9 +142,8 @@ class HeatSource:
 
     def __init__(self, profile, power_of_freq):
         self.power_of_freq = power_of_freq
-        make_rule, solve = _GOVERNORS[profile.governor]
-        self.rule = make_rule(profile)
-        self.band, self.hottest = solve(profile, power_of_freq)
+        solve = _GOVERNORS[profile.governor]
+        self.band, self.rule, self.hottest = solve(profile, power_of_freq)
 
 
 def advance(state, source, dt) -> list[str]:
@@ -244,12 +194,18 @@ def _finite_equilibria(*equilibria):
                 f"band equilibria must be finite, got {', '.join(map(str, equilibria))} C")
 
 
-def _drop_bands(profile, power_of_freq):
-    """Phone-drop: constant power at the current level until the next threshold.
+def _drop(profile, power_of_freq):
+    """Phone-drop: a hard two-level drop at the trip point, with hysteresis.
 
-    Returns ``(band, hottest)``: unthrottled, the temperature stops at the
-    trip point or its equilibrium, whichever is lower; throttled, it goes
-    no higher than the throttled equilibrium.
+    The rule drops the clock to ``f_throttled`` at the trip point and
+    restores ``f_nominal`` at the release point. The power is constant at
+    the current level until the next threshold, and two bands are steady:
+    at f_nominal, unthrottled, short of the trip point, and at
+    f_throttled, throttled, above the release point.
+
+    Returns ``(band, rule, hottest)``: unthrottled, the temperature stops
+    at the trip point or its equilibrium, whichever is lower; throttled,
+    it goes no higher than the throttled equilibrium.
     """
     k, amb = profile.dissipation, profile.ambient_temp
     rate = k / profile.heat_capacity
@@ -258,8 +214,6 @@ def _drop_bands(profile, power_of_freq):
     nominal_eq = amb + power_of_freq(f_nominal) / k
     throttled_eq = amb + power_of_freq(f_throttled) / k
     _finite_equilibria(nominal_eq, throttled_eq)
-    # The steady bands: running at f_nominal short of the trip point, and
-    # held at f_throttled above the release point. The rule acts on neither.
     running = (rate, nominal_eq, t_throttle, t_throttle)
     held = (rate, throttled_eq, t_resume, t_resume)
 
@@ -284,31 +238,47 @@ def _drop_bands(profile, power_of_freq):
         # A state already past its threshold trips the governor at once.
         return rate, t_eq, temp if due else edge, None
 
-    return band, max(min(nominal_eq, t_throttle), throttled_eq)
+    def rule(state):
+        if not state.throttled and state.temp >= t_throttle:
+            state.freq = f_throttled
+            state.throttled = True
+            return EVENT_THROTTLE_ON
+        if state.throttled and state.temp <= t_resume:
+            state.freq = f_nominal
+            state.throttled = False
+            return EVENT_THROTTLE_OFF
+        return None
+
+    return band, rule, max(min(nominal_eq, t_throttle), throttled_eq)
 
 
-def _pin_bands(profile, power_of_freq):
-    """Pi-pin bands: nominal power below the trip point, throttled power
-    above the frequency floor, and power affine in T in between, shedding
-    ``pin_gain * dP/df`` watts per degree above the trip point.
+def _pin(profile, power_of_freq):
+    """Pi-pin: the rule sheds ``pin_gain`` GHz per degree above the trip
+    point, down to the ``f_throttled`` floor.
 
-    Returns ``(band, hottest)``: the nominal equilibrium if the pinned one
-    does not lie above the trip point (so a state at the trip point takes
-    the nominal band), else the pinned one if it stays below the
-    frequency floor, else the throttled one (or the floor, where it
-    stops). Only the band below the trip point is steady.
+    So the power is nominal below the trip point, throttled above the
+    frequency floor, and affine in T in between, shedding
+    ``pin_gain * dP/df`` watts per degree. Only the band below the trip
+    point, at f_nominal, unthrottled, is steady.
+
+    Returns ``(band, rule, hottest)``: the nominal equilibrium if the
+    pinned one does not lie above the trip point (so a state at the trip
+    point takes the nominal band), else the pinned one if it stays below
+    the frequency floor, else the throttled one (or the floor, where it
+    stops).
     """
     c, k, amb = profile.heat_capacity, profile.dissipation, profile.ambient_temp
-    trip = profile.t_throttle
+    trip, gain = profile.t_throttle, profile.pin_gain
     f_nominal, f_throttled = profile.f_nominal, profile.f_throttled
+    unthrottled = f_nominal - 1e-12  # the lowest frequency that is not throttled
     p_nom = power_of_freq(f_nominal)
     p_thr = power_of_freq(f_throttled)
     if p_thr > p_nom:
         raise ValueError(f"power must not fall as frequency rises, got {p_nom} W at "
                          f"f_nominal and {p_thr} W at f_throttled")
     span = f_nominal - f_throttled
-    shed = profile.pin_gain * (p_nom - p_thr) / span
-    floor = trip + span / profile.pin_gain
+    shed = gain * (p_nom - p_thr) / span
+    floor = trip + span / gain
     free_rate, below_eq, above_eq = k / c, amb + p_nom / k, amb + p_thr / k
     pinned_eq = (p_nom + shed * trip + k * amb) / (k + shed)
     _finite_equilibria(below_eq, above_eq, pinned_eq)
@@ -316,7 +286,6 @@ def _pin_bands(profile, power_of_freq):
     pinned = ((k + shed) / c, pinned_eq, pinned_edge, None)
     below_edge = trip if below_eq > trip else None
     above = (free_rate, above_eq, floor if above_eq < floor else None, None)
-    # Below the trip point the rule keeps f_nominal, unthrottled: a steady band.
     running = (free_rate, below_eq, below_edge, trip)
 
     def band(state):
@@ -337,16 +306,33 @@ def _pin_bands(profile, power_of_freq):
             return free_rate, above_eq, None, None
         return pinned
 
+    def rule(state):
+        excess = state.temp - trip
+        if excess > 0.0:
+            freq = f_nominal - gain * excess
+            if freq < f_throttled:
+                freq = f_throttled
+        else:
+            freq = f_nominal
+        was_throttled = state.throttled
+        state.freq = freq
+        state.throttled = throttled = freq < unthrottled
+        if throttled and not was_throttled:
+            return EVENT_THROTTLE_ON
+        if was_throttled and not throttled:
+            return EVENT_THROTTLE_OFF
+        return None
+
     hottest = (below_eq if pinned_eq <= trip else pinned_eq if pinned_eq <= floor
                else max(floor, above_eq))
-    return band, hottest
+    return band, rule, hottest
 
 
-# Each governor kind's rule factory, ``rule(profile)``, and band solver,
-# ``solve(profile, power_of_freq)``; the one dispatch on the kind.
+# Each governor kind's solver, ``solve(profile, power_of_freq) -> (band,
+# rule, hottest)``; the one dispatch on the kind.
 _GOVERNORS = {
-    GovernorKind.PHONE_DROP: (_drop_rule, _drop_bands),
-    GovernorKind.PI_PIN: (_pin_rule, _pin_bands),
+    GovernorKind.PHONE_DROP: _drop,
+    GovernorKind.PI_PIN: _pin,
 }
 
 

@@ -117,7 +117,7 @@ class TestStableIterationAccuracy:
         ])
 
     def test_ratio_weighted_over_two_cycles(self):
-        acc = stable_iteration_accuracy(self.two_cycle_trace(), LARGE, SMALL, 2)
+        acc = stable_iteration_accuracy(self.two_cycle_trace(), LARGE, SMALL)
         assert acc == pytest.approx(0.4 * 0.768 + 0.6 * 0.638)
         assert acc == pytest.approx(0.690)
 
@@ -128,19 +128,19 @@ class TestStableIterationAccuracy:
             cycle_trace([(Mode.LARGE, 5000),
                          (Mode.SMALL, 600), (Mode.LARGE, 400),
                          (Mode.SMALL, 600), (Mode.LARGE, 400),
-                         (Mode.SMALL, 10)]), LARGE, SMALL, 2)
+                         (Mode.SMALL, 10)]), LARGE, SMALL)
         assert acc_with_more_warmup == pytest.approx(
-            stable_iteration_accuracy(trace, LARGE, SMALL, 2))
+            stable_iteration_accuracy(trace, LARGE, SMALL))
 
     def test_insufficient_cycles_error_names_count(self):
         trace = cycle_trace([(Mode.LARGE, 50), (Mode.SMALL, 600), (Mode.LARGE, 400),
                              (Mode.SMALL, 10)])
         with pytest.raises(AnalysisError, match="found 1"):
-            stable_iteration_accuracy(trace, LARGE, SMALL, 2)
+            stable_iteration_accuracy(trace, LARGE, SMALL)
 
     def test_no_shift_at_all(self):
         with pytest.raises(AnalysisError, match="found 0"):
-            stable_iteration_accuracy(synthetic_trace(100, 0), LARGE, SMALL, 2)
+            stable_iteration_accuracy(synthetic_trace(100, 0), LARGE, SMALL)
 
 
 class TestAblationGrid:
@@ -153,7 +153,7 @@ class TestAblationGrid:
         assert len(grid.values) == 1 and len(grid.values[0]) == 1
         from dataclasses import replace
         direct = replace(base, duration=1800.0, seed=cell_seed(base.seed, 73.0, -0.07))
-        expected = stable_iteration_accuracy(run_scenario(direct), LARGE, SMALL, 2)
+        expected = stable_iteration_accuracy(run_scenario(direct), LARGE, SMALL)
         assert grid.values[0][0] == pytest.approx(expected)
 
     def test_four_by_four_shape(self):
@@ -202,8 +202,7 @@ def full_run_grid(base, temps, grads, duration):
                                               grad_threshold=g))
             assert cell.stop_after_small_shifts is None
             try:
-                row.append(stable_iteration_accuracy(run_scenario(cell), cell.large,
-                                                     cell.small, 2))
+                row.append(stable_iteration_accuracy(run_scenario(cell), cell.large, cell.small))
                 row_notes.append("")
             except AnalysisError as exc:
                 row.append(None)

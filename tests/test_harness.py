@@ -641,10 +641,17 @@ class TestNonFiniteTraceValues:
 
 
 class TestNonFiniteScenario:
-    @pytest.mark.parametrize("duration", [math.inf, math.nan])
-    def test_non_finite_duration_rejected_before_running(self, duration):
-        with pytest.raises(ScenarioError, match="duration must be finite"):
+    @pytest.mark.parametrize("duration,message", [
+        (math.inf, "duration: must be finite, got inf"),
+        (math.nan, "duration: must be finite, got nan"),
+        (-math.inf, "duration: must be > 0, got -inf"),
+        (0.0, "duration: must be > 0, got 0.0"),
+    ])
+    def test_non_finite_duration_rejected_before_running(self, duration, message):
+        # Worded and ordered as the config loader's duration check.
+        with pytest.raises(ScenarioError) as err:
             phone_scenario(duration=duration).validate()
+        assert str(err.value) == message
 
 
 class TestHeatSourcesInRun:

@@ -13,11 +13,7 @@ import pytest
 from conftest import phone_scenario, pi_scenario
 
 from thermoshift import cli
-from thermoshift.analysis import (
-    DEFAULT_CELL_DURATION,
-    ablation_grid,
-    stable_iteration_accuracy,
-)
+from thermoshift.analysis import DEFAULT_CELL_DURATION, ablation_grid
 from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_config
 from thermoshift.controller import ControllerConfig, TemperatureSample
@@ -484,13 +480,6 @@ class TestCalibrationChecks:
 
 
 class TestAnalysisChecks:
-    @pytest.mark.parametrize("n_cycles", [0, -1])
-    def test_fewer_than_one_cycle(self, n_cycles):
-        suite = get_suite("slimmable-resnet50-phone")
-        trace = run_scenario(phone_scenario(duration=60.0))
-        with pytest.raises(AnalysisError, match=f"n_cycles must be >= 1, got {n_cycles}"):
-            stable_iteration_accuracy(trace, suite.large, suite.small, n_cycles)
-
     @pytest.mark.parametrize("temps,grads", [([], [-0.07]), ([73.0], []), ([], [])])
     def test_empty_threshold_lists(self, temps, grads):
         with pytest.raises(AnalysisError, match="threshold lists must be non-empty"):

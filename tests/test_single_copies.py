@@ -1,9 +1,10 @@
 """Pins for ideas that live in one place: the controller's filter reset,
 ``Trace`` as a list, ``Summary.to_dict``, the decision values as row
-events, the live loop's pacing sleep and clock reads, the governor
-table, the profile and controller constants read once per run, and the
-one-pass controller update (through both entry points), ``live_run``
-loop and trace CSV rows against their reference forms."""
+events, the live loop's pacing sleep and clock reads, the platform
+profile table, the governor table, the profile and controller constants
+read once per run, and the one-pass controller update (through both
+entry points), ``live_run`` loop and trace CSV rows against their
+reference forms."""
 
 import dataclasses
 import itertools
@@ -21,7 +22,7 @@ from conftest import (
 )
 from oracles import pick_event, reference_csv_text, reference_observe, reference_parse_lines
 
-from thermoshift import harness
+from thermoshift import harness, thermal
 from thermoshift.analysis import Summary, cell_seed, summarize
 from thermoshift.config import build_scenario
 from thermoshift.controller import (
@@ -43,14 +44,16 @@ from thermoshift.harness import (
     run_scenario,
 )
 from thermoshift.sensors import ReplaySource, live_run
-from thermoshift.suites import PHONE_PROFILE, PI_PROFILE, SUITE_NAMES
+from thermoshift.suites import PHONE_PROFILE, PI_PROFILE, PROFILES, SUITE_NAMES, default_profile
 from thermoshift.thermal import (
     EVENT_THROTTLE_ON,
     DeviceProfile,
     DeviceState,
+    GovernorKind,
     HeatSource,
     advance,
 )
+from thermoshift.workload import Platform
 
 # Attributes that are not filter state: the config, the mode and the
 # telemetry that survives a reset.
@@ -332,11 +335,57 @@ class TestLiveRunSubstitutions:
         assert {EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE} <= {r.event for r in trace}
 
 
+class TestProfileTable:
+    def test_default_profile_is_the_platform_entry(self):
+        assert set(PROFILES) == {platform.value for platform in Platform}
+        for platform in Platform:
+            assert default_profile(platform) is PROFILES[platform.value]
+
+
 class TestGovernorTable:
-    """A ``HeatSource`` holds one band closure over constants solved once.
+    """Each governor kind has one solver, and a ``HeatSource`` holds the
+    band and rule closures of one call to it, over constants solved once.
     A band is ``(rate, t_eq, edge, steady)``; ``steady`` is the bound of a
     band on which the rule cannot act, or None. A steady band is one tuple,
     built once per source and returned as is."""
+
+    @pytest.mark.parametrize("base", [PHONE_PROFILE, PI_PROFILE], ids=["phone-drop", "pi-pin"])
+    def test_one_solver_per_kind(self, base):
+        assert set(thermal._GOVERNORS) == set(GovernorKind)
+        power = lambda f: 8.0 * f / base.f_nominal
+        solved = thermal._GOVERNORS[base.governor](base, power)
+        assert type(solved) is tuple and len(solved) == 3
+        band, rule, hottest = solved
+        source = HeatSource(base, power)
+        assert hottest == source.hottest
+        # Past the trip point: the same band, and the rule trips the governor.
+        states = [DeviceState(temp=base.t_throttle + 1.0, freq=base.f_nominal) for _ in range(2)]
+        assert band(states[0]) == source.band(states[1])
+        assert rule(states[0]) == source.rule(states[1]) == EVENT_THROTTLE_ON
+        assert governed(states[0]) == governed(states[1])
+
+    @pytest.mark.parametrize("base", [PHONE_PROFILE, PI_PROFILE], ids=["phone-drop", "pi-pin"])
+    def test_source_build_reads_the_table_and_each_field_once(self, monkeypatch, base):
+        lookups, calls = [], []
+
+        class CountingTable(dict):
+            def __getitem__(self, kind):
+                lookups.append(kind)
+                solve = dict.__getitem__(self, kind)
+
+                def counted(*args):
+                    calls.append(kind)
+                    return solve(*args)
+                return counted
+
+        monkeypatch.setattr(thermal, "_GOVERNORS", CountingTable(thermal._GOVERNORS))
+        Profile, reads = counting(DeviceProfile)
+        p = Profile(**{f.name: getattr(base, f.name) for f in dataclasses.fields(base)})
+        reads.clear()
+        HeatSource(p, lambda f: 8.0 * f / base.f_nominal)
+        assert lookups == calls == [base.governor]
+        # The rule and the bands share every profile constant they read.
+        assert len(reads) == len(set(reads))
 
     def test_phone_drop_band(self):
         p = PHONE_PROFILE
