@@ -253,11 +253,14 @@ class TestReset:
 
 
 class TestWarmupGuard:
-    def test_no_bounce_on_first_small_sample(self):
-        # grad restarts at 0 > grad_threshold; the guard must hold the shift
-        ctl = make(73.0, -0.07)
+    @pytest.mark.parametrize("per_second", [False, True])
+    @pytest.mark.parametrize("reading", [73.4, 20.0], ids=["small-step", "plunge"])
+    def test_no_bounce_on_first_small_sample(self, reading, per_second):
+        # grad restarts at 0 > grad_threshold; the guard must hold the shift,
+        # also when the first SMALL reading lies far below the last LARGE one
+        ctl = make(73.0, -0.07, per_second=per_second)
         assert ctl.observe(TemperatureSample(0.0, 73.5)) is Decision.SHIFT_TO_SMALL
-        assert ctl.observe(TemperatureSample(1.0, 73.4)) is Decision.STAY
+        assert ctl.observe(TemperatureSample(1.0, reading)) is Decision.STAY
         assert ctl.mode is Mode.SMALL
 
     def test_release_on_second_cooling_sample(self):

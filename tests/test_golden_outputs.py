@@ -53,6 +53,14 @@ LIVE_REPLAY_SHA256 = {
     0: "ba4d19657bd8b00bfe1640f1236998c83e5aa2ae04911561ee86abb387c54845",
     8675309: "8a3f2fa3e71850843260e031c573e149c69070e64693cba67c03334ff677e917",
 }
+# The phone hour with each opt-in controller mode on, at the suite's
+# thresholds: no default config turns either mode on.
+OPT_IN_HOUR_SHA256 = {
+    ("per_second", 0): "b2dc672a775ec47914fa600df0d153b84cc8b9edccf64ccb9df3ee0da0b19563",
+    ("per_second", 8675309): "a52546bdf5cd52807776d95f9460a96ed63b1fd89cf03ad7ddeb5aa4f9479f1c",
+    ("literal_init", 0): "1ac27d54d907a40d53a953c5ea65a7be602f7e8a471764e97b8bf0a394817cd9",
+    ("literal_init", 8675309): "7d3a5aaa2c0691e1d093d138783af5073588ee7c8e5aa7b678ab7c5e5c0e8005",
+}
 PIN_GRID_SHA256 = {
     0: "423e0652c638c27cdfa7c4b23353978c3fc08792d53b950a5d78d84fd6894042",
     8675309: "a3e3dc4175ba8028fc8e088dc3795078e8e0c04cefcf2886b0c770e20503ed37",
@@ -70,6 +78,17 @@ def test_phone_hour_trace(tmp_path, seed):
     out = tmp_path / "trace.csv"
     emit_trace(run_scenario(scenario), out)
     assert sha256_of(out) == PHONE_HOUR_SHA256[seed]
+
+
+@pytest.mark.parametrize("mode, seed", sorted(OPT_IN_HOUR_SHA256))
+def test_opt_in_mode_hour_trace(tmp_path, mode, seed):
+    scenario = build_scenario({"suite": "slimmable-resnet50-phone", "seed": seed,
+                               "duration": 3600.0,
+                               "controller": {"temp_threshold": 73.0, "grad_threshold": -0.07,
+                                              mode: True}})
+    out = tmp_path / "trace.csv"
+    emit_trace(run_scenario(scenario), out)
+    assert sha256_of(out) == OPT_IN_HOUR_SHA256[mode, seed]
 
 
 @pytest.mark.parametrize("seed", sorted(LIVE_REPLAY_SHA256))
