@@ -6,10 +6,11 @@ second EMA, and a two-state machine drives the shifts:
 
 * in LARGE mode, a raw reading above ``temp_threshold`` shifts to SMALL;
 * in SMALL mode, a smoothed slope above ``grad_threshold`` (the cooling
-  rate has flattened out; thresholds are negative) shifts back to LARGE.
+  rate has flattened out; thresholds are negative) shifts back to LARGE
+  once a sample since the shift has cooled: that is the warm-up guard.
 
-Both filters are cleared on every shift so each phase starts fresh, by
-the same ``reset_filters`` that seeds them at construction.
+Every shift clears both filters and the cooling flag, by the same
+``reset_filters`` that seeds them at construction.
 
 ``ShiftController.observe_reading(time_s, celsius)`` runs on every
 poll or simulated row, so it takes plain numbers and does the whole
@@ -36,12 +37,6 @@ from math import inf, isfinite
 from .errors import ConfigError, SampleError
 
 ABSOLUTE_ZERO_C = -273.15
-
-# Samples required after a filter reset before a shift back to LARGE may
-# fire. The slope EMA restarts at zero, and zero already exceeds any
-# negative grad_threshold, so an unguarded check would bounce straight
-# back on the first sample of every SMALL phase.
-WARMUP_MIN_SAMPLES = 2
 
 
 class Mode(enum.Enum):
@@ -75,7 +70,7 @@ class ControllerConfig:
     temp_threshold: float = 73.0   # deg C; LARGE -> SMALL on a raw reading above this
     grad_threshold: float = -0.07  # deg C per sample; SMALL -> LARGE on smoothed slope above this
     per_second: bool = False       # scale the raw slope by sample spacing (deg C per second)
-    literal_init: bool = False     # zero-seed the filters and drop the warm-up guard
+    literal_init: bool = False     # zero-seed the average; release without a cooling sample
 
     def __post_init__(self):
         problems = []
@@ -120,18 +115,15 @@ class ShiftController:
         self.reset_filters()
 
     def reset_filters(self) -> None:
-        """Clear the smoothing state and restart the warm-up; the mode is kept.
+        """Clear the smoothing state and the cooling flag; the mode is kept.
 
-        ``literal_init`` seeds both temperatures with 0, otherwise the next
-        sample seeds them. ``__init__`` calls this too.
+        ``literal_init`` seeds the average with 0, otherwise the next
+        sample seeds it, with raw slope 0. ``__init__`` calls this too.
         """
         self.grad = 0.0
-        self.samples_since_reset = 0
         self._saw_cooling = False
         self._last_time: float | None = None
-        seed = 0.0 if self._literal_init else None
-        self.avg_temp: float | None = seed
-        self.prev_avg_temp: float | None = seed
+        self.avg_temp: float | None = 0.0 if self._literal_init else None
 
     def observe(self, sample: TemperatureSample) -> Decision:
         """Consume one temperature sample: ``observe_reading`` of its fields."""
@@ -163,13 +155,10 @@ class ShiftController:
         avg = self.avg_temp
         if avg is None:
             new_avg = float(celsius)  # first sample after a reset seeds the filter
-        else:
-            new_avg = self._temp_keep * avg + self._temp_take * celsius
-        prev = self.prev_avg_temp
-        if prev is None:
             raw = 0.0
         else:
-            raw = new_avg - prev
+            new_avg = self._temp_keep * avg + self._temp_take * celsius
+            raw = new_avg - avg
             if self._per_second and self._last_time is not None:
                 dt = time_s - self._last_time
                 if dt > 0.0:
@@ -185,16 +174,13 @@ class ShiftController:
                 self.mode = _SMALL
                 self.reset_filters()
                 return _TO_SMALL
-        # The warm-up guard, which literal_init drops.
-        elif grad > self._grad_threshold and (
-                self._literal_init
-                or (self.samples_since_reset + 1 >= WARMUP_MIN_SAMPLES and saw_cooling)):
+        # The warm-up guard, which literal_init drops: grad restarts at 0, above any threshold.
+        elif grad > self._grad_threshold and (self._literal_init or saw_cooling):
             self.mode = _LARGE
             self.reset_filters()
             return _TO_LARGE
-        self.avg_temp = self.prev_avg_temp = new_avg
+        self.avg_temp = new_avg
         self.grad = grad
-        self.samples_since_reset += 1
         self._saw_cooling = saw_cooling
         self._last_time = time_s
         return _STAY

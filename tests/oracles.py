@@ -3,7 +3,8 @@
 Each is the plain form of an idea that ``src/`` holds once, in a faster
 shape: the integrator (``advance`` skips the governor rule where a step
 ends inside a steady band), the controller's two filters
-(``observe_reading`` inlines them), the run's random draws
+(``observe_reading`` inlines them), the warm-up rule as first written
+(``observe_reading`` keeps only its cooling flag), the run's random draws
 (``run_scenario`` takes them from one ``normal_stream``), the row-event
 pick, the whole controller update, the whole row loop, and the trace
 CSV's row formatting and row parsing
@@ -16,11 +17,11 @@ import ``conftest``; it holds no tests.
 """
 
 import random
+import weakref
 from itertools import product
 from math import exp, inf, isfinite, log
 
 from thermoshift.controller import (
-    WARMUP_MIN_SAMPLES,
     Decision,
     Mode,
     ShiftController,
@@ -50,21 +51,61 @@ def ema_update(prev: float, value: float, coeff: float) -> float:
     return coeff * prev + (1.0 - coeff) * value
 
 
+# The warm-up rule as first written: a release to LARGE needs this many
+# samples since the last reset, and a cooling sample among them. The slope
+# EMA restarts at zero, which already exceeds any negative grad_threshold,
+# so an unguarded check would bounce straight back on the first sample of
+# every SMALL phase.
+WARMUP_MIN_SAMPLES = 2
+
+
+class ReferenceMemory:
+    """What the reference forms keep of their own beside a controller:
+    the previous smoothed temperature and the samples since the last
+    reset. It lives outside ``vars(ctl)``, so ``controller_bits`` of a
+    controller the reference stepped shows only what the program keeps."""
+
+    __slots__ = ("prev_avg_temp", "samples_since_reset")
+
+    def __init__(self, config):
+        self.prev_avg_temp = 0.0 if config.literal_init else None
+        self.samples_since_reset = 0
+
+
+_MEMORY = weakref.WeakKeyDictionary()
+
+
+def reference_memory(ctl) -> ReferenceMemory:
+    """The reference's memory for ``ctl``, as after a reset when first asked.
+    ``reference_observe`` clears it on each shift; a reset made outside the
+    reference forms is not seen."""
+    memory = _MEMORY.get(ctl)
+    if memory is None:
+        memory = _MEMORY[ctl] = ReferenceMemory(ctl.config)
+    return memory
+
+
+def _reference_reset(ctl) -> None:
+    ctl.reset_filters()
+    _MEMORY[ctl] = ReferenceMemory(ctl.config)
+
+
 def estimate_derivative(ctl, new_avg: float, dt: float | None = None) -> float:
     """Fold one smoothed temperature into ``ctl``'s slope estimate.
 
     The raw slope is the change of the smoothed temperature since the
     previous sample (defined as 0 when no previous sample exists since
     the last reset). Returns the EMA-smoothed slope and advances the
-    remembered previous value.
+    previous value, which ``reference_memory(ctl)`` remembers.
     """
-    if ctl.prev_avg_temp is None:
+    memory = reference_memory(ctl)
+    if memory.prev_avg_temp is None:
         raw = 0.0
     else:
-        raw = new_avg - ctl.prev_avg_temp
+        raw = new_avg - memory.prev_avg_temp
         if ctl.config.per_second and dt is not None and dt > 0.0:
             raw /= dt
-    ctl.prev_avg_temp = new_avg
+    memory.prev_avg_temp = new_avg
     if raw < 0.0:
         ctl._saw_cooling = True
     ctl.grad = ema_update(ctl.grad, raw, ctl.config.grad_smoothing)
@@ -72,9 +113,12 @@ def estimate_derivative(ctl, new_avg: float, dt: float | None = None) -> float:
 
 
 def reference_observe(ctl, sample):
-    """``observe`` stepped by hand with the reference filter forms."""
+    """``observe`` stepped by hand with the reference filter forms and the
+    warm-up rule as first written: ``WARMUP_MIN_SAMPLES`` samples since the
+    reset, one of them cooling."""
     t = sample.celsius
     cfg = ctl.config
+    memory = reference_memory(ctl)
     dt = None if ctl._last_time is None else sample.time_s - ctl._last_time
     if ctl.avg_temp is None:
         new_avg = float(t)
@@ -82,19 +126,19 @@ def reference_observe(ctl, sample):
         new_avg = ema_update(ctl.avg_temp, t, cfg.temp_smoothing)
     ctl.avg_temp = new_avg
     estimate_derivative(ctl, new_avg, dt)
-    ctl.samples_since_reset += 1
+    memory.samples_since_reset += 1
     ctl._last_time = sample.time_s
     ctl.last_avg_temp = new_avg
     ctl.last_grad = ctl.grad
     if ctl.mode is Mode.LARGE and t > cfg.temp_threshold:
         ctl.mode = Mode.SMALL
-        ctl.reset_filters()
+        _reference_reset(ctl)
         return Decision.SHIFT_TO_SMALL
     if (ctl.mode is Mode.SMALL and ctl.grad > cfg.grad_threshold
-            and (cfg.literal_init or (ctl.samples_since_reset >= WARMUP_MIN_SAMPLES
+            and (cfg.literal_init or (memory.samples_since_reset >= WARMUP_MIN_SAMPLES
                                       and ctl._saw_cooling))):
         ctl.mode = Mode.LARGE
-        ctl.reset_filters()
+        _reference_reset(ctl)
         return Decision.SHIFT_TO_LARGE
     return Decision.STAY
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import controller_bits
-from oracles import ema_update, estimate_derivative, reference_observe
+from oracles import ema_update, estimate_derivative, reference_memory, reference_observe
 
 from thermoshift.controller import (
     ControllerConfig,
@@ -58,9 +58,8 @@ class TestConfig:
         ctl = make(tlim, glim)
         assert ctl.mode is Mode.LARGE
         assert ctl.avg_temp is None
-        assert ctl.prev_avg_temp is None
         assert ctl.grad == 0.0
-        assert ctl.samples_since_reset == 0
+        assert ctl._saw_cooling is False
 
 
 class TestTemperatureSample:
@@ -127,7 +126,7 @@ class TestDerivative:
     def test_first_sample_contributes_zero(self):
         ctl = make()
         assert estimate_derivative(ctl, 70.0) == pytest.approx(0.0)
-        assert ctl.prev_avg_temp == 70.0
+        assert reference_memory(ctl).prev_avg_temp == 70.0
 
     def test_direct_formula(self):
         ctl = make(beta=0.99)
@@ -177,9 +176,8 @@ class TestObserve:
     def test_shift_to_large_when_grad_above_threshold(self):
         ctl = make(73.0, -0.07)
         ctl.mode = Mode.SMALL
-        ctl.avg_temp = ctl.prev_avg_temp = 70.0
+        ctl.avg_temp = 70.0
         ctl.grad = -0.05
-        ctl.samples_since_reset = 10
         ctl._saw_cooling = True
         # constant reading keeps grad near -0.05, above -0.07: shift back
         assert ctl.observe(TemperatureSample(0.0, 70.0)) is Decision.SHIFT_TO_LARGE
@@ -188,9 +186,8 @@ class TestObserve:
     def test_stay_when_grad_below_threshold(self):
         ctl = make(73.0, -0.07)
         ctl.mode = Mode.SMALL
-        ctl.avg_temp = ctl.prev_avg_temp = 70.0
+        ctl.avg_temp = 70.0
         ctl.grad = -0.20
-        ctl.samples_since_reset = 10
         ctl._saw_cooling = True
         assert ctl.observe(TemperatureSample(0.0, 70.0)) is Decision.STAY
         assert ctl.mode is Mode.SMALL
@@ -235,13 +232,14 @@ class TestObserve:
 class TestReset:
     def test_reset_clears_filters_preserves_mode(self):
         ctl = make()
-        feed(ctl, [60.0, 65.0, 70.0])
+        feed(ctl, [70.0, 65.0, 60.0])
+        assert ctl._saw_cooling is True
         ctl.mode = Mode.SMALL
         ctl.reset_filters()
         assert ctl.mode is Mode.SMALL
-        assert ctl.avg_temp is None and ctl.prev_avg_temp is None
+        assert ctl.avg_temp is None
         assert ctl.grad == 0.0
-        assert ctl.samples_since_reset == 0
+        assert ctl._saw_cooling is False
 
     def test_first_sample_after_reset_seeds_average(self):
         ctl = make()
