@@ -197,7 +197,7 @@ def _pacing(data, large, default, problems):
     _check_keys("pacing", data, _SCHEMAS[PacingPolicy], problems)
     clean = len(problems)
     multiplier = _number("pacing.latency_multiplier",
-                         data.get("latency_multiplier", default.latency_multiplier), problems)
+                         data.get("latency_multiplier", PacingPolicy.latency_multiplier), problems)
     target = data.get("target_period")
     if target == "large":
         target = None if None in (large, multiplier) else large.base_latency * multiplier

@@ -14,8 +14,9 @@ from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_scenario
 from thermoshift.errors import ConfigFileError
 from thermoshift.harness import Trace, TraceRecord, emit_trace, parse_trace, run_scenario
+from thermoshift.suites import get_suite
 from thermoshift.thermal import GovernorKind
-from thermoshift.workload import Platform
+from thermoshift.workload import PacingPolicy, Platform
 
 
 def base_config(**overrides):
@@ -140,6 +141,16 @@ class TestConfigSchema:
         scenario = build_scenario(cfg)
         assert scenario.controller.literal_init
         assert scenario.pacing.target_period == pytest.approx(0.205 * 1.4)
+
+    @pytest.mark.parametrize("pacing", [{}, {"target_period": "large"}])
+    def test_omitted_pacing_key_is_the_policy_default(self, pacing):
+        # dynabert-phone's own policy slows the model by 1.4; a pacing
+        # object reads each omitted key as PacingPolicy's default instead.
+        suite = get_suite("dynabert-phone")
+        assert suite.pacing.latency_multiplier == 1.4
+        scenario = build_scenario(base_config(suite="dynabert-phone", pacing=pacing))
+        target = suite.large.base_latency if pacing else None
+        assert scenario.pacing == PacingPolicy(target_period=target, latency_multiplier=1.0)
 
     def test_bad_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
