@@ -307,7 +307,7 @@ def build_scenario(cfg: dict) -> Scenario:
     try:
         scenario.validate()
     except ScenarioError as exc:
-        raise ConfigFileError([str(exc)]) from exc
+        raise ConfigFileError(exc.problems) from exc
     return scenario
 
 

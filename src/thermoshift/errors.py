@@ -32,7 +32,11 @@ class CalibrationError(ThermoshiftError):
 
 
 class ScenarioError(ThermoshiftError):
-    """A scenario is inconsistent and cannot be run."""
+    """A scenario is inconsistent and cannot be run; ``problems`` lists why."""
+
+    def __init__(self, *problems):
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
 
 
 class AnalysisError(ThermoshiftError):

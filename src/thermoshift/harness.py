@@ -328,32 +328,32 @@ class Scenario:
         stop = self.stop_after_small_shifts
         if stop is not None and (type(stop) is not int or stop < 1):
             problems.append(
-                f"stop_after_small_shifts must be a whole number >= 1 or None, got {stop!r}")
+                f"stop_after_small_shifts: must be a whole number >= 1 or None, got {stop!r}")
         profile = self.profile
         watts = max(self.large.power_nominal, self.small.power_nominal, profile.idle_power)
         if not isfinite(profile.ambient_temp + watts / profile.dissipation):
-            problems.append(f"dissipation {profile.dissipation} W/C is too small for {watts} W: "
-                            f"the equilibrium temperature is not finite")
+            problems.append(f"device: dissipation {profile.dissipation} W/C is too small for "
+                            f"{watts} W: the equilibrium temperature is not finite")
         if self.large.base_latency < self.small.base_latency:
             problems.append(
-                f"large variant ({self.large.base_latency}s) must not be faster than "
+                f"suite: large variant ({self.large.base_latency}s) must not be faster than "
                 f"small ({self.small.base_latency}s)"
             )
         # The large model is the slowest variant, and f_throttled its lowest clock.
         throttled = inference_latency(self.large, profile.f_throttled, profile,
                                       self.pacing.latency_multiplier)
         if not isfinite(throttled):
-            problems.append(f"f_throttled {profile.f_throttled} GHz is too small: the large "
-                            f"model's latency there, {throttled} s, is not finite")
+            problems.append(f"device: f_throttled {profile.f_throttled} GHz is too small: the "
+                            f"large model's latency there, {throttled} s, is not finite")
         if self.pacing.target_period is not None:
             slowest = self.large.base_latency * self.pacing.latency_multiplier
             if self.pacing.target_period < slowest - 1e-12:
                 problems.append(
-                    f"pacing target_period {self.pacing.target_period}s is shorter than the "
+                    f"pacing.target_period: {self.pacing.target_period}s is shorter than the "
                     f"large model's nominal latency {slowest:.6g}s"
                 )
         if problems:
-            raise ScenarioError("; ".join(problems))
+            raise ScenarioError(*problems)
 
 
 def _heat_sources(scenario):

@@ -29,7 +29,7 @@ from thermoshift.harness import (
     run_scenario,
 )
 from thermoshift.sensors import ReplaySource, live_run
-from thermoshift.suites import SUITE_NAMES, SUITES, default_profile
+from thermoshift.suites import PHONE_PROFILE, SUITE_NAMES, SUITES, default_profile
 from thermoshift.thermal import (
     EVENT_THROTTLE_OFF,
     EVENT_THROTTLE_ON,
@@ -53,6 +53,19 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             run_scenario(phone_scenario(large=phone_suite.small, small=phone_suite.large,
                                         pacing=PacingPolicy()))
+
+    def test_each_problem_names_its_key(self, phone_suite):
+        profile = replace(PHONE_PROFILE, heat_capacity=1e-300, dissipation=1e-309,
+                          f_throttled=1e-320)
+        scenario = phone_scenario(duration=0.0, stop_after_small_shifts=0, profile=profile,
+                                  large=phone_suite.small, small=phone_suite.large,
+                                  pacing=PacingPolicy(target_period=0.01))
+        with pytest.raises(ScenarioError) as err:
+            scenario.validate()
+        keys = [problem.split(": ", 1)[0] for problem in err.value.problems]
+        assert keys == ["duration", "stop_after_small_shifts", "device", "suite", "device",
+                        "pacing.target_period"]
+        assert str(err.value) == "; ".join(err.value.problems)
 
 
 class TestBaselineRun:
@@ -934,7 +947,7 @@ class TestStopAfterSmallShifts:
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
     def test_validate_rejects_a_bad_stop(self, bad):
-        with pytest.raises(ScenarioError, match=f"stop_after_small_shifts .*got {bad!r}"):
+        with pytest.raises(ScenarioError, match=f"stop_after_small_shifts: .*got {bad!r}"):
             run_scenario(phone_scenario(stop_after_small_shifts=bad))
 
 

@@ -417,14 +417,14 @@ class TestValuesThatUnderflow:
          "device.profile: dissipation / heat_capacity must be finite and > 0"),
         # A finite rate, but 6.96 W / dissipation overflows the equilibrium.
         ({"profile": dict(PHONE_FIELDS, heat_capacity=1e-300, dissipation=1e-309)},
-         "dissipation 1e-309 W/C is too small for 6.96 W"),
+         "device: dissipation 1e-309 W/C is too small for 6.96 W"),
         # f_throttled / f_nominal rounds to 0: calibration divided by it.
         ({"calibration": {"f_throttled": 5e-324}},
          "device.calibration: f_throttled 5e-324 GHz is too small"),
         # f_nominal / f_throttled overflows: once throttled, advance got an
         # infinite compute interval.
         ({"profile": dict(PHONE_FIELDS, heat_capacity=2.0, f_throttled=1e-320)},
-         "f_throttled 1e-320 GHz is too small: the large model's latency there, inf s"),
+         "device: f_throttled 1e-320 GHz is too small: the large model's latency there, inf s"),
         # The band solvers refuse the nan pinned equilibrium.
         ({"profile": SHEDDING_PROFILE}, "device: band equilibria must be finite, got"),
     ])
@@ -435,6 +435,17 @@ class TestValuesThatUnderflow:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert f"  - {needle}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_each_scenario_problem_on_its_own_line(self, tmp_path, capsys):
+        # Two problems that only Scenario.validate sees, each a "- " line.
+        profile = dict(PHONE_FIELDS, heat_capacity=2.0, f_throttled=1e-320)
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(dict(QUICK, device={"profile": profile},
+                                        pacing={"target_period": 0.01})))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines[1:]] == [
+            "  - device", "  - pacing.target_period"]
 
     def test_ablate_refuses_a_shedding_pin_gain(self, tmp_path, capsys):
         path = tmp_path / "shed.json"
