@@ -102,10 +102,7 @@ def stable_iteration_accuracy(trace, large, small) -> float:
         raise AnalysisError(
             f"need {STABLE_CYCLES} complete shift cycles, found {complete}"
         )
-    rows = trace[starts[0]:starts[STABLE_CYCLES]]
-    n_large = sum(1 for r in rows if r.mode is Mode.LARGE)
-    n_small = len(rows) - n_large
-    return (n_large * large.accuracy + n_small * small.accuracy) / len(rows)
+    return summarize(trace[starts[0]:starts[STABLE_CYCLES]], large, small).est_accuracy
 
 
 def cell_seed(base_seed: int, temp_threshold: float, grad_threshold: float) -> int:
