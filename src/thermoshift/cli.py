@@ -62,7 +62,7 @@ def _load_runnable(path):
     try:
         return scenario, hottest_reading(scenario)
     except ProfileError as exc:
-        raise ConfigFileError([f"device: {exc}"]) from exc
+        raise ConfigFileError(*(f"device: {problem}" for problem in exc.problems)) from exc
 
 
 def cmd_run(args) -> int:
@@ -70,14 +70,15 @@ def cmd_run(args) -> int:
     check_writable(args.out, "trace")
     check_writable(summary_path, "summary")
     scenario, hottest = _load_runnable(args.config)
+    # --literal-init checks the config's controller before --baseline drops it.
+    if args.literal_init:
+        if scenario.controller is None:
+            raise ConfigFileError("controller: --literal-init needs a controller section")
+        scenario = replace(scenario, controller=replace(scenario.controller, literal_init=True))
     if args.baseline:
         scenario = replace(scenario, controller=None)
     if args.true_weight_sharing:
         scenario = replace(scenario, weight_shared=True)
-    if args.literal_init:
-        if scenario.controller is None:
-            raise ConfigFileError(["controller: --literal-init needs a controller section"])
-        scenario = replace(scenario, controller=replace(scenario.controller, literal_init=True))
     # A shift to SMALL needs a reading above temp_threshold, and no reading
     # exceeds the bound: such a run is a baseline run in all but name.
     threshold = scenario.controller.temp_threshold if scenario.controller else None
@@ -102,7 +103,7 @@ def cmd_ablate(args) -> int:
     check_writable(table_path, "table")
     scenario, _ = _load_runnable(args.config)
     if scenario.controller is None:
-        raise ConfigFileError(["controller: ablation needs a controller section in the config"])
+        raise ConfigFileError("controller: ablation needs a controller section in the config")
     grid = ablation_grid(scenario, args.tlims, args.glims, duration=args.duration)
     grid.to_csv(args.out)
     table = grid.format_table()

@@ -24,7 +24,7 @@ Schema sketch::
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from typing import get_type_hints
 
 from .controller import ControllerConfig
@@ -50,9 +50,9 @@ def _is_number(value):
 # A value check returns the value to build with, or None after appending
 # a problem that names ``key``.
 
-def _number(key, value, problems, expected="a number"):
+def _number(key, value, problems):
     if not _is_number(value):
-        problems.append(f"{key}: expected {expected}, got {value!r}")
+        problems.append(f"{key}: expected a number, got {value!r}")
         return None
     try:
         float(value)
@@ -71,12 +71,14 @@ def _instance(kind, expected):
     return check
 
 
-def _governor(key, value, problems):
-    try:
-        return GovernorKind(value)
-    except ValueError:
-        problems.append(f"{key}: expected one of {[g.value for g in GovernorKind]}, got {value!r}")
-        return None
+def _member(kind):
+    def check(key, value, problems):
+        try:
+            return kind(value)
+        except ValueError:
+            problems.append(f"{key}: expected one of {[m.value for m in kind]}, got {value!r}")
+            return None
+    return check
 
 
 def _window(key, value, problems):
@@ -93,7 +95,7 @@ def _optional_number(key, value, problems):
 
 
 _CHECKS = {
-    float: _number, float | None: _optional_number, GovernorKind: _governor,
+    float: _number, float | None: _optional_number, GovernorKind: _member(GovernorKind),
     bool: _instance(bool, "a boolean"), str: _instance(str, "a string"),
     tuple[float, float]: _window,
 }
@@ -119,8 +121,8 @@ def _section(section, data, cls, problems, required=(), then=None):
     missing required key (a field without a default, or one named in
     ``required``). ``cls`` is built, and passed to ``then`` if given,
     whenever none of its own values was bad or missing, whatever other
-    sections reported; a ThermoshiftError raised there becomes
-    ``"<section>: <message>"``. Returns None if nothing was built.
+    sections reported; each problem of a ThermoshiftError raised there
+    becomes ``"<section>: <problem>"``. Returns None if nothing was built.
     """
     if not isinstance(data, dict):
         problems.append(f"{section}: expected an object")
@@ -140,7 +142,7 @@ def _section(section, data, cls, problems, required=(), then=None):
         built = cls(**kwargs)
         return then(built) if then else built
     except ThermoshiftError as exc:
-        problems.append(f"{section}: {exc}")
+        problems += (f"{section}: {problem}" for problem in exc.problems)
         return None
 
 
@@ -191,26 +193,12 @@ def _controller(data, suite_default, problems):
 def _pacing(data, large, default, problems):
     if data is None:
         return default
-    if not isinstance(data, dict):
-        problems.append("pacing: expected an object")
-        return None
-    _check_keys("pacing", data, _SCHEMAS[PacingPolicy], problems)
-    clean = len(problems)
-    multiplier = _number("pacing.latency_multiplier",
-                         data.get("latency_multiplier", PacingPolicy.latency_multiplier), problems)
-    target = data.get("target_period")
-    if target == "large":
-        target = None if None in (large, multiplier) else large.base_latency * multiplier
-    elif target is not None:
-        target = _number("pacing.target_period", target, problems,
-                         expected='a number, "large", or null')
-    if len(problems) > clean:
-        return None
-    try:
-        return PacingPolicy(target_period=target, latency_multiplier=multiplier)
-    except ScenarioError as exc:
-        problems.append(f"pacing: {exc}")
-        return None
+    if not (isinstance(data, dict) and data.get("target_period") == "large"):
+        return _section("pacing", data, PacingPolicy, problems)
+    # "large" is the large model's period at the built multiplier, if the suite gave one.
+    return _section("pacing", {**data, "target_period": None}, PacingPolicy, problems,
+                    then=lambda pacing: pacing if large is None else replace(
+                        pacing, target_period=large.base_latency * pacing.latency_multiplier))
 
 
 def load_config(path) -> dict:
@@ -218,9 +206,9 @@ def load_config(path) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigFileError([f"cannot read '{path}': {exc}"]) from exc
+        raise ConfigFileError(f"cannot read '{path}': {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer over the str-digits limit
-        raise ConfigFileError([f"{path}: not valid JSON: {exc}"]) from exc
+        raise ConfigFileError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def build_scenario(cfg: dict) -> Scenario:
@@ -231,7 +219,7 @@ def build_scenario(cfg: dict) -> Scenario:
     """
     problems: list[str] = []
     if not isinstance(cfg, dict):
-        raise ConfigFileError(["top level: expected a JSON object"])
+        raise ConfigFileError("top level: expected a JSON object")
     _check_keys("", cfg, _TOP_KEYS, problems)
 
     suite = None
@@ -257,12 +245,8 @@ def build_scenario(cfg: dict) -> Scenario:
     else:
         problems.append(f"suite: expected a name or an object, got {cfg['suite']!r}")
 
-    if "platform" in cfg:
-        try:
-            platform = Platform(cfg["platform"])
-        except ValueError:
-            expected = " or ".join(f'"{p.value}"' for p in Platform)
-            problems.append(f"platform: expected {expected}, got {cfg['platform']!r}")
+    if "platform" in cfg:  # a bad one keeps the suite's, which is not also missing
+        platform = _member(Platform)("platform", cfg["platform"], problems) or platform
     if platform is None:
         problems.append("platform: required when the suite is not a built-in name")
 
@@ -290,7 +274,7 @@ def build_scenario(cfg: dict) -> Scenario:
                      problems)
 
     if problems:
-        raise ConfigFileError(problems)
+        raise ConfigFileError(*problems)
 
     scenario = Scenario(
         profile=profile,
@@ -307,7 +291,7 @@ def build_scenario(cfg: dict) -> Scenario:
     try:
         scenario.validate()
     except ScenarioError as exc:
-        raise ConfigFileError(exc.problems) from exc
+        raise ConfigFileError(*exc.problems) from exc
     return scenario
 
 

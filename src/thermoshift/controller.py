@@ -83,7 +83,7 @@ class ControllerConfig:
             if not (isinstance(value, (int, float)) and isfinite(value)):
                 problems.append(f"{name} must be finite, got {value!r}")
         if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError(*problems)
 
 
 class ShiftController:

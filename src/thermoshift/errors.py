@@ -12,7 +12,15 @@ def non_finite_fields(obj) -> list[str]:
 
 
 class ThermoshiftError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: one problem per argument, listed
+    by ``problems`` and joined with ``"; "`` by ``str``."""
+
+    @property
+    def problems(self) -> list[str]:
+        return list(self.args)
+
+    def __str__(self):
+        return "; ".join(map(str, self.args))
 
 
 class ConfigError(ThermoshiftError):
@@ -33,10 +41,6 @@ class CalibrationError(ThermoshiftError):
 
 class ScenarioError(ThermoshiftError):
     """A scenario is inconsistent and cannot be run; ``problems`` lists why."""
-
-    def __init__(self, *problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
 
 
 class AnalysisError(ThermoshiftError):
@@ -65,10 +69,6 @@ class ConfigFileError(ThermoshiftError):
     ``problems`` lists every offending key so the user can fix the file in
     one pass.
     """
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("invalid config: " + "; ".join(self.problems))
 
 
 def write_text(path, text: str | Iterable[str], what: str, error=ThermoshiftError) -> None:

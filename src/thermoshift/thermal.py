@@ -77,7 +77,7 @@ class DeviceProfile:
     def __post_init__(self):
         problems = non_finite_fields(self)
         if problems:
-            raise ProfileError("; ".join(problems))
+            raise ProfileError(*problems)
         if self.heat_capacity <= 0:
             problems.append(f"heat_capacity must be > 0, got {self.heat_capacity}")
         if self.dissipation <= 0:
@@ -99,7 +99,7 @@ class DeviceProfile:
         if self.idle_power < 0:
             problems.append(f"idle_power must be >= 0, got {self.idle_power}")
         if problems:
-            raise ProfileError("; ".join(problems))
+            raise ProfileError(*problems)
 
 
 @dataclass
@@ -361,7 +361,7 @@ class CalibrationTargets:
         if not all(math.isfinite(end) for end in self.time_window):
             problems.append(f"time_window must be finite, got {self.time_window}")
         if problems:
-            raise CalibrationError("; ".join(problems))
+            raise CalibrationError(*problems)
 
 
 @dataclass(frozen=True)

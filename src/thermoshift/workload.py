@@ -47,7 +47,7 @@ class ModelVariant:
     def __post_init__(self):
         problems = non_finite_fields(self)
         if problems:
-            raise ScenarioError(f"variant {self.name!r}: " + "; ".join(problems))
+            raise ScenarioError(*(f"variant {self.name!r}: {p}" for p in problems))
         if self.base_latency <= 0:
             problems.append(f"base_latency must be > 0, got {self.base_latency}")
         if not (0.0 <= self.accuracy <= 1.0):
@@ -57,7 +57,7 @@ class ModelVariant:
         if self.power_nominal <= 0:
             problems.append(f"power_nominal must be > 0, got {self.power_nominal}")
         if problems:
-            raise ScenarioError(f"variant {self.name!r}: " + "; ".join(problems))
+            raise ScenarioError(*(f"variant {self.name!r}: {p}" for p in problems))
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,13 @@ class PacingPolicy:
     def __post_init__(self):
         problems = non_finite_fields(self)
         if problems:
-            raise ScenarioError("; ".join(problems))
+            raise ScenarioError(*problems)
         if self.latency_multiplier < 1.0:
             problems.append(f"latency_multiplier must be >= 1, got {self.latency_multiplier}")
         if self.target_period is not None and self.target_period <= 0:
             problems.append(f"target_period must be > 0, got {self.target_period}")
         if problems:
-            raise ScenarioError("; ".join(problems))
+            raise ScenarioError(*problems)
 
 
 def inference_latency(variant, freq, profile, multiplier=1.0):

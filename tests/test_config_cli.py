@@ -192,6 +192,15 @@ class TestCliRun:
         out = str(tmp_path / "trace.csv")
         assert main(["run", "--config", cfg_path, "--out", out, "--literal-init"]) == 2
 
+    def test_literal_init_with_baseline_runs_the_baseline(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config(duration=300))
+        out, plain = str(tmp_path / "both.csv"), str(tmp_path / "baseline.csv")
+        assert main(["run", "--config", cfg_path, "--out", out,
+                     "--baseline", "--literal-init"]) == 0
+        assert main(["run", "--config", cfg_path, "--out", plain, "--baseline"]) == 0
+        assert all(record.avg_temp is None for record in parse_trace(out))
+        assert Path(out).read_bytes() == Path(plain).read_bytes()
+
     def test_literal_init_runs_the_zero_seeded_controller(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         out, plain = str(tmp_path / "literal.csv"), str(tmp_path / "plain.csv")
@@ -209,6 +218,16 @@ class TestCliRun:
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "t.csv")]) == 2
         err = capsys.readouterr().err
         assert "bogus" in err
+
+    def test_each_problem_of_an_object_is_its_own_line(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(controller={
+            "temp_threshold": 73, "grad_threshold": -0.07,
+            "temp_smoothing": 1.5, "grad_smoothing": 1.5}))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "config errors:\n"
+            "  - controller: temp_smoothing must be in (0, 1), got 1.5\n"
+            "  - controller: grad_smoothing must be in (0, 1), got 1.5\n")
 
     def test_controller_that_can_never_shift_is_noted(self, tmp_path, capsys):
         # 77.0 C is the built-in phone's trip point, its hottest reading.

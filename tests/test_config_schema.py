@@ -1,6 +1,6 @@
 """The config schema comes from the dataclass fields: round trips, exact
-problem lists, oversized numbers and a problem order that does not
-depend on the hash seed."""
+problem lists (the loader's and each dataclass's own), oversized numbers
+and a problem order that does not depend on the hash seed."""
 
 import json
 import math
@@ -17,9 +17,11 @@ import thermoshift
 from thermoshift import config
 from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_scenario
-from thermoshift.errors import ConfigFileError
+from thermoshift.controller import ControllerConfig
+from thermoshift.errors import ConfigFileError, ScenarioError, ThermoshiftError
 from thermoshift.suites import PHONE_PROFILE, PROFILES, SUITES
-from thermoshift.thermal import CalibrationTargets, GovernorKind, calibrate_profile
+from thermoshift.thermal import CalibrationTargets, DeviceProfile, GovernorKind, calibrate_profile
+from thermoshift.workload import ModelVariant, PacingPolicy
 
 SUITE = "slimmable-resnet50-phone"
 BIG = {"name": "big", "base_latency": 0.4, "power_nominal": 7.0, "accuracy": 0.8}
@@ -150,11 +152,19 @@ EXACT_PROBLEMS = [
     ("variant-unknown-key-and-range", inline({**BIG, "accuracy": 2, "colour": "red"}, LITTLE),
      ["suite.large.colour: unknown key",
       "suite.large: variant 'big': accuracy must be in [0, 1], got 2"]),
+    # Was one "suite.large: variant 'big': ...; ..." line.
+    ("variant-two-ranges", inline({**BIG, "base_latency": 0, "accuracy": 2}, LITTLE),
+     ["suite.large: variant 'big': base_latency must be > 0, got 0",
+      "suite.large: variant 'big': accuracy must be in [0, 1], got 2"]),
     ("variant-boolean", inline(BIG, {**LITTLE, "power_nominal": True}),
      ["suite.small.power_nominal: expected a number, got True"]),
+    # Was 'platform: expected "phone" or "pi", got \'tv\'' (the governor wording now).
     ("platform", {"suite": {"large": BIG, "small": LITTLE}, "platform": "tv", "duration": 900},
-     ["platform: expected \"phone\" or \"pi\", got 'tv'",
+     ["platform: expected one of ['phone', 'pi'], got 'tv'",
       "platform: required when the suite is not a built-in name"]),
+    # A built-in suite keeps its own platform, which is not also missing.
+    ("platform-with-builtin-suite", base(platform="tv"),
+     ["platform: expected one of ['phone', 'pi'], got 'tv'"]),
     ("duration-string", base(duration="1h"), ["duration: expected a number, got '1h'"]),
     ("duration-zero", base(duration=0), ["duration: must be > 0, got 0"]),
     ("duration-minus-inf", base(duration=-math.inf), ["duration: must be > 0, got -inf"]),
@@ -192,6 +202,11 @@ EXACT_PROBLEMS = [
      [f"device.profile.governor: expected one of {GOVERNORS}, got 'turbo'"]),
     ("profile-range", base(device={"profile": {**PROFILE, "f_throttled": 3.0}}),
      ["device.profile: need 0 < f_throttled < f_nominal, got 3.0 / 2.0"]),
+    # Was one "device.profile: ...; ..." line.
+    ("profile-two-ranges", base(device={"profile": {**PROFILE, "heat_capacity": -1,
+                                                    "idle_power": -1}}),
+     ["device.profile: heat_capacity must be > 0, got -1",
+      "device.profile: idle_power must be >= 0, got -1"]),
     ("profile-unknown-key-and-range",
      base(device={"profile": {**PROFILE, "t_resume": 80.0, "fan": True}}),
      ["device.profile.fan: unknown key",
@@ -216,6 +231,11 @@ EXACT_PROBLEMS = [
       "device.calibration.time_window: expected [low, high]",
       f"device.calibration.governor: expected one of {GOVERNORS}, got 1",
       "device.calibration.large_power: expected a number, got False"]),
+    # Was one "device.calibration: ...; ..." line.
+    ("calibration-two-non-finite",
+     base(device={"calibration": {"ambient": math.nan, "trip_temp": math.inf}}),
+     ["device.calibration: ambient must be finite, got nan",
+      "device.calibration: trip_temp must be finite, got inf"]),
     ("calibration-unknown-key", base(device={"calibration": {"trip": 77}}),
      ["device.calibration.trip: unknown key"]),
     # Each section is checked on its own values, so an earlier problem
@@ -242,21 +262,39 @@ EXACT_PROBLEMS = [
     ("controller-range", base(controller={"temp_threshold": 73, "grad_threshold": -0.07,
                                           "temp_smoothing": 1.5}),
      ["controller: temp_smoothing must be in (0, 1), got 1.5"]),
+    # Was one "controller: ...; ..." line.
+    ("controller-two-ranges", base(controller={"temp_threshold": 73, "grad_threshold": -0.07,
+                                               "temp_smoothing": 1.5, "grad_smoothing": 1.5}),
+     ["controller: temp_smoothing must be in (0, 1), got 1.5",
+      "controller: grad_smoothing must be in (0, 1), got 1.5"]),
     ("controller-after-a-problem",
      base(duration=0, controller={"temp_threshold": 73, "grad_threshold": -0.07,
                                   "temp_smoothing": 1.5}),
      ["duration: must be > 0, got 0",
       "controller: temp_smoothing must be in (0, 1), got 1.5"]),
     ("pacing-not-an-object", base(pacing=[1]), ["pacing: expected an object"]),
+    # Was 'expected a number, "large", or null, got ...': "large" is
+    # read before the fields are checked.
     ("pacing-target", base(pacing={"target_period": "small", "gap": 1}),
      ["pacing.gap: unknown key",
-      "pacing.target_period: expected a number, \"large\", or null, got 'small'"]),
+      "pacing.target_period: expected a number, got 'small'"]),
     ("pacing-range", base(pacing={"latency_multiplier": 0.5}),
      ["pacing: latency_multiplier must be >= 1, got 0.5"]),
+    # Was one "pacing: ...; ..." line.
     ("pacing-both-ranges", base(pacing={"target_period": -1, "latency_multiplier": 0.5}),
-     ["pacing: latency_multiplier must be >= 1, got 0.5; target_period must be > 0, got -1"]),
+     ["pacing: latency_multiplier must be >= 1, got 0.5",
+      "pacing: target_period must be > 0, got -1"]),
     ("pacing-multiplier-string", base(pacing={"latency_multiplier": "2"}),
      ["pacing.latency_multiplier: expected a number, got '2'"]),
+    # Field order, as in every other section (was the other way round).
+    ("pacing-two-types", base(pacing={"latency_multiplier": "2", "target_period": "x"}),
+     ["pacing.target_period: expected a number, got 'x'",
+      "pacing.latency_multiplier: expected a number, got '2'"]),
+    # "large" is set from a built policy, so a bad multiplier is no longer
+    # reported twice (was also "target_period must be > 0, got 0.0").
+    ("pacing-large-and-range", base(pacing={"target_period": "large",
+                                            "latency_multiplier": 0}),
+     ["pacing: latency_multiplier must be >= 1, got 0"]),
     ("pacing-after-a-problem", base(duration=0, pacing={"latency_multiplier": 0.5}),
      ["duration: must be > 0, got 0", "pacing: latency_multiplier must be >= 1, got 0.5"]),
     # The platform picks only the default profile; a given one is checked.
@@ -281,6 +319,47 @@ EXACT_PROBLEMS = [
                           for name, cfg, problems in EXACT_PROBLEMS])
 def test_exact_problems(cfg, problems):
     assert problems_of(cfg) == problems
+
+
+# Each dataclass built directly with two problems: the error lists them,
+# and its text joins them with "; ". Only the variant's text moved: each
+# of its problems now carries the "variant '<name>': " prefix.
+DATACLASS_PROBLEMS = [
+    ("variant", lambda: ModelVariant(**{**BIG, "base_latency": 0, "accuracy": 2}),
+     ["variant 'big': base_latency must be > 0, got 0",
+      "variant 'big': accuracy must be in [0, 1], got 2"]),
+    ("profile", lambda: DeviceProfile(**{**PROFILE, "heat_capacity": -1, "idle_power": -1}),
+     ["heat_capacity must be > 0, got -1", "idle_power must be >= 0, got -1"]),
+    ("calibration", lambda: CalibrationTargets(ambient=math.nan, trip_temp=math.inf),
+     ["ambient must be finite, got nan", "trip_temp must be finite, got inf"]),
+    ("pacing", lambda: PacingPolicy(target_period=-1, latency_multiplier=0.5),
+     ["latency_multiplier must be >= 1, got 0.5", "target_period must be > 0, got -1"]),
+    ("controller", lambda: ControllerConfig(temp_smoothing=1.5, grad_smoothing=1.5),
+     ["temp_smoothing must be in (0, 1), got 1.5", "grad_smoothing must be in (0, 1), got 1.5"]),
+]
+
+
+class TestErrorProblems:
+    @pytest.mark.parametrize("build, problems",
+                             [pytest.param(build, problems, id=name)
+                              for name, build, problems in DATACLASS_PROBLEMS])
+    def test_dataclass_lists_its_problems(self, build, problems):
+        with pytest.raises(ThermoshiftError) as err:
+            build()
+        assert err.value.problems == problems
+        assert str(err.value) == "; ".join(problems)
+
+    @pytest.mark.parametrize("cls", [ThermoshiftError, ScenarioError, ConfigFileError])
+    def test_one_message_is_a_plain_exception(self, cls):
+        exc = cls("duration: must be > 0, got 0")
+        assert exc.args == ("duration: must be > 0, got 0",)
+        assert str(exc) == "duration: must be > 0, got 0"
+        assert repr(exc) == f"{cls.__name__}('duration: must be > 0, got 0')"
+        assert exc.problems == ["duration: must be > 0, got 0"]
+
+    def test_config_file_error_has_no_prefix(self):
+        exc = ConfigFileError("zeta: unknown key", "duration: missing required key")
+        assert str(exc) == "zeta: unknown key; duration: missing required key"
 
 
 # One config per kind of key, each with HUGE where the key names it.
