@@ -28,6 +28,10 @@ from .workload import ModelVariant
 DEFAULT_CELL_DURATION = 1800.0  # 30 simulated minutes per grid cell
 STABLE_CYCLES = 2  # complete shift cycles that stable_iteration_accuracy reads
 
+# Bound once: ``summarize`` tests every row's mode, and a member read through
+# its enum class costs far more than a module-level name.
+_LARGE = Mode.LARGE
+
 
 @dataclass(frozen=True)
 class Summary:
@@ -58,7 +62,7 @@ def summarize(trace: Trace, large: ModelVariant, small: ModelVariant) -> Summary
     latencies = []
     max_temp = trace[0].cpu_temp
     for r in trace:
-        if r.mode is Mode.LARGE:
+        if r.mode is _LARGE:
             n_large += 1
         if r.inference_latency is not None:
             latencies.append(r.inference_latency)

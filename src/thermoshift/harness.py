@@ -105,31 +105,50 @@ _TAILS_HELD = 256  # distinct tails that one emit_trace or parse_trace call keep
 def _csv_blocks(trace):
     """The trace's CSV text: the header line, then one string per ``_ROWS_PER_BLOCK`` rows.
 
-    Tails are looked up by value, and ``-0.0 == 0.0``, so the key also
-    holds a zero ``idle``'s sign, and a tail with a nan, or with a zero
-    ``freq`` or ``inference_latency``, is never kept.
+    A row whose tail fields are the very objects of the row before it
+    reuses that row's tail text: an object formats the same every time,
+    nan and either zero included. Any other row looks its tail up by
+    value, and ``-0.0 == 0.0``, so the key also holds a zero ``idle``'s
+    sign, and a tail with a nan, or with a zero ``freq`` or
+    ``inference_latency``, is never kept in the table.
     """
     yield CSV_HEADER + "\n"
     tails = {}
     both = _HEAD_FORMATS[False, False]
     rows = iter(trace)
+    # The tail fields of the row before; no record holds this mode, so the
+    # first row takes the table path. One name a statement below: a tuple
+    # assignment of five names builds and unpacks a tuple on every row.
+    last_freq = last_latency = last_idle = last_event = None
+    last_mode = object()
     while True:
         lines = []
         append = lines.append
         for r in islice(rows, _ROWS_PER_BLOCK):
-            freq, latency, idle = r.freq, r.inference_latency, r.idle
-            # ``_name_`` is the member's plain instance attribute; ``.name`` is
-            # an enum property, a Python-level call on every row.
-            key = (freq, r.mode._name_, latency, idle, r.event, idle == 0 and copysign(1.0, idle))
-            tail = tails.get(key)
-            if tail is None:
-                tail = _TAIL_FORMATS[freq is None, latency is None, idle is None] % key[:5]
-                # No nan (None == None; nan != nan), and no zero freq or latency,
-                # whose sign the key does not hold.
-                if freq == freq != 0 and latency == latency != 0 and idle == idle:
-                    if len(tails) >= _TAILS_HELD:
-                        tails.clear()
-                    tails[key] = tail
+            freq = r.freq
+            mode = r.mode
+            latency = r.inference_latency
+            idle = r.idle
+            event = r.event
+            if not (freq is last_freq and mode is last_mode and latency is last_latency
+                    and idle is last_idle and event is last_event):
+                # ``_name_`` is the member's plain instance attribute; ``.name`` is
+                # an enum property, a Python-level call.
+                key = (freq, mode._name_, latency, idle, event, idle == 0 and copysign(1.0, idle))
+                tail = tails.get(key)
+                if tail is None:
+                    tail = _TAIL_FORMATS[freq is None, latency is None, idle is None] % key[:5]
+                    # No nan (None == None; nan != nan), and no zero freq or latency,
+                    # whose sign the key does not hold.
+                    if freq == freq != 0 and latency == latency != 0 and idle == idle:
+                        if len(tails) >= _TAILS_HELD:
+                            tails.clear()
+                        tails[key] = tail
+                last_freq = freq
+                last_mode = mode
+                last_latency = latency
+                last_idle = idle
+                last_event = event
             avg, grad = r.avg_temp, r.grad
             head = both if avg is not None and grad is not None else _HEAD_FORMATS[
                 avg is None, grad is None]
@@ -145,10 +164,12 @@ def emit_trace(trace: Trace, path) -> None:
     Rows are formatted and written ``_ROWS_PER_BLOCK`` at a time, so the
     writer holds one block of text, never the whole file. A row's tail,
     ``freq``, ``mode``, ``inference_latency``, ``idle`` and ``event``, is
-    formatted once per distinct value and call, and reused from a table
-    of at most ``_TAILS_HELD`` texts, emptied when full, so a trace whose
-    tails never repeat holds no more than that. The other five columns
-    are formatted on every row: each shift draws its own ``overhead``.
+    reused from the row before when it holds the very same objects, and
+    otherwise formatted once per distinct value and call, and reused from
+    a table of at most ``_TAILS_HELD`` texts, emptied when full, so a
+    trace whose tails never repeat holds no more than that. The other
+    five columns are formatted on every row: each shift draws its own
+    ``overhead``.
     A record that cannot be formatted raises after the blocks before it
     were written, leaving a partial file behind.
     """
@@ -232,12 +253,18 @@ def _parse_lines(path, lines) -> Trace:
                 if len(tails) >= _TAILS_HELD:
                     tails.clear()
                 values = tails[tail] = (freq, _MODES[mode], latency, idle, _EVENTS[event])
+            # Unpacked, not starred: a star call takes CPython's slow call path.
+            freq, mode, latency, idle, event = values
             record = TraceRecord(
                 float(sim_time),
                 float(cpu_temp),
                 float(avg) if avg else None,
                 float(grad) if grad else None,
-                *values,
+                freq,
+                mode,
+                latency,
+                idle,
+                event,
                 0.0 if overhead in _NO_OVERHEAD else float(overhead),
             )
         except (ValueError, KeyError):

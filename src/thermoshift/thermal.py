@@ -61,6 +61,11 @@ class GovernorKind(enum.Enum):
     PI_PIN = "pi-pin"
 
 
+# Bound once: every profile check and each of calibration's 61 pi-pin probes
+# read it, and a member read through its enum class costs far more.
+_PI_PIN = GovernorKind.PI_PIN
+
+
 @dataclass(frozen=True)
 class DeviceProfile:
     heat_capacity: float        # J per deg C
@@ -94,7 +99,7 @@ class DeviceProfile:
             problems.append(
                 f"t_resume must sit below t_throttle, got {self.t_resume} / {self.t_throttle}"
             )
-        if self.governor is GovernorKind.PI_PIN and self.pin_gain <= 0:
+        if self.governor is _PI_PIN and self.pin_gain <= 0:
             problems.append("pi-pin governor needs pin_gain > 0")
         if self.idle_power < 0:
             problems.append(f"idle_power must be >= 0, got {self.idle_power}")
@@ -501,11 +506,11 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     profile = DeviceProfile(**solved)
     pinned_temp = None
     rise = None
-    if targets.governor is GovernorKind.PI_PIN:
+    if targets.governor is _PI_PIN:
         def pinned(gain):
             # The constructor, not ``dataclasses.replace``, whose generic
             # field walk added about a fifth to this 61-probe bisection.
-            return DeviceProfile(**solved, governor=GovernorKind.PI_PIN, pin_gain=gain)
+            return DeviceProfile(**solved, governor=_PI_PIN, pin_gain=gain)
 
         # More gain sheds more frequency per degree, so the equilibrium
         # latency rise grows monotonically with it.

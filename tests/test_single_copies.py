@@ -2,14 +2,16 @@
 ``Trace`` as a list, ``Summary.to_dict``, the decision values as row
 events, the live loop's pacing sleep and clock reads, the platform
 profile table, the governor table, the profile and controller constants
-read once per run, and the one-pass controller update (through both
-entry points), ``live_run`` loop and trace CSV rows against their
-reference forms."""
+read once per run, enum members bound outside every loop, and the
+one-pass controller update (through both entry points), ``live_run``
+loop and trace CSV rows against their reference forms."""
 
+import ast
 import dataclasses
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from conftest import (
 )
 from oracles import pick_event, reference_csv_text, reference_observe, reference_parse_lines
 
+import thermoshift
 from thermoshift import harness, thermal
 from thermoshift.analysis import Summary, cell_seed, summarize
 from thermoshift.config import build_scenario
@@ -539,6 +542,47 @@ class TestRuleCalledWhereItActs:
         assert all(event is None and after == before for before, event, after in above)
 
 
+ENUMS = frozenset(("Mode", "Decision", "GovernorKind", "Platform"))
+
+
+def enum_reads_in_loops(source):
+    """``(line, text)`` of each ``<enum>.<member>`` read in the body of a
+    ``for`` or ``while`` loop of ``source``, one of ``ENUMS`` each."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, (ast.For, ast.While)):
+            for node in (n for stmt in loop.body for n in ast.walk(stmt)):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name) and node.value.id in ENUMS):
+                    found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+class TestEnumMembersBoundOnce:
+    """A member read through its enum class costs far more than a
+    module-level name, so no loop in the package reads one."""
+
+    def test_no_loop_in_the_package_reads_a_member(self):
+        package = Path(thermoshift.__file__).parent
+        found = [f"{path.name}:{line}: {text}" for path in sorted(package.glob("*.py"))
+                 for line, text in enum_reads_in_loops(path.read_text())]
+        assert found == []
+
+    def test_the_check_finds_reads_in_loop_bodies_only(self):
+        source = (
+            "_LARGE = Mode.LARGE\n"
+            "for r in trace:\n"
+            "    if r.mode is Mode.LARGE:\n"
+            "        n += 1\n"
+            "else:\n"
+            "    last = Decision.STAY\n"
+            "while Platform.PI:\n"
+            "    make(lambda: GovernorKind.PI_PIN, mode=_LARGE, kind=Other.X)\n"
+            "    Mode.LARGE = None\n"
+        )
+        assert enum_reads_in_loops(source) == [(3, "Mode.LARGE"), (8, "GovernorKind.PI_PIN")]
+
+
 def suite_hour(suite_name, seed, baseline):
     config = {"suite": suite_name, "seed": seed, "duration": 3600.0}
     if not baseline:
@@ -594,6 +638,31 @@ def hand_built(finite):
     return Trace(records + flipped + records)
 
 
+def twin(value):
+    """A distinct object equal to ``value`` that may format otherwise: a zero
+    of the other sign, a new nan or infinity, an int for a bool and the
+    other way round, a float for any other int. None has no twin."""
+    if value is None:
+        return None
+    if type(value) is bool:
+        return int(value)
+    if type(value) is int:
+        return bool(value) if value in (0, 1) else float(value)
+    return -value if value == 0 else value + 0.0  # a new float object, nan and inf included
+
+
+def with_neighbours():
+    """Each record of ``hand_built(finite=False)``, then a copy that holds
+    its very tail objects, then one whose ``freq``, ``inference_latency``
+    and ``idle`` are their twins."""
+    records = []
+    for r in hand_built(finite=False):
+        records += [r, dataclasses.replace(r),
+                    dataclasses.replace(r, **{name: twin(getattr(r, name))
+                                              for name in ("freq", "inference_latency", "idle")})]
+    return Trace(records)
+
+
 CORPUS = {
     **{f"{name}-{seed}-{'baseline' if baseline else 'controller'}":
        (lambda name=name, seed=seed, baseline=baseline: suite_hour(name, seed, baseline))
@@ -602,7 +671,9 @@ CORPUS = {
     "pinned-2h": pinned_hours,
     "hand-built-finite": lambda: hand_built(finite=True),
     "hand-built": lambda: hand_built(finite=False),
+    "hand-built-neighbours": with_neighbours,
 }
+NOT_FINITE = {"hand-built", "hand-built-neighbours"}  # whose parse is refused
 
 
 def parse_outcome(parse, path, *lines):
@@ -632,7 +703,7 @@ class TestTraceCsvLockstep:
             assert fh.read() == reference_csv_text(trace)
         outcome = parse_outcome(parse_trace, path)
         assert outcome == parse_outcome(reference_parse, path)
-        assert name == "hand-built" or len(outcome) == len(trace)
+        assert isinstance(outcome, str) if name in NOT_FINITE else len(outcome) == len(trace)
 
     def test_each_row_before_and_after_its_tail_is_seen(self, tmp_path):
         """Every hand-built row, non-finite ones included, read as the first
@@ -662,3 +733,27 @@ class TestTraceCsvLockstep:
                                                               "inference_latency", "idle"))
                   for r in trace}
         assert len(blanks) == 32
+
+    def test_neighbours_share_tail_objects_or_only_equal_values(self):
+        """``with_neighbours`` puts rows whose tail fields are the very
+        objects of the row before next to rows whose fields are only equal
+        to them across a zero's sign, a nan object and a type."""
+        trace = with_neighbours()
+        tail = ("freq", "mode", "inference_latency", "idle", "event")
+        same = twins = 0
+        kinds = set()
+        for before, r in zip(trace, trace[1:]):
+            pairs = [(getattr(before, name), getattr(r, name)) for name in tail]
+            if all(a is b for a, b in pairs):
+                same += 1
+            elif all(a == b or a != a and b != b for a, b in pairs):
+                twins += 1
+                for a, b in pairs:
+                    if a is not b:
+                        kinds.add("type" if type(a) is not type(b) else
+                                  "nan" if a != a else
+                                  "sign" if math.copysign(1.0, a) != math.copysign(1.0, b) else
+                                  "object")
+        assert same >= len(trace) // 3
+        assert twins > len(trace) // 6
+        assert kinds >= {"type", "nan", "sign"}
