@@ -98,9 +98,22 @@ def stable_iteration_accuracy(trace, large, small) -> float:
     A cycle starts at a shift-to-small event and runs up to (excluding)
     the next one, so it covers one small phase and the following large
     phase. A cycle counts as complete only when the next shift-to-small
-    exists to close it.
+    exists to close it. Only the first ``STABLE_CYCLES + 1`` shifts to
+    SMALL are looked for; a trace with fewer has all of them found, so
+    the count in the error is the trace's own.
     """
-    starts = [i for i, r in enumerate(trace) if r.event == EVENT_SHIFT_SMALL]
+    # The comprehension reads each row's event through a specialized slot
+    # load, which on 3.11 beats ``map(attrgetter("event"), trace)``; the
+    # starts are then found by ``list.index``, which stops at the last one read.
+    events = [r.event for r in trace]
+    starts = []
+    at = -1
+    try:
+        while len(starts) <= STABLE_CYCLES:
+            at = events.index(EVENT_SHIFT_SMALL, at + 1)
+            starts.append(at)
+    except ValueError:
+        pass
     complete = max(0, len(starts) - 1)
     if complete < STABLE_CYCLES:
         raise AnalysisError(

@@ -13,7 +13,10 @@ variant's ``(compute, idle)`` at the two fixed frequency levels, the
 logging draw's mean and std, and one ``workload.normal_stream`` that both
 the logging and the model-load stall draws take their deviates from.
 Each row then does only the work that varies: the ``advance`` calls, the
-draws, the controller's update and the record. Compute and logging with
+draws, the controller's update and the record. A row looks its
+``(compute, idle)`` up again only when the clock object or the running
+variant changed since the row before, and reads the controller's mode
+only on a shift, the one row that changes it. Compute and logging with
 no idle between them are one ``advance`` over their sum. The controller
 gets the reading as two plain numbers through its bound
 ``observe_reading``; no ``TemperatureSample`` is built per row.
@@ -420,7 +423,11 @@ def run_scenario(scenario: Scenario) -> Trace:
     closure and governor rule), each variant's ``(compute, idle)`` at
     ``f_nominal`` and ``f_throttled``, the platform's logging mean and
     std, the normal stream's bound ``__next__``, and the controller's
-    bound ``observe_reading``.
+    bound ``observe_reading``. A row's ``(compute, idle)`` is read again
+    only when ``device.freq`` is not the very object it was last read at,
+    or the row before shifted the variant; a frequency between the two
+    levels (pi-pin's sag) is a new object per governor step and takes
+    ``iteration_time``. The controller's mode is read only on a shift row.
 
     A row with idle time takes three ``advance`` calls: compute, idle and
     logging. Without idle, compute and logging run back to back at the
@@ -451,6 +458,8 @@ def run_scenario(scenario: Scenario) -> Trace:
     large_times = {f: iteration_time(large, f, profile, pacing) for f in levels}
     small_times = {f: iteration_time(small, f, profile, pacing) for f in levels}
     variant, heat, times = large, large_heat, large_times
+    # The clock object ``(compute, idle)`` was last read at; a shift clears it.
+    read_at = None
     mode = Mode.LARGE
     stay, to_small = Decision.STAY, Decision.SHIFT_TO_SMALL
     trace = Trace()
@@ -459,8 +468,11 @@ def run_scenario(scenario: Scenario) -> Trace:
     swallowed = None  # governor events of the last shift row, not shown yet
 
     while device.sim_time < duration and small_shifts_left != 0:
-        # A frequency between the two levels (pi-pin's sag) misses the table.
-        compute, idle = times.get(device.freq) or iteration_time(variant, device.freq, profile, pacing)
+        freq = device.freq
+        if freq is not read_at:
+            # A frequency between the two levels (pi-pin's sag) misses the table.
+            compute, idle = times.get(freq) or iteration_time(variant, freq, profile, pacing)
+            read_at = freq
         log_dt = log_mean + normal() * log_std if logging_enabled else 0.0
         if not log_dt > 0.0:
             log_dt = 0.0  # the draw is clamped at zero
@@ -484,7 +496,6 @@ def run_scenario(scenario: Scenario) -> Trace:
             decision = observe(device.sim_time, cpu_temp)
             avg = controller.last_avg_temp
             grad = controller.last_grad
-            mode = controller.mode
 
         overhead = 0.0
         if decision is stay:
@@ -499,6 +510,8 @@ def run_scenario(scenario: Scenario) -> Trace:
                 event = EVENT_NONE
         else:
             event = decision._value_
+            mode = controller.mode  # only a shift changes it
+            read_at = None
             if events:
                 swallowed = events
             if decision is to_small:

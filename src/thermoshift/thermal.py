@@ -165,7 +165,7 @@ def advance(state, source, dt) -> list[str]:
     """
     if not 0.0 < dt < inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    band, rule = source.band, source.rule
+    band = source.band  # ``source.rule`` is read only where a step reaches it
     events = []
     left = dt
     while left > 0.0:
@@ -184,7 +184,7 @@ def advance(state, source, dt) -> list[str]:
         else:
             state.temp = edge
             left -= log((t_eq - temp) / (t_eq - edge)) / rate
-        event = rule(state)
+        event = source.rule(state)
         if event:
             events.append(event)
     state.sim_time += dt

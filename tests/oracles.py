@@ -6,8 +6,10 @@ ends inside a steady band), the controller's two filters
 (``observe_reading`` inlines them), the warm-up rule as first written
 (``observe_reading`` keeps only its cooling flag), the run's random draws
 (``run_scenario`` takes them from one ``normal_stream``), the row-event
-pick, the whole controller update, the whole row loop, and the trace
-CSV's row formatting and row parsing
+pick, the whole controller update, the whole row loop, the stable-cycle
+accuracy's scan for shifts to SMALL (``stable_iteration_accuracy`` finds
+only the starts it reads, by ``list.index``), and the trace CSV's row
+formatting and row parsing
 (``emit_trace`` and ``parse_trace`` handle each distinct tail once). The
 row parse has its own judge, ``row_problem``, which words a row's error
 without the program's ``_checked_row``, so the two are checked against
@@ -21,13 +23,14 @@ import weakref
 from itertools import product
 from math import exp, inf, isfinite, log
 
+from thermoshift.analysis import STABLE_CYCLES, summarize
 from thermoshift.controller import (
     Decision,
     Mode,
     ShiftController,
     TemperatureSample,
 )
-from thermoshift.errors import TraceFormatError
+from thermoshift.errors import AnalysisError, TraceFormatError
 from thermoshift.harness import (
     CSV_HEADER,
     EVENT_NONE,
@@ -273,6 +276,18 @@ def reference_run(scenario, split=False):
             log_dt,
         ))
     return trace
+
+
+def reference_stable_iteration_accuracy(trace, large, small) -> float:
+    """``stable_iteration_accuracy`` as first written: a comprehension
+    lists the index of every shift-to-small row of the trace."""
+    starts = [i for i, r in enumerate(trace) if r.event == EVENT_SHIFT_SMALL]
+    complete = max(0, len(starts) - 1)
+    if complete < STABLE_CYCLES:
+        raise AnalysisError(
+            f"need {STABLE_CYCLES} complete shift cycles, found {complete}"
+        )
+    return summarize(trace[starts[0]:starts[STABLE_CYCLES]], large, small).est_accuracy
 
 
 def _row_format(blanks) -> str:

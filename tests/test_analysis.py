@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import phone_scenario, pi_sweep_scenario
+from oracles import reference_stable_iteration_accuracy
 
 from thermoshift import analysis
 from thermoshift.analysis import (
@@ -25,6 +26,7 @@ from thermoshift.harness import (
     run_scenario,
 )
 from thermoshift.suites import SUITES, default_profile
+from thermoshift.thermal import EVENT_THROTTLE_OFF, EVENT_THROTTLE_ON
 
 LARGE = SUITES["slimmable-resnet50-phone"].large  # accuracy 0.768
 SMALL = SUITES["slimmable-resnet50-phone"].small  # accuracy 0.638
@@ -141,6 +143,59 @@ class TestStableIterationAccuracy:
     def test_no_shift_at_all(self):
         with pytest.raises(AnalysisError, match="found 0"):
             stable_iteration_accuracy(synthetic_trace(100, 0), LARGE, SMALL)
+
+
+def event_trace(events):
+    """One row per event; the mode follows the shifts, starting LARGE."""
+    records = []
+    mode = Mode.LARGE
+    for i, event in enumerate(events):
+        if event == EVENT_SHIFT_SMALL:
+            mode = Mode.SMALL
+        elif event == EVENT_SHIFT_LARGE:
+            mode = Mode.LARGE
+        records.append(row(i, mode, 0.205 if mode is Mode.LARGE else 0.107, event))
+    return Trace(records)
+
+
+def shift_cycles(n):
+    """A warm-up, then ``n`` shifts to SMALL, each followed by a LARGE phase."""
+    return [EVENT_NONE] * 3 + [EVENT_SHIFT_SMALL, EVENT_NONE, EVENT_NONE,
+                               EVENT_SHIFT_LARGE, EVENT_NONE] * n
+
+
+def outcome(accuracy, trace):
+    """``accuracy``'s value for the trace, or the text of its AnalysisError."""
+    try:
+        return accuracy(trace, LARGE, SMALL)
+    except AnalysisError as exc:
+        return f"AnalysisError: {exc}"
+
+
+S, L, ON, OFF, NONE = (EVENT_SHIFT_SMALL, EVENT_SHIFT_LARGE, EVENT_THROTTLE_ON,
+                       EVENT_THROTTLE_OFF, EVENT_NONE)
+
+
+class TestStableScanMatchesReference:
+    """``stable_iteration_accuracy`` gives the value of the reference
+    comprehension, or the same error text, on hand-built traces."""
+
+    @pytest.mark.parametrize("events", [
+        [],
+        shift_cycles(1),
+        shift_cycles(2),
+        shift_cycles(3),
+        shift_cycles(4),
+        [S, NONE, L, NONE, S, NONE, L, NONE, S, NONE],
+        [NONE, S, L, NONE, S, NONE, L, S],
+        [NONE, ON, S, ON, NONE, L, OFF, S, L, ON, S, NONE, L, ON, S],
+    ], ids=["empty", "1-shift", "2-shifts", "3-shifts", "4-shifts", "shift-first-row",
+            "shift-last-row", "other-events-between"])
+    def test_same_value_or_error(self, events):
+        trace = event_trace(events)
+        expected = outcome(reference_stable_iteration_accuracy, trace)
+        assert outcome(stable_iteration_accuracy, trace) == expected
+        assert isinstance(expected, float) == (events.count(S) > 2)  # a value iff 3 starts
 
 
 class TestAblationGrid:

@@ -37,7 +37,7 @@ from thermoshift.thermal import (
     HeatSource,
     advance,
 )
-from thermoshift.workload import LOGGING_OVERHEAD, PacingPolicy, Platform
+from thermoshift.workload import LOGGING_OVERHEAD, PacingPolicy, Platform, iteration_time
 
 
 class TestScenarioValidation:
@@ -759,6 +759,23 @@ class TestLeanLoopMatchesReference:
         controller = replace(pi_suite.controller, temp_threshold=78.0)
         scenario = pi_scenario(duration=1800.0, controller=controller)
         assert run_scenario(scenario) == reference_run(scenario)
+
+    def test_load_stall_changes_the_clock(self, phone_suite):
+        # A 20 s load of the large model heats the phone past its trip
+        # point, so the clock drops between a shift row and the row after:
+        # that row's compute is read at the throttled clock, which the
+        # shift row did not log. At a 76.9 C trip the row after stays
+        # LARGE, so the stall's throttle_on shows there in both loops.
+        large = replace(phone_suite.large, shift_mean=20.0)
+        controller = replace(phone_suite.controller, temp_threshold=76.9)
+        scenario = phone_scenario(duration=1800.0, large=large, controller=controller)
+        records = run_scenario(scenario)
+        assert records == reference_run(scenario)
+        profile, pacing = scenario.profile, scenario.pacing
+        throttled_compute = iteration_time(large, profile.f_throttled, profile, pacing)[0]
+        assert any(r.event == EVENT_SHIFT_LARGE and r.freq == profile.f_nominal
+                   and after.inference_latency == throttled_compute
+                   for r, after in zip(records, records[1:]))
 
     def test_negative_logging_draws_clamp_to_zero(self, monkeypatch):
         monkeypatch.setitem(LOGGING_OVERHEAD, Platform.PHONE, (0.0, 0.02))
