@@ -4,22 +4,8 @@ One iteration of the loop simulates: compute at the active model's power,
 injected idle time, the logging stall, a temperature reading, the shift
 decision, and (on a shift) the model-load stall. The thermal model is
 solved exactly with the governor acting continuously, so throttling can
-land mid-iteration.
-
-``run_scenario`` reads everything that is fixed for a run once, before
-its loop: the scenario's fields, one ``thermal.HeatSource`` per power
-curve (its band closure and the profile's governor rule), each
-variant's ``(compute, idle)`` at the two fixed frequency levels, the
-logging draw's mean and std, and one ``workload.normal_stream`` that both
-the logging and the model-load stall draws take their deviates from.
-Each row then does only the work that varies: the ``advance`` calls, the
-draws, the controller's update and the record. A row looks its
-``(compute, idle)`` up again only when the clock object or the running
-variant changed since the row before, and reads the controller's mode
-only on a shift, the one row that changes it. Compute and logging with
-no idle between them are one ``advance`` over their sum. The controller
-gets the reading as two plain numbers through its bound
-``observe_reading``; no ``TemperatureSample`` is built per row.
+land mid-iteration. ``run_scenario`` reads what is fixed for a run once,
+before its loop; its docstring lists what that is.
 """
 
 from __future__ import annotations
@@ -423,11 +409,13 @@ def run_scenario(scenario: Scenario) -> Trace:
     closure and governor rule), each variant's ``(compute, idle)`` at
     ``f_nominal`` and ``f_throttled``, the platform's logging mean and
     std, the normal stream's bound ``__next__``, and the controller's
-    bound ``observe_reading``. A row's ``(compute, idle)`` is read again
-    only when ``device.freq`` is not the very object it was last read at,
-    or the row before shifted the variant; a frequency between the two
-    levels (pi-pin's sag) is a new object per governor step and takes
-    ``iteration_time``. The controller's mode is read only on a shift row.
+    bound ``observe_reading``, which takes the reading as two plain
+    numbers, so no ``TemperatureSample`` is built per row. A row's
+    ``(compute, idle)`` is read again only when ``device.freq`` is not the
+    very object it was last read at, or the row before shifted the
+    variant; a frequency between the two levels (pi-pin's sag) is a new
+    object per governor step and takes ``iteration_time``. The
+    controller's mode is read only on a shift row.
 
     A row with idle time takes three ``advance`` calls: compute, idle and
     logging. Without idle, compute and logging run back to back at the

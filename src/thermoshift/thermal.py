@@ -31,9 +31,10 @@ device to: a solver also returns ``hottest``, the highest temperature
 most ``t_eq`` when heating, and stops exactly on band edges, so the
 bound is never passed.
 
-Calibration needs no simulation for the heat capacity: below the trip
-point the model is linear, so the time the large model takes to reach
-the trip point from ambient has a closed form.
+Calibration runs no simulation. Below the trip point the model is
+linear, so the time the large model takes to reach the trip point from
+ambient, and with it the heat capacity, has a closed form. A pi-pin
+device's pinned temperature is its large-model source's ``hottest``.
 
 Two governor styles are modeled:
 
@@ -143,10 +144,9 @@ class HeatSource:
     a pi-pin gain that sheds an infinite power) raises ProfileError.
     """
 
-    __slots__ = ("power_of_freq", "band", "rule", "hottest")
+    __slots__ = ("band", "rule", "hottest")
 
     def __init__(self, profile, power_of_freq):
-        self.power_of_freq = power_of_freq
         solve = _GOVERNORS[profile.governor]
         self.band, self.rule, self.hottest = solve(profile, power_of_freq)
 
@@ -380,15 +380,6 @@ class CalibrationResult:
     latency_rise: float | None = None
 
 
-def _settle(profile, large_power):
-    """(temp, freq) after ten time constants of the large model on a
-    pi-pin profile, its power scaling with frequency."""
-    state = DeviceState(temp=profile.ambient_temp, freq=profile.f_nominal)
-    source = HeatSource(profile, lambda f: large_power * f / profile.f_nominal)
-    advance(state, source, 10.0 * profile.heat_capacity / profile.dissipation)
-    return state.temp, state.freq
-
-
 def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     """Solve device constants so the simulated device matches the targets.
 
@@ -397,16 +388,18 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     constant C/k, so it reaches the trip point from ambient after
     (C/k) * ln((T_eq - T_amb) / (T_eq - T_trip)) seconds; setting that to
     ``time_to_throttle`` gives C. The pi-pin gain, when relevant, is found
-    by bisection on the equilibrium latency rise, each probe one
-    ``advance`` run. Raises CalibrationError for infeasible targets (a
-    dissipation that is not positive, small model unable to cool the
-    device, small power above large power or below zero, a time to
-    throttle that is not positive, outside its window or too short or
-    long for a heat capacity in (0, inf), a trip point the large model
-    cannot cross or ambient already reaches, and, where the phone-drop
-    large-model power is derived from their ratio, an ``f_nominal`` or
-    ``f_throttled`` that is not > 0, an ``f_throttled`` not below
-    ``f_nominal``, or one so small that the ratio rounds to 0).
+    by bisection on the equilibrium latency rise. Each probe reads its
+    pinned temperature from the large model's source, as ``hottest``,
+    and runs the rule once there for the pinned clock. Raises
+    CalibrationError for infeasible targets (a dissipation that is not
+    positive, small model unable to cool the device, small power above
+    large power or below zero, a time to throttle that is not positive,
+    outside its window or too short or long for a heat capacity in (0,
+    inf), a trip point the large model cannot cross or ambient already
+    reaches, and, where the phone-drop large-model power is derived from
+    their ratio, an ``f_nominal`` or ``f_throttled`` that is not > 0, an
+    ``f_throttled`` not below ``f_nominal``, or one so small that the
+    ratio rounds to 0).
     """
     k = targets.dissipation
     amb = targets.ambient
@@ -508,22 +501,28 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     rise = None
     if targets.governor is _PI_PIN:
         def pinned(gain):
+            # The profile with this gain, its pinned temperature and clock:
+            # the large model's source solves the temperature as
+            # ``hottest``, and its rule sets the clock there.
             # The constructor, not ``dataclasses.replace``, whose generic
             # field walk added about a fifth to this 61-probe bisection.
-            return DeviceProfile(**solved, governor=_PI_PIN, pin_gain=gain)
+            pinned_profile = DeviceProfile(**solved, governor=_PI_PIN, pin_gain=gain)
+            source = HeatSource(pinned_profile, lambda f: large_power * f / targets.f_nominal)
+            state = DeviceState(temp=source.hottest, freq=targets.f_nominal)
+            source.rule(state)
+            return pinned_profile, state.temp, state.freq
 
         # More gain sheds more frequency per degree, so the equilibrium
         # latency rise grows monotonically with it.
         glo, ghi = 1e-4, 50.0
         for _ in range(60):
             gmid = 0.5 * (glo + ghi)
-            _, freq = _settle(pinned(gmid), large_power)
+            freq = pinned(gmid)[2]
             if targets.f_nominal / freq - 1.0 > targets.latency_rise:
                 ghi = gmid
             else:
                 glo = gmid
-        profile = pinned(0.5 * (glo + ghi))
-        pinned_temp, freq = _settle(profile, large_power)
+        profile, pinned_temp, freq = pinned(0.5 * (glo + ghi))
         rise = targets.f_nominal / freq - 1.0
         if abs(pinned_temp - targets.trip_temp) > 1.0:
             raise CalibrationError(

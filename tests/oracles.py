@@ -207,7 +207,8 @@ def reference_run(scenario, split=False):
     """The row loop as it stood before per-run lookups: every row calls
     ``iteration_time``, ``logging_overhead`` and ``pick_event`` and reads
     the scenario. Kept as the oracle the lean loop in ``run_scenario``
-    must equal.
+    must equal. A shift row's governor events are held and picked on the
+    next row that stays, if that row raises none of its own.
 
     A row with no idle advances once over compute plus logging, as
     ``run_scenario`` does. ``split=True`` advances over each on its own,
@@ -225,6 +226,7 @@ def reference_run(scenario, split=False):
     variant, heat = scenario.large, large_heat
     trace = Trace()
     carried_events: list[str] = []  # governor events raised after the previous row was sampled
+    held: list[str] = []  # a shift row's governor events, shown on the next row that stays
 
     while device.sim_time < scenario.duration:
         compute, idle = iteration_time(variant, device.freq, profile, scenario.pacing)
@@ -251,7 +253,14 @@ def reference_run(scenario, split=False):
             grad = controller.last_grad
 
         overhead = 0.0
-        if decision is not Decision.STAY:
+        if decision is Decision.STAY:
+            # The row's own events win over those a shift row held, which
+            # this row shows or drops.
+            event = pick_event(decision, events or held)
+            held = []
+        else:
+            event = pick_event(decision, events)
+            held = events or held
             if decision is Decision.SHIFT_TO_SMALL:
                 variant, heat = scenario.small, small_heat
             else:
@@ -271,7 +280,7 @@ def reference_run(scenario, split=False):
             controller.mode if controller else Mode.LARGE,
             compute,
             idle,
-            pick_event(decision, events),
+            event,
             overhead,
             log_dt,
         ))

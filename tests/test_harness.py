@@ -667,6 +667,17 @@ class TestNonFiniteScenario:
         assert str(err.value) == message
 
 
+class KeptCurve(HeatSource):
+    """A ``HeatSource`` that also keeps the power curve it was built from,
+    which the program's sources do not."""
+
+    __slots__ = ("power_of_freq",)
+
+    def __init__(self, profile, power_of_freq):
+        super().__init__(profile, power_of_freq)
+        self.power_of_freq = power_of_freq
+
+
 class TestHeatSourcesInRun:
     """``run_scenario`` with its per-run heat sources equals sources built
     afresh for every ``advance`` call."""
@@ -687,6 +698,7 @@ class TestHeatSourcesInRun:
             assert isinstance(source, HeatSource)
             return advance(state, HeatSource(scenario.profile, source.power_of_freq), dt)
 
+        monkeypatch.setattr(harness, "HeatSource", KeptCurve)
         monkeypatch.setattr(harness, "advance", per_call)
         slow = run_scenario(scenario)
         assert fast == slow
@@ -705,6 +717,7 @@ class TestHeatSourcesInRun:
             calls.append((source, dt))
             return advance(state, source, dt)
 
+        monkeypatch.setattr(harness, "HeatSource", KeptCurve)
         monkeypatch.setattr(harness, "advance", record)
         scenario = phone_scenario(duration=900.0, **overrides)
         trace = run_scenario(scenario)
@@ -776,6 +789,18 @@ class TestLeanLoopMatchesReference:
         assert any(r.event == EVENT_SHIFT_LARGE and r.freq == profile.f_nominal
                    and after.inference_latency == throttled_compute
                    for r, after in zip(records, records[1:]))
+
+    def test_shift_row_events_held_for_the_next_row(self, phone_suite):
+        # Row 1909's 20 s load of the large model trips the governor, and
+        # that throttle_on is carried to row 1910, which shifts to SMALL.
+        # Row 1911 raises no governor event of its own, so both loops show
+        # the held throttle_on there.
+        large = replace(phone_suite.large, shift_mean=20.0)
+        scenario = phone_scenario(duration=1800.0, large=large)
+        records = run_scenario(scenario)
+        assert records == reference_run(scenario)
+        assert [r.event for r in records[1909:1912]] == [
+            EVENT_SHIFT_LARGE, EVENT_SHIFT_SMALL, EVENT_THROTTLE_ON]
 
     def test_negative_logging_draws_clamp_to_zero(self, monkeypatch):
         monkeypatch.setitem(LOGGING_OVERHEAD, Platform.PHONE, (0.0, 0.02))

@@ -7,6 +7,7 @@ import pytest
 from conftest import state_bits
 from oracles import reference_advance
 
+from thermoshift import thermal
 from thermoshift.errors import CalibrationError, ProfileError
 from thermoshift.thermal import (
     EVENT_THROTTLE_OFF,
@@ -227,6 +228,55 @@ class TestCalibration:
 PI_PIN_TARGETS = CalibrationTargets(
     governor=GovernorKind.PI_PIN, trip_temp=78.0, time_to_throttle=600.0,
     small_equilibrium=60.0, f_nominal=1.5, f_throttled=0.6, dissipation=0.10)
+
+
+def random_pin_targets(rng):
+    """Pi-pin calibration targets drawn around the pi-sweep device's."""
+    ambient, trip, f_nominal = rng.uniform(15.0, 30.0), rng.uniform(60.0, 90.0), rng.uniform(1.0, 3.0)
+    return CalibrationTargets(
+        governor=GovernorKind.PI_PIN, ambient=ambient, trip_temp=trip,
+        temp_threshold=trip - 1.0, time_to_throttle=rng.uniform(300.0, 900.0),
+        small_equilibrium=rng.uniform(ambient + 1.0, trip - 4.0), f_nominal=f_nominal,
+        f_throttled=f_nominal * rng.uniform(0.2, 0.9), dissipation=rng.uniform(0.05, 0.3),
+        latency_rise=rng.uniform(0.005, 0.3))
+
+
+class TestPinnedStateSolved:
+    """Each pi-pin probe reads its pinned state from the large model's
+    source, not from a run: the temperature is the source's ``hottest``,
+    and the rule sets the clock there."""
+
+    def test_no_advance_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("calibration called advance")
+
+        monkeypatch.setattr(thermal, "advance", refuse)
+        result = calibrate_profile(PI_PIN_TARGETS)
+        # The pi-sweep device, bit for bit as the simulated probes found it.
+        assert result.profile.pin_gain == 0.1291866028708096
+        assert result.pinned_temp.hex() == "0x1.3a00000000001p+6"
+        assert result.latency_rise.hex() == "0x1.70a3d70a3d700p-5"
+
+    def test_pinned_state_is_hottest_and_held_by_advance(self):
+        rng = random.Random(0)
+        accepted = 0
+        for _ in range(200):
+            try:
+                result = calibrate_profile(random_pin_targets(rng))
+            except CalibrationError:
+                continue
+            accepted += 1
+            p = result.profile
+            source = HeatSource(p, lambda f: result.large_power * f / p.f_nominal)
+            assert result.pinned_temp == source.hottest
+            state = DeviceState(temp=result.pinned_temp, freq=p.f_nominal)
+            source.rule(state)
+            assert result.latency_rise == p.f_nominal / state.freq - 1.0
+            # An equilibrium: a time constant of the one integrator moves nothing.
+            freq = state.freq
+            advance(state, source, p.heat_capacity / p.dissipation)
+            assert (state.temp, state.freq) == (result.pinned_temp, freq)
+        assert accepted >= 150
 
 
 class TestClosedFormCapacity:
