@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from .analysis import DEFAULT_CELL_DURATION, ablation_grid, summarize
 from .config import load_scenario
-from .controller import ControllerConfig, ShiftController
+from .controller import ShiftController
 from .errors import ConfigFileError, ProfileError, ThermoshiftError, check_writable, write_text
 from .harness import emit_trace, hottest_reading, parse_trace, run_scenario
 from .plots import emit_plots
@@ -41,14 +41,6 @@ def _cell_duration(text: str) -> float:
     return value
 
 
-def _coefficient(text: str) -> float:
-    """``live --alpha``/``--beta``: an EMA coefficient in (0, 1)."""
-    value = _finite(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text!r}")
-    return value
-
-
 def _summary_json(summary) -> str:
     return json.dumps(summary.to_dict(), indent=2, sort_keys=True)
 
@@ -65,16 +57,19 @@ def _load_runnable(path):
         raise ConfigFileError(*(f"device: {problem}" for problem in exc.problems)) from exc
 
 
+def _load_controlled(path, command):
+    """``_load_runnable`` for a command that runs the config's controller."""
+    scenario, _ = _load_runnable(path)
+    if scenario.controller is None:
+        raise ConfigFileError(f"controller: {command} needs a controller section in the config")
+    return scenario
+
+
 def cmd_run(args) -> int:
     summary_path = args.out + ".summary.json"
     check_writable(args.out, "trace")
     check_writable(summary_path, "summary")
     scenario, hottest = _load_runnable(args.config)
-    # --literal-init checks the config's controller before --baseline drops it.
-    if args.literal_init:
-        if scenario.controller is None:
-            raise ConfigFileError("controller: --literal-init needs a controller section")
-        scenario = replace(scenario, controller=replace(scenario.controller, literal_init=True))
     if args.baseline:
         scenario = replace(scenario, controller=None)
     if args.true_weight_sharing:
@@ -101,9 +96,7 @@ def cmd_ablate(args) -> int:
     table_path = args.out + ".txt"
     check_writable(args.out, "grid")
     check_writable(table_path, "table")
-    scenario, _ = _load_runnable(args.config)
-    if scenario.controller is None:
-        raise ConfigFileError("controller: ablation needs a controller section in the config")
+    scenario = _load_controlled(args.config, "ablation")
     grid = ablation_grid(scenario, args.tlims, args.glims, duration=args.duration)
     grid.to_csv(args.out)
     table = grid.format_table()
@@ -136,12 +129,7 @@ def cmd_plot(args) -> int:
 def cmd_live(args) -> int:
     if args.out is not None:
         check_writable(args.out, "trace")
-    config = ControllerConfig(
-        temp_smoothing=args.alpha,
-        grad_smoothing=args.beta,
-        temp_threshold=args.tlim,
-        grad_threshold=args.glim,
-    )
+    config = _load_controlled(args.config, "live").controller
     source = SysfsSource(args.zone)
     # Fail fast on an unreadable zone, or on a reading the controller
     # refuses, rather than five polls in.
@@ -173,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignore the controller section; run the large model only")
     p_run.add_argument("--true-weight-sharing", action="store_true",
                        help="shifts cost no load time")
-    p_run.add_argument("--literal-init", action="store_true",
-                       help="zero-seed controller filters (startup-artifact fidelity mode)")
     p_run.set_defaults(func=cmd_run)
 
     p_abl = sub.add_parser("ablate", help="sweep temperature/derivative thresholds")
@@ -207,13 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_live = sub.add_parser("live", help="poll a Linux thermal zone and signal shifts")
     p_live.add_argument("--zone", required=True,
                         help="thermal zone file, e.g. /sys/class/thermal/thermal_zone0/temp")
-    p_live.add_argument("--tlim", required=True, type=_finite, help="temperature threshold, C")
-    p_live.add_argument("--glim", required=True, type=_finite,
-                        help="derivative threshold, C per sample (usually negative)")
-    p_live.add_argument("--alpha", type=_coefficient, default=ControllerConfig.temp_smoothing,
-                        help="temperature EMA coefficient, in (0, 1)")
-    p_live.add_argument("--beta", type=_coefficient, default=ControllerConfig.grad_smoothing,
-                        help="derivative EMA coefficient, in (0, 1)")
+    p_live.add_argument("--config", required=True,
+                        help="JSON scenario config; its controller section is run")
     p_live.add_argument("--period", type=float, default=0.25, help="polling period, seconds")
     p_live.add_argument("--duration", type=float, help="stop after this many seconds")
     p_live.add_argument("--out", help="write the collected trace CSV here")

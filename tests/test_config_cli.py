@@ -12,8 +12,10 @@ import thermoshift
 from thermoshift import cli
 from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_scenario
+from thermoshift.controller import ShiftController, TemperatureSample
 from thermoshift.errors import ConfigFileError
 from thermoshift.harness import Trace, TraceRecord, emit_trace, parse_trace, run_scenario
+from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import get_suite
 from thermoshift.thermal import GovernorKind
 from thermoshift.workload import PacingPolicy, Platform
@@ -28,6 +30,10 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+# The phone suite's "default" controller, spelled out, in literal_init mode.
+LITERAL = {"temp_threshold": 73.0, "grad_threshold": -0.07, "literal_init": True}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -185,29 +191,24 @@ class TestCliRun:
                      "--true-weight-sharing"]) == 0
         assert all(r.overhead == 0.0 for r in parse_trace(out))
 
-    def test_literal_init_needs_controller(self, tmp_path):
-        cfg = base_config()
-        del cfg["controller"]
-        cfg_path = write_config(tmp_path, cfg)
-        out = str(tmp_path / "trace.csv")
-        assert main(["run", "--config", cfg_path, "--out", out, "--literal-init"]) == 2
-
     def test_literal_init_with_baseline_runs_the_baseline(self, tmp_path):
-        cfg_path = write_config(tmp_path, base_config(duration=300))
+        cfg_path = write_config(tmp_path, base_config(duration=300, controller=LITERAL))
+        plain_cfg = write_config(tmp_path, base_config(duration=300), "plain.json")
         out, plain = str(tmp_path / "both.csv"), str(tmp_path / "baseline.csv")
-        assert main(["run", "--config", cfg_path, "--out", out,
-                     "--baseline", "--literal-init"]) == 0
-        assert main(["run", "--config", cfg_path, "--out", plain, "--baseline"]) == 0
+        assert main(["run", "--config", cfg_path, "--out", out, "--baseline"]) == 0
+        assert main(["run", "--config", plain_cfg, "--out", plain, "--baseline"]) == 0
         assert all(record.avg_temp is None for record in parse_trace(out))
         assert Path(out).read_bytes() == Path(plain).read_bytes()
 
     def test_literal_init_runs_the_zero_seeded_controller(self, tmp_path):
-        cfg_path = write_config(tmp_path, base_config())
+        cfg_path = write_config(tmp_path, base_config(controller=LITERAL))
+        plain_cfg = write_config(tmp_path, base_config(), "plain.json")
         out, plain = str(tmp_path / "literal.csv"), str(tmp_path / "plain.csv")
-        assert main(["run", "--config", cfg_path, "--out", out, "--literal-init"]) == 0
-        assert main(["run", "--config", cfg_path, "--out", plain]) == 0
-        scenario = load_scenario(cfg_path)
+        assert main(["run", "--config", cfg_path, "--out", out]) == 0
+        assert main(["run", "--config", plain_cfg, "--out", plain]) == 0
+        scenario = load_scenario(plain_cfg)
         literal = replace(scenario, controller=replace(scenario.controller, literal_init=True))
+        assert load_scenario(cfg_path) == literal
         expected = str(tmp_path / "expected.csv")
         emit_trace(run_scenario(literal), expected)
         assert Path(out).read_bytes() == Path(expected).read_bytes()
@@ -353,12 +354,19 @@ class TestCliSummarizePlot:
 
 
 class TestCliLive:
+    """``live --config`` runs the config's controller, read by the same
+    loader as ``run``, on a thermal zone."""
+
+    def live(self, tmp_path, zone, *flags, cfg=None):
+        cfg_path = write_config(tmp_path, base_config() if cfg is None else cfg, "live.json")
+        return main(["live", "--zone", str(zone), "--config", cfg_path, *flags])
+
     def test_live_reads_zone(self, tmp_path, capsys):
         zone = tmp_path / "temp"
         zone.write_text("60000\n")
         out = str(tmp_path / "live.csv")
-        assert main(["live", "--zone", str(zone), "--tlim", "73", "--glim", "-0.07",
-                     "--period", "0.01", "--duration", "0.05", "--out", out]) == 0
+        assert self.live(tmp_path, zone, "--period", "0.01", "--duration", "0.05",
+                         "--out", out) == 0
         trace = parse_trace(out)
         assert len(trace) >= 1
         assert all(r.event == "none" for r in trace)
@@ -366,13 +374,12 @@ class TestCliLive:
     def test_live_prints_each_shift(self, tmp_path, capsys):
         zone = tmp_path / "temp"
         zone.write_text("80000\n")
-        assert main(["live", "--zone", str(zone), "--tlim", "73", "--glim", "-0.07",
-                     "--period", "0.01", "--duration", "0.05"]) == 0
+        assert self.live(tmp_path, zone, "--period", "0.01", "--duration", "0.05") == 0
         assert "shift_to_small at 80.00 C" in capsys.readouterr().out
 
     def test_live_missing_zone_errors(self, tmp_path, capsys):
         zone = tmp_path / "nope"
-        assert main(["live", "--zone", str(zone), "--tlim", "73", "--glim", "-0.07"]) == 1
+        assert self.live(tmp_path, zone) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read '{zone}': ")
 
     def test_live_refuses_first_reading_before_polling(self, tmp_path, capsys, monkeypatch):
@@ -382,10 +389,60 @@ class TestCliLive:
         zone.write_text("-300000\n")
         polled = []
         monkeypatch.setattr(cli, "live_run", lambda *args, **kwargs: polled.append(args))
-        assert main(["live", "--zone", str(zone), "--tlim", "73", "--glim", "-0.07",
-                     "--period", "5"]) == 1
+        assert self.live(tmp_path, zone, "--period", "5") == 1
         assert capsys.readouterr().err == "error: temperature below absolute zero: -300.0 C\n"
         assert polled == []
+
+    def test_baseline_config_refused_before_the_zone_is_read(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the zone was read for a config with no controller")
+
+        monkeypatch.setattr(cli, "SysfsSource", refuse)
+        monkeypatch.setattr(cli, "live_run", refuse)
+        cfg = base_config()
+        del cfg["controller"]
+        assert self.live(tmp_path, "unused", cfg=cfg) == 2
+        assert capsys.readouterr().err == (
+            "config errors:\n"
+            "  - controller: live needs a controller section in the config\n")
+
+    @pytest.mark.parametrize("mode", ["per_second", "literal_init"])
+    def test_hands_live_run_the_configs_controller(self, tmp_path, monkeypatch, mode):
+        zone = tmp_path / "temp"
+        zone.write_text("60000\n")
+        handed = []
+        monkeypatch.setattr(cli, "live_run", lambda source, config, **kwargs: (
+            handed.append(config) or Trace()))
+        cfg = base_config(controller={"temp_threshold": 70.5, "grad_threshold": -0.02,
+                                      "temp_smoothing": 0.9, "grad_smoothing": 0.5,
+                                      mode: True})
+        assert self.live(tmp_path, zone, cfg=cfg) == 0
+        assert handed == [load_scenario(str(tmp_path / "live.json")).controller]
+        assert getattr(handed[0], mode)
+
+    def test_replayed_readings_shift_as_the_configs_controller(self, tmp_path, monkeypatch):
+        # A 60-80 C swing with a 20 s period, read every 0.25 s, fed to live
+        # through its zone reader: the first read is the fail-fast check,
+        # then live_run polls every reading, unpaced. At this threshold the
+        # per-second slope releases later than the per-sample one would.
+        samples = [TemperatureSample(0.25 * i, 70.0 + 10.0 * math.sin(2 * math.pi * i / 80))
+                   for i in range(240)]
+        cfg = base_config(controller={"temp_threshold": 73.0, "grad_threshold": -1e-4,
+                                      "per_second": True})
+        monkeypatch.setattr(cli, "SysfsSource", lambda zone: ReplaySource(samples[:1] + samples))
+        monkeypatch.setattr(cli, "live_run", lambda *args, **kwargs: live_run(
+            *args, sleep=lambda seconds: None, **kwargs))
+        out = str(tmp_path / "live.csv")
+        assert self.live(tmp_path, "unused", "--out", out, cfg=cfg) == 0
+
+        def decisions(config):
+            controller = ShiftController(config)
+            return [controller.observe(sample).value for sample in samples]
+
+        config = build_scenario(cfg).controller
+        assert [record.event for record in parse_trace(out)] == decisions(config)
+        assert decisions(config) != decisions(replace(config, per_second=False))
 
 
 class TestCliParser:

@@ -1,5 +1,6 @@
 """Inputs that must be refused with a message, not a traceback or a hang:
-non-finite live pacing, bad live, ablate and plot flags, an unknown suite, an
+non-finite live pacing, bad live controller fields, bad ablate and plot
+flags, an unknown suite, an
 undecodable trace file, a trace holding nan, unwritable output paths
 (refused before any work starts), empty optional paths, and the profile,
 calibration, workload, analysis and config checks that no run in the
@@ -95,7 +96,9 @@ class TestLivePacingArguments:
     def test_cli_exits_1_naming_the_argument(self, tmp_path, capsys, flag, value):
         zone = tmp_path / "temp"
         zone.write_text("60000\n")
-        args = ["live", "--zone", str(zone), "--tlim", "73", "--glim", "-0.07",
+        config = tmp_path / "quick.json"
+        config.write_text(json.dumps(QUICK))
+        args = ["live", "--zone", str(zone), "--config", str(config),
                 "--period", "0.01", "--duration", "0.05"]
         args[args.index(flag) + 1] = value
         assert main(args) == 1
@@ -175,7 +178,7 @@ class TestOutputsCheckedUpFront:
         if kind == "ablate":
             return ["ablate", "--config", "unused.json", "--tlims", "75,73,70,65",
                     "--glims=-0.07,-0.1,-0.15,-0.2", "--duration", "360000", "--out", out]
-        return ["live", "--zone", "unused", "--tlim", "73", "--glim", "-0.07",
+        return ["live", "--zone", "unused", "--config", "unused.json",
                 "--duration", "1", "--out", out]
 
     @pytest.mark.parametrize("kind,what", [("run", "trace"), ("ablate", "grid"),
@@ -214,7 +217,7 @@ class TestEmptyOptionalPaths:
 
         monkeypatch.setattr(cli, "SysfsSource", refuse)
         monkeypatch.setattr(cli, "live_run", refuse)
-        assert main(["live", "--zone", "unused", "--tlim", "73", "--glim", "-0.07",
+        assert main(["live", "--zone", "unused", "--config", "unused.json",
                      "--duration", "1", "--out", ""]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write trace to '': ")
 
@@ -272,40 +275,40 @@ class TestAblateFlags:
         assert args.duration == DEFAULT_CELL_DURATION == 1800.0
 
 
-class TestLiveFlags:
-    """``live``'s thresholds and EMA coefficients are refused by argparse
-    (exit 2, naming the flag) before the zone is opened."""
+class TestLiveConfig:
+    """``live --config`` refuses a bad controller field as ``run`` does (exit
+    2, one ``- controller`` line naming the field) before the zone is
+    opened."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the zone was opened before the flags were checked")
+            raise AssertionError("the zone was opened before the config was checked")
 
         for name in ("SysfsSource", "live_run"):
             monkeypatch.setattr(cli, name, refuse)
 
-    def live(self, **flags):
-        args = {"--tlim": "73", "--glim": "-0.07", "--duration": "1"}
-        args.update(flags)
-        return ["live", "--zone", "unused"] + [f"{flag}={value}" for flag, value in args.items()]
+    def live(self, tmp_path, **fields):
+        controller = {"temp_threshold": 73, "grad_threshold": -0.07, **fields}
+        path = tmp_path / "live.json"
+        path.write_text(json.dumps({**QUICK, "controller": controller}))
+        return ["live", "--zone", "unused", "--config", str(path), "--duration", "1"]
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--tlim", "nan"), ("--tlim", "inf"), ("--tlim", "hot"),
-        ("--glim", "-inf"), ("--glim", "NaN"),
-        ("--alpha", "1.5"), ("--alpha", "1"), ("--alpha", "0"), ("--alpha", "nan"),
-        ("--beta", "-0.5"), ("--beta", "inf"), ("--beta", "x"),
+    @pytest.mark.parametrize("field,value", [
+        ("temp_threshold", math.nan), ("temp_threshold", math.inf),
+        ("temp_threshold", "hot"),
+        ("grad_threshold", -math.inf), ("grad_threshold", math.nan),
+        ("temp_smoothing", 1.5), ("temp_smoothing", 1), ("temp_smoothing", 0),
+        ("temp_smoothing", math.nan),
+        ("grad_smoothing", -0.5), ("grad_smoothing", math.inf), ("grad_smoothing", "x"),
     ])
-    def test_exits_2_naming_the_flag(self, capsys, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main(self.live(**{flag: value}))
-        assert exc.value.code == 2
-        assert f"argument {flag}: " in capsys.readouterr().err
-
-    def test_good_values_parse(self):
-        args = cli.build_parser().parse_args(self.live(**{"--alpha": "0.9", "--beta": "0.5"}))
-        assert (args.tlim, args.glim, args.alpha, args.beta) == (73.0, -0.07, 0.9, 0.5)
-        defaults = cli.build_parser().parse_args(self.live())
-        assert (defaults.alpha, defaults.beta) == (0.995, 0.99)
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, field, value):
+        assert main(self.live(tmp_path, **{field: value})) == 2
+        heading, *problems = capsys.readouterr().err.splitlines()
+        assert heading == "config errors:" and len(problems) == 1
+        # A value of the wrong type is named by its dotted key.
+        assert problems[0].startswith((f"  - controller: {field} must be ",
+                                       f"  - controller.{field}: expected a number"))
 
 
 class TestPlotFlags:
