@@ -55,6 +55,11 @@ def summarize(trace: Trace, large: ModelVariant, small: ModelVariant) -> Summary
     and shift/logging stalls are excluded. n_large, n_small and
     est_accuracy count rows: one per inference in a simulated trace, but
     one per poll in a ``live`` trace.
+
+    n_throttle_events counts rows that show ``throttle_on``. It is a lower
+    bound only where two ``throttle_on`` events wait for one row (see
+    ``run_scenario``). A ``throttle_off`` that waits with a ``throttle_on``
+    is not shown, so read throttled time from ``freq``, not from events.
     """
     if len(trace) == 0:
         raise AnalysisError("cannot summarize an empty trace")

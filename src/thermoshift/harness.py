@@ -422,10 +422,9 @@ def run_scenario(scenario: Scenario) -> Trace:
     running model's power, and ``advance`` solves each band exactly, so
     one call over their sum is the same step up to rounding.
 
-    A shift decision names its row's event. The governor events that row
-    raised show on the next row that raises none of its own (nor in the
-    model-load stall before it), so a throttle that starts on a shift row
-    is not lost.
+    Governor events raised by a row or a model-load stall wait until a row
+    that stays shows them: ``throttle_on`` if one is waiting, else
+    ``throttle_off``; a shift row shows its decision and leaves them waiting.
     """
     scenario.validate()
     profile = scenario.profile
@@ -452,8 +451,7 @@ def run_scenario(scenario: Scenario) -> Trace:
     stay, to_small = Decision.STAY, Decision.SHIFT_TO_SMALL
     trace = Trace()
     append = trace.append
-    carried_events: list[str] = []  # governor events raised after the previous row was sampled
-    swallowed = None  # governor events of the last shift row, not shown yet
+    pending: list[str] = []  # governor events that no row has shown yet
 
     while device.sim_time < duration and small_shifts_left != 0:
         freq = device.freq
@@ -465,16 +463,13 @@ def run_scenario(scenario: Scenario) -> Trace:
         if not log_dt > 0.0:
             log_dt = 0.0  # the draw is clamped at zero
         if idle > 0.0:
-            events = advance(device, heat, compute)
-            events += advance(device, idle_heat, idle)
+            pending += advance(device, heat, compute)
+            pending += advance(device, idle_heat, idle)
             if log_dt > 0.0:
-                events += advance(device, heat, log_dt)
+                pending += advance(device, heat, log_dt)
         else:
             # Logging follows compute at the same power: one exact step.
-            events = advance(device, heat, compute + log_dt)
-        if carried_events:
-            events[:0] = carried_events
-            carried_events = []
+            pending += advance(device, heat, compute + log_dt)
 
         cpu_temp = device.temp
         freq_now = device.freq
@@ -487,21 +482,16 @@ def run_scenario(scenario: Scenario) -> Trace:
 
         overhead = 0.0
         if decision is stay:
-            if events or swallowed:
-                # The row's own events, and the load stall's before it, come
-                # first; a shift row's show only on a row that raises none.
+            if pending:
                 # Governor events are throttle_on and throttle_off; on wins.
-                fired = events or swallowed
-                event = EVENT_THROTTLE_ON if EVENT_THROTTLE_ON in fired else EVENT_THROTTLE_OFF
-                swallowed = None
+                event = EVENT_THROTTLE_ON if EVENT_THROTTLE_ON in pending else EVENT_THROTTLE_OFF
+                pending = []
             else:
                 event = EVENT_NONE
         else:
             event = decision._value_
             mode = controller.mode  # only a shift changes it
             read_at = None
-            if events:
-                swallowed = events
             if decision is to_small:
                 variant, heat, times = small, small_heat, small_times
                 small_shifts_left -= 1
@@ -510,9 +500,9 @@ def run_scenario(scenario: Scenario) -> Trace:
             if not weight_shared:
                 overhead = variant.shift_mean + normal() * variant.shift_std
                 if overhead > 0.0:
-                    # Loading the incoming model is compute; events raised here
-                    # belong to the next row (this one is already sampled).
-                    carried_events = advance(device, heat, overhead)
+                    # Loading the incoming model is compute; this row is
+                    # already sampled, so its events wait for a later row.
+                    pending += advance(device, heat, overhead)
                 else:
                     overhead = 0.0  # the draw is clamped at zero
 

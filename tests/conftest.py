@@ -51,6 +51,13 @@ def pi_sweep_scenario(seed=0, **controller):
     return replace(scenario, controller=replace(scenario.controller, **controller))
 
 
+def trip_point(scenario):
+    """``scenario`` with its shift trip at the device's governor trip point,
+    where shift rows and throttles coincide."""
+    return replace(scenario, controller=replace(
+        scenario.controller, temp_threshold=scenario.profile.t_throttle))
+
+
 def record_bits(record):
     """Every field of a TraceRecord, floats as their hex text (so -0.0 != 0.0,
     and nan == nan)."""

@@ -207,8 +207,8 @@ def reference_run(scenario, split=False):
     """The row loop as it stood before per-run lookups: every row calls
     ``iteration_time``, ``logging_overhead`` and ``pick_event`` and reads
     the scenario. Kept as the oracle the lean loop in ``run_scenario``
-    must equal. A shift row's governor events are held and picked on the
-    next row that stays, if that row raises none of its own.
+    must equal. Governor events wait in one list until a row that stays
+    picks its event from them; a shift row leaves them waiting.
 
     A row with no idle advances once over compute plus logging, as
     ``run_scenario`` does. ``split=True`` advances over each on its own,
@@ -225,23 +225,20 @@ def reference_run(scenario, split=False):
     idle_heat = HeatSource(profile, lambda f: profile.idle_power)
     variant, heat = scenario.large, large_heat
     trace = Trace()
-    carried_events: list[str] = []  # governor events raised after the previous row was sampled
-    held: list[str] = []  # a shift row's governor events, shown on the next row that stays
+    pending: list[str] = []  # governor events that no row has shown yet
 
     while device.sim_time < scenario.duration:
         compute, idle = iteration_time(variant, device.freq, profile, scenario.pacing)
-        events = carried_events
-        carried_events = []
 
         log_dt = logging_overhead(scenario.platform, rng, scenario.logging_enabled)
         if idle > 0.0 or split:
-            events += advance(device, heat, compute)
+            pending += advance(device, heat, compute)
             if idle > 0.0:
-                events += advance(device, idle_heat, idle)
+                pending += advance(device, idle_heat, idle)
             if log_dt > 0.0:
-                events += advance(device, heat, log_dt)
+                pending += advance(device, heat, log_dt)
         else:
-            events += advance(device, heat, compute + log_dt)
+            pending += advance(device, heat, compute + log_dt)
 
         cpu_temp = device.temp
         freq_now = device.freq
@@ -253,23 +250,19 @@ def reference_run(scenario, split=False):
             grad = controller.last_grad
 
         overhead = 0.0
+        event = pick_event(decision, pending)
         if decision is Decision.STAY:
-            # The row's own events win over those a shift row held, which
-            # this row shows or drops.
-            event = pick_event(decision, events or held)
-            held = []
+            pending = []
         else:
-            event = pick_event(decision, events)
-            held = events or held
             if decision is Decision.SHIFT_TO_SMALL:
                 variant, heat = scenario.small, small_heat
             else:
                 variant, heat = scenario.large, large_heat
             overhead = shift_overhead(variant, rng, scenario.weight_shared)
             if overhead > 0.0:
-                # Loading the incoming model is compute; events raised here
-                # belong to the next row (this one is already sampled).
-                carried_events += advance(device, heat, overhead)
+                # Loading the incoming model is compute; this row is
+                # already sampled, so its events wait for a later row.
+                pending += advance(device, heat, overhead)
 
         trace.append(TraceRecord(
             device.sim_time,

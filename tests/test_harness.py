@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import phone_scenario, pi_scenario, pi_sweep_scenario
+from conftest import phone_scenario, pi_scenario, pi_sweep_scenario, trip_point
 from oracles import reference_run, row_problem
 
 from thermoshift import harness
@@ -955,6 +955,36 @@ class TestShiftRowGovernorEvents:
         assert trace[trip + 1].event == EVENT_THROTTLE_ON
         assert trace[trip + 1].freq == scenario.profile.f_throttled
         assert summarize(trace, scenario.large, scenario.small).n_throttle_events == 1
+
+
+class TestThrottleEventsMatchTheClock:
+    """The event column agrees with the ``freq`` column: every throttle
+    episode (a maximal run of rows below ``f_nominal``) is counted, and
+    each ``throttle_off`` row follows a ``throttle_on`` row."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("controller", ["trip-point", "baseline"])
+    @pytest.mark.parametrize("suite_name", SUITE_NAMES)
+    def test_every_throttle_episode_shows(self, suite_name, controller, seed):
+        scenario = build_scenario({"suite": suite_name, "seed": seed, "duration": 1800.0,
+                                   "controller": "default"})
+        if controller == "trip-point":
+            scenario = trip_point(scenario)
+        else:
+            scenario = replace(scenario, controller=None)
+        trace = run_scenario(scenario)
+        on = False
+        for i, r in enumerate(trace):
+            if r.event == EVENT_THROTTLE_ON:
+                on = True
+            elif r.event == EVENT_THROTTLE_OFF:
+                assert on, f"row {i}: throttle_off with no throttle_on since the last"
+                on = False
+        throttled = [r.freq < scenario.profile.f_nominal for r in trace]
+        episodes = sum(now and not before
+                       for before, now in zip([False] + throttled, throttled))
+        summary = summarize(trace, scenario.large, scenario.small)
+        assert summary.n_throttle_events >= episodes
 
 
 class TestStopAfterSmallShifts:

@@ -1,6 +1,8 @@
 """Metamorphic relations of the closed loop: exact symmetries of the
 model that any correct simulator keeps, checked end to end on every
-suite, with the controller on and off.
+suite, with the controller off, on, and on with its shift trip at the
+governor's (``trip-point``: there the Pi suites' shifting runs raise
+governor events too).
 
 * Translation: adding D C to the ambient, both governor thresholds and
   the shift threshold moves every ``cpu_temp`` by D, up to rounding, and
@@ -17,6 +19,8 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import trip_point
+
 from thermoshift.config import build_scenario
 from thermoshift.harness import run_scenario
 from thermoshift.suites import SUITE_NAMES
@@ -32,9 +36,10 @@ TRANSLATION_ULPS = 32
 
 def hour(suite_name, controller, duration=HOUR_S):
     cfg = {"suite": suite_name, "seed": 0, "duration": duration}
-    if controller:
+    if controller != "baseline":
         cfg["controller"] = "default"
-    return build_scenario(cfg)
+    scenario = build_scenario(cfg)
+    return trip_point(scenario) if controller == "trip-point" else scenario
 
 
 def translated(scenario, d):
@@ -56,7 +61,7 @@ def scaled(scenario, c):
                    small=replace(scenario.small, power_nominal=scenario.small.power_nominal * c))
 
 
-@pytest.mark.parametrize("controller", [False, True], ids=["baseline", "controller"])
+@pytest.mark.parametrize("controller", ["baseline", "controller", "trip-point"])
 @pytest.mark.parametrize("suite_name", SUITE_NAMES)
 class TestMetamorphicRelations:
     def test_translation_moves_every_temperature(self, suite_name, controller):
