@@ -17,12 +17,12 @@ from .errors import AnalysisError, write_text
 from .harness import (
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
+    EVENT_THROTTLE_ON,
     Scenario,
     Trace,
     hottest_reading,
     run_scenario,
 )
-from .thermal import EVENT_THROTTLE_ON
 from .workload import ModelVariant
 
 DEFAULT_CELL_DURATION = 1800.0  # 30 simulated minutes per grid cell

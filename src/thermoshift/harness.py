@@ -17,14 +17,7 @@ from math import copysign, isfinite
 
 from .controller import ControllerConfig, Decision, Mode, ShiftController
 from .errors import ScenarioError, TraceFormatError, write_text
-from .thermal import (
-    EVENT_THROTTLE_OFF,
-    EVENT_THROTTLE_ON,
-    DeviceProfile,
-    DeviceState,
-    HeatSource,
-    advance,
-)
+from .thermal import DeviceProfile, DeviceState, HeatSource, advance
 from .workload import (
     LOGGING_OVERHEAD,
     ModelVariant,
@@ -39,6 +32,8 @@ from .workload import (
 EVENT_NONE = Decision.STAY.value
 EVENT_SHIFT_SMALL = Decision.SHIFT_TO_SMALL.value
 EVENT_SHIFT_LARGE = Decision.SHIFT_TO_LARGE.value
+EVENT_THROTTLE_ON = "throttle_on"
+EVENT_THROTTLE_OFF = "throttle_off"
 
 CSV_HEADER = "sim_time,cpu_temp,avg_temp,grad,freq,mode,inference_latency,idle,event,overhead"
 
@@ -422,9 +417,11 @@ def run_scenario(scenario: Scenario) -> Trace:
     running model's power, and ``advance`` solves each band exactly, so
     one call over their sum is the same step up to rounding.
 
-    Governor events raised by a row or a model-load stall wait until a row
-    that stays shows them: ``throttle_on`` if one is waiting, else
-    ``throttle_off``; a shift row shows its decision and leaves them waiting.
+    Governor events are read from the device's ``trips`` and ``throttled``
+    and wait until a row that stays shows them: ``throttle_on`` if
+    ``trips`` has moved since the last row that stayed, else
+    ``throttle_off`` if ``throttled`` went from True to False since then; a
+    shift row shows its decision and leaves them waiting.
     """
     scenario.validate()
     profile = scenario.profile
@@ -451,7 +448,8 @@ def run_scenario(scenario: Scenario) -> Trace:
     stay, to_small = Decision.STAY, Decision.SHIFT_TO_SMALL
     trace = Trace()
     append = trace.append
-    pending: list[str] = []  # governor events that no row has shown yet
+    # ``trips`` and ``throttled`` as the last row that stayed saw them.
+    shown_trips, shown_throttled = 0, False
 
     while device.sim_time < duration and small_shifts_left != 0:
         freq = device.freq
@@ -463,13 +461,13 @@ def run_scenario(scenario: Scenario) -> Trace:
         if not log_dt > 0.0:
             log_dt = 0.0  # the draw is clamped at zero
         if idle > 0.0:
-            pending += advance(device, heat, compute)
-            pending += advance(device, idle_heat, idle)
+            advance(device, heat, compute)
+            advance(device, idle_heat, idle)
             if log_dt > 0.0:
-                pending += advance(device, heat, log_dt)
+                advance(device, heat, log_dt)
         else:
             # Logging follows compute at the same power: one exact step.
-            pending += advance(device, heat, compute + log_dt)
+            advance(device, heat, compute + log_dt)
 
         cpu_temp = device.temp
         freq_now = device.freq
@@ -482,10 +480,14 @@ def run_scenario(scenario: Scenario) -> Trace:
 
         overhead = 0.0
         if decision is stay:
-            if pending:
-                # Governor events are throttle_on and throttle_off; on wins.
-                event = EVENT_THROTTLE_ON if EVENT_THROTTLE_ON in pending else EVENT_THROTTLE_OFF
-                pending = []
+            # A release follows each trip, so with no trip since the last row
+            # that stayed, ``throttled`` can only have gone from True to False.
+            if device.trips != shown_trips:
+                event = EVENT_THROTTLE_ON
+                shown_trips, shown_throttled = device.trips, device.throttled
+            elif shown_throttled and not device.throttled:
+                event = EVENT_THROTTLE_OFF
+                shown_throttled = False
             else:
                 event = EVENT_NONE
         else:
@@ -502,7 +504,7 @@ def run_scenario(scenario: Scenario) -> Trace:
                 if overhead > 0.0:
                     # Loading the incoming model is compute; this row is
                     # already sampled, so its events wait for a later row.
-                    pending += advance(device, heat, overhead)
+                    advance(device, heat, overhead)
                 else:
                     overhead = 0.0  # the draw is clamped at zero
 

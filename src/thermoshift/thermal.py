@@ -24,6 +24,11 @@ stops on but skips it where a step ends strictly inside a steady band:
 a run that the controller keeps short of the trip point calls no rule.
 Each solver's docstring names its steady bands, beside the rule.
 
+A rule records what it did on the state and returns nothing: it sets
+``throttled``, and adds 1 to ``trips`` each time ``throttled`` turns
+True. A trace's governor events are read from these two fields (see
+``run_scenario``).
+
 The same band constants bound every temperature a source can carry the
 device to: a solver also returns ``hottest``, the highest temperature
 ``advance`` reaches under that source from any state at or below it.
@@ -52,9 +57,6 @@ from dataclasses import dataclass
 from math import exp, inf, isfinite, log  # module-level names for the band loops
 
 from .errors import CalibrationError, ProfileError, non_finite_fields
-
-EVENT_THROTTLE_ON = "throttle_on"
-EVENT_THROTTLE_OFF = "throttle_off"
 
 
 class GovernorKind(enum.Enum):
@@ -114,6 +116,7 @@ class DeviceState:
     freq: float
     throttled: bool = False
     sim_time: float = 0.0
+    trips: int = 0  # times a governor rule turned ``throttled`` True
 
 
 class HeatSource:
@@ -151,7 +154,7 @@ class HeatSource:
         self.band, self.rule, self.hottest = solve(profile, power_of_freq)
 
 
-def advance(state, source, dt) -> list[str]:
+def advance(state, source, dt) -> None:
     """Advance dt seconds exactly under ``source``, a ``HeatSource``, with
     its governor acting continuously.
 
@@ -160,13 +163,13 @@ def advance(state, source, dt) -> list[str]:
     and the source's governor rule runs there, so a mid-interval
     frequency drop also lowers the heat flowing in. Where the interval
     ends, the rule runs once more, unless the temperature ends strictly
-    inside a steady band, where the rule cannot act. Returns the
-    throttle events raised along the way, in order.
+    inside a steady band, where the rule cannot act. The rule records
+    what it did on the state: it sets ``throttled``, and adds 1 to
+    ``trips`` where ``throttled`` turns True.
     """
     if not 0.0 < dt < inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     band = source.band  # ``source.rule`` is read only where a step reaches it
-    events = []
     left = dt
     while left > 0.0:
         rate, t_eq, edge, steady = band(state)
@@ -184,11 +187,8 @@ def advance(state, source, dt) -> list[str]:
         else:
             state.temp = edge
             left -= log((t_eq - temp) / (t_eq - edge)) / rate
-        event = source.rule(state)
-        if event:
-            events.append(event)
+        source.rule(state)
     state.sim_time += dt
-    return events
 
 
 def _finite_equilibria(*equilibria):
@@ -247,12 +247,10 @@ def _drop(profile, power_of_freq):
         if not state.throttled and state.temp >= t_throttle:
             state.freq = f_throttled
             state.throttled = True
-            return EVENT_THROTTLE_ON
-        if state.throttled and state.temp <= t_resume:
+            state.trips += 1
+        elif state.throttled and state.temp <= t_resume:
             state.freq = f_nominal
             state.throttled = False
-            return EVENT_THROTTLE_OFF
-        return None
 
     return band, rule, max(min(nominal_eq, t_throttle), throttled_eq)
 
@@ -319,14 +317,13 @@ def _pin(profile, power_of_freq):
                 freq = f_throttled
         else:
             freq = f_nominal
-        was_throttled = state.throttled
         state.freq = freq
-        state.throttled = throttled = freq < unthrottled
-        if throttled and not was_throttled:
-            return EVENT_THROTTLE_ON
-        if was_throttled and not throttled:
-            return EVENT_THROTTLE_OFF
-        return None
+        if freq < unthrottled:
+            if not state.throttled:
+                state.throttled = True
+                state.trips += 1
+        else:
+            state.throttled = False
 
     hottest = (below_eq if pinned_eq <= trip else pinned_eq if pinned_eq <= floor
                else max(floor, above_eq))

@@ -72,7 +72,8 @@ def controller_bits(ctl):
 
 def state_bits(state):
     """A DeviceState's fields, floats as their hex text."""
-    return state.temp.hex(), state.freq.hex(), state.throttled, state.sim_time.hex()
+    return (state.temp.hex(), state.freq.hex(), state.throttled, state.sim_time.hex(),
+            state.trips)
 
 
 @pytest.fixture

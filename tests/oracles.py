@@ -6,10 +6,11 @@ ends inside a steady band), the controller's two filters
 (``observe_reading`` inlines them), the warm-up rule as first written
 (``observe_reading`` keeps only its cooling flag), the run's random draws
 (``run_scenario`` takes them from one ``normal_stream``), the row-event
-pick, the whole controller update, the whole row loop, the stable-cycle
-accuracy's scan for shifts to SMALL (``stable_iteration_accuracy`` finds
-only the starts it reads, by ``list.index``), and the trace CSV's row
-formatting and row parsing
+pick from a list of governor events (``run_scenario`` reads the device's
+``trips`` and ``throttled`` instead), the whole controller update,
+the whole row loop, the stable-cycle accuracy's scan for shifts to
+SMALL (``stable_iteration_accuracy`` finds only the starts it reads, by
+``list.index``), and the trace CSV's row formatting and row parsing
 (``emit_trace`` and ``parse_trace`` handle each distinct tail once). The
 row parse has its own judge, ``row_problem``, which words a row's error
 without the program's ``_checked_row``, so the two are checked against
@@ -18,6 +19,7 @@ lean code to equal them bit for bit. Tests import this module as they
 import ``conftest``; it holds no tests.
 """
 
+import copy
 import random
 import weakref
 from itertools import product
@@ -36,16 +38,12 @@ from thermoshift.harness import (
     EVENT_NONE,
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
+    EVENT_THROTTLE_OFF,
+    EVENT_THROTTLE_ON,
     Trace,
     TraceRecord,
 )
-from thermoshift.thermal import (
-    EVENT_THROTTLE_OFF,
-    EVENT_THROTTLE_ON,
-    DeviceState,
-    HeatSource,
-    advance,
-)
+from thermoshift.thermal import DeviceState, HeatSource, advance
 from thermoshift.workload import LOGGING_OVERHEAD, Platform, iteration_time, power_draw
 
 
@@ -177,14 +175,39 @@ def pick_event(decision: Decision, governor_events) -> str:
     return decision.value
 
 
+def record_throttle_changes(source, events=None) -> list[str]:
+    """Wrap ``source.rule`` in place so that each call also records the
+    change of ``throttled`` it makes: ``throttle_on`` where it turns True,
+    ``throttle_off`` where it turns False. Returns the list the records
+    go to, ``events`` if one is given, so sources can share a list.
+
+    These are the governor events as the rules once returned them, read
+    from ``throttled`` alone, without ``trips``."""
+    rule = source.rule
+    if events is None:
+        events = []
+
+    def recording_rule(state):
+        was_throttled = state.throttled
+        rule(state)
+        if state.throttled != was_throttled:
+            events.append(EVENT_THROTTLE_ON if state.throttled else EVENT_THROTTLE_OFF)
+
+    source.rule = recording_rule
+    return events
+
+
 def reference_advance(state, source, dt) -> list[str]:
     """``advance`` as it stood before steady bands: it reads only the
     first three band constants and runs the governor rule after every
     band step, also where the step ends strictly inside a band on which
-    the rule cannot act."""
+    the rule cannot act. Returns the governor events of the step, in
+    order, as ``record_throttle_changes`` records them on a copy of
+    ``source``."""
     if not 0.0 < dt < inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    events = []
+    source = copy.copy(source)
+    events = record_throttle_changes(source)
     left = dt
     while left > 0.0:
         rate, t_eq, edge = source.band(state)[:3]
@@ -196,9 +219,7 @@ def reference_advance(state, source, dt) -> list[str]:
         else:
             state.temp = edge
             left -= log((t_eq - temp) / (t_eq - edge)) / rate
-        event = source.rule(state)
-        if event:
-            events.append(event)
+        source.rule(state)
     state.sim_time += dt
     return events
 
@@ -207,7 +228,8 @@ def reference_run(scenario, split=False):
     """The row loop as it stood before per-run lookups: every row calls
     ``iteration_time``, ``logging_overhead`` and ``pick_event`` and reads
     the scenario. Kept as the oracle the lean loop in ``run_scenario``
-    must equal. Governor events wait in one list until a row that stays
+    must equal. Governor events, recorded by ``record_throttle_changes``
+    on each of the run's sources, wait in one list until a row that stays
     picks its event from them; a shift row leaves them waiting.
 
     A row with no idle advances once over compute plus logging, as
@@ -226,19 +248,21 @@ def reference_run(scenario, split=False):
     variant, heat = scenario.large, large_heat
     trace = Trace()
     pending: list[str] = []  # governor events that no row has shown yet
+    for source in (large_heat, small_heat, idle_heat):
+        record_throttle_changes(source, pending)
 
     while device.sim_time < scenario.duration:
         compute, idle = iteration_time(variant, device.freq, profile, scenario.pacing)
 
         log_dt = logging_overhead(scenario.platform, rng, scenario.logging_enabled)
         if idle > 0.0 or split:
-            pending += advance(device, heat, compute)
+            advance(device, heat, compute)
             if idle > 0.0:
-                pending += advance(device, idle_heat, idle)
+                advance(device, idle_heat, idle)
             if log_dt > 0.0:
-                pending += advance(device, heat, log_dt)
+                advance(device, heat, log_dt)
         else:
-            pending += advance(device, heat, compute + log_dt)
+            advance(device, heat, compute + log_dt)
 
         cpu_temp = device.temp
         freq_now = device.freq
@@ -252,7 +276,7 @@ def reference_run(scenario, split=False):
         overhead = 0.0
         event = pick_event(decision, pending)
         if decision is Decision.STAY:
-            pending = []
+            pending.clear()
         else:
             if decision is Decision.SHIFT_TO_SMALL:
                 variant, heat = scenario.small, small_heat
@@ -262,7 +286,7 @@ def reference_run(scenario, split=False):
             if overhead > 0.0:
                 # Loading the incoming model is compute; this row is
                 # already sampled, so its events wait for a later row.
-                pending += advance(device, heat, overhead)
+                advance(device, heat, overhead)
 
         trace.append(TraceRecord(
             device.sim_time,

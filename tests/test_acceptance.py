@@ -27,6 +27,7 @@ from thermoshift.controller import (
 from thermoshift.harness import (
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
+    EVENT_THROTTLE_ON,
     Trace,
     TraceRecord,
     emit_trace,
@@ -36,7 +37,6 @@ from thermoshift.harness import (
 from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import PHONE_PROFILE, SUITES
 from thermoshift.thermal import (
-    EVENT_THROTTLE_ON,
     DeviceProfile,
     DeviceState,
     GovernorKind,

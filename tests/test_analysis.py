@@ -19,6 +19,8 @@ from thermoshift.harness import (
     EVENT_NONE,
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
+    EVENT_THROTTLE_OFF,
+    EVENT_THROTTLE_ON,
     Scenario,
     Trace,
     TraceRecord,
@@ -26,7 +28,6 @@ from thermoshift.harness import (
     run_scenario,
 )
 from thermoshift.suites import SUITES, default_profile
-from thermoshift.thermal import EVENT_THROTTLE_OFF, EVENT_THROTTLE_ON
 
 LARGE = SUITES["slimmable-resnet50-phone"].large  # accuracy 0.768
 SMALL = SUITES["slimmable-resnet50-phone"].small  # accuracy 0.638

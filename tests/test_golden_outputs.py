@@ -10,6 +10,8 @@ import itertools
 
 import pytest
 
+from conftest import trip_point
+
 from thermoshift.analysis import ablation_grid
 from thermoshift.config import build_scenario
 from thermoshift.harness import emit_trace, run_scenario
@@ -61,6 +63,20 @@ OPT_IN_HOUR_SHA256 = {
     ("literal_init", 0): "1ac27d54d907a40d53a953c5ea65a7be602f7e8a471764e97b8bf0a394817cd9",
     ("literal_init", 8675309): "7d3a5aaa2c0691e1d093d138783af5073588ee7c8e5aa7b678ab7c5e5c0e8005",
 }
+# Each pi suite's 1800 s run with its shift trip at the device's trip
+# point: governor events wait behind shift rows (41 throttle_on rows for
+# slimmable-resnet50-pi, 21 for dynabert-pi, seed 0). The CI CLI check
+# pins the first digest on its trip.csv.
+TRIP_POINT_SHA256 = {
+    ("slimmable-resnet50-pi", 0):
+        "b620d5d897a1f7d8610f8c9bed895b373fc1f6b9671fe4a30cfda50bb29f84ab",
+    ("slimmable-resnet50-pi", 8675309):
+        "a7780edc034940c05b0b630c6de6a592c3cb8b4c754041c690bed601dae362e3",
+    ("dynabert-pi", 0):
+        "d414f58dfc5e2217b457c543b65bc76ddb602e4a8c579f45fe2557047ebd6c94",
+    ("dynabert-pi", 8675309):
+        "7422ad4c8ba53dcec2d040438e23f123d08916f14b8ccbaa624df8749e677e7f",
+}
 PIN_GRID_SHA256 = {
     0: "423e0652c638c27cdfa7c4b23353978c3fc08792d53b950a5d78d84fd6894042",
     8675309: "a3e3dc4175ba8028fc8e088dc3795078e8e0c04cefcf2886b0c770e20503ed37",
@@ -109,6 +125,15 @@ def test_baseline_hour_trace(tmp_path, suite, seed):
     out = tmp_path / "trace.csv"
     emit_trace(run_scenario(scenario), out)
     assert sha256_of(out) == BASELINE_HOUR_SHA256[suite, seed]
+
+
+@pytest.mark.parametrize("suite, seed", sorted(TRIP_POINT_SHA256))
+def test_trip_point_trace(tmp_path, suite, seed):
+    scenario = trip_point(build_scenario({"suite": suite, "seed": seed,
+                                          "controller": "default", "duration": 1800.0}))
+    out = tmp_path / "trace.csv"
+    emit_trace(run_scenario(scenario), out)
+    assert sha256_of(out) == TRIP_POINT_SHA256[suite, seed]
 
 
 @pytest.mark.parametrize("seed", sorted(PIN_GRID_SHA256))

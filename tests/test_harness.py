@@ -22,6 +22,8 @@ from thermoshift.harness import (
     EVENT_NONE,
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
+    EVENT_THROTTLE_OFF,
+    EVENT_THROTTLE_ON,
     Trace,
     TraceRecord,
     emit_trace,
@@ -30,13 +32,7 @@ from thermoshift.harness import (
 )
 from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import PHONE_PROFILE, SUITE_NAMES, SUITES, default_profile
-from thermoshift.thermal import (
-    EVENT_THROTTLE_OFF,
-    EVENT_THROTTLE_ON,
-    GovernorKind,
-    HeatSource,
-    advance,
-)
+from thermoshift.thermal import GovernorKind, HeatSource, advance
 from thermoshift.workload import LOGGING_OVERHEAD, PacingPolicy, Platform, iteration_time
 
 
@@ -696,7 +692,7 @@ class TestHeatSourcesInRun:
             # A new source from the same power curve, so the band
             # constants are solved again on every call.
             assert isinstance(source, HeatSource)
-            return advance(state, HeatSource(scenario.profile, source.power_of_freq), dt)
+            advance(state, HeatSource(scenario.profile, source.power_of_freq), dt)
 
         monkeypatch.setattr(harness, "HeatSource", KeptCurve)
         monkeypatch.setattr(harness, "advance", per_call)
@@ -715,7 +711,7 @@ class TestHeatSourcesInRun:
 
         def record(state, source, dt):
             calls.append((source, dt))
-            return advance(state, source, dt)
+            advance(state, source, dt)
 
         monkeypatch.setattr(harness, "HeatSource", KeptCurve)
         monkeypatch.setattr(harness, "advance", record)
@@ -818,7 +814,7 @@ class TestLeanLoopMatchesReference:
 
         def record(state, source, dt):
             intervals.append(dt)
-            return advance(state, source, dt)
+            advance(state, source, dt)
 
         monkeypatch.setattr(harness, "advance", record)
         records = run_scenario(scenario)
@@ -955,6 +951,26 @@ class TestShiftRowGovernorEvents:
         assert trace[trip + 1].event == EVENT_THROTTLE_ON
         assert trace[trip + 1].freq == scenario.profile.f_throttled
         assert summarize(trace, scenario.large, scenario.small).n_throttle_events == 1
+
+    @pytest.mark.parametrize("make", [phone_scenario, pi_scenario], ids=["phone-drop", "pi-pin"])
+    def test_release_after_a_shift_shows_throttle_off_once(self, monkeypatch, make):
+        # No built-in run releases a throttle on a row that stays. Here the
+        # row after the trip shifts, and the small model cools the device
+        # below its release point: the first row back at f_nominal shows
+        # throttle_off, and no later row does.
+        scenario = make(duration=1800.0, weight_shared=True)
+        monkeypatch.setattr(harness, "ShiftController", open_loop(None))
+        trip = [r.event for r in run_scenario(scenario)].index(EVENT_THROTTLE_ON)
+
+        monkeypatch.setattr(harness, "ShiftController", open_loop(trip + 1))
+        trace = run_scenario(scenario)
+        events = [r.event for r in trace]
+        release = next(i for i, r in enumerate(trace)
+                       if i > trip and r.freq == scenario.profile.f_nominal)
+        assert events[trip:release + 1] == (
+            [EVENT_THROTTLE_ON, EVENT_SHIFT_SMALL] + [EVENT_NONE] * (release - trip - 2)
+            + [EVENT_THROTTLE_OFF])
+        assert EVENT_THROTTLE_OFF not in events[release + 1:]
 
 
 class TestThrottleEventsMatchTheClock:

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,13 @@ from conftest import (
     record_bits,
     state_bits,
 )
-from oracles import pick_event, reference_csv_text, reference_observe, reference_parse_lines
+from oracles import (
+    pick_event,
+    record_throttle_changes,
+    reference_csv_text,
+    reference_observe,
+    reference_parse_lines,
+)
 
 import thermoshift
 from thermoshift import harness, thermal
@@ -40,6 +47,7 @@ from thermoshift.harness import (
     EVENT_NONE,
     EVENT_SHIFT_LARGE,
     EVENT_SHIFT_SMALL,
+    EVENT_THROTTLE_ON,
     Trace,
     TraceRecord,
     emit_trace,
@@ -49,7 +57,6 @@ from thermoshift.harness import (
 from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import PHONE_PROFILE, PI_PROFILE, PROFILES, SUITE_NAMES, default_profile
 from thermoshift.thermal import (
-    EVENT_THROTTLE_ON,
     DeviceProfile,
     DeviceState,
     GovernorKind,
@@ -194,7 +201,7 @@ def counting(cls):
 
 def governed(state):
     """What a governor rule sets on a state."""
-    return state.temp, state.freq, state.throttled
+    return state.temp, state.freq, state.throttled, state.trips
 
 
 class TestConstantsBoundOnce:
@@ -211,12 +218,13 @@ class TestConstantsBoundOnce:
         idle = HeatSource(p, lambda f: 0.0)
         tau = base.heat_capacity / base.dissipation
         state = DeviceState(temp=base.ambient_temp, freq=base.f_nominal)
+        events = record_throttle_changes(heat)
+        record_throttle_changes(idle, events)
         reads.clear()
-        events = []
         for _ in range(3):
             for _ in range(20):
-                events += advance(state, heat, tau / 4)
-            events += advance(state, idle, 5 * tau)
+                advance(state, heat, tau / 4)
+            advance(state, idle, 5 * tau)
         assert reads == []
         assert {"throttle_on", "throttle_off"} <= set(events)
 
@@ -238,11 +246,16 @@ class TestConstantsBoundOnce:
         hotter = dataclasses.replace(base, t_throttle=base.t_throttle + 3.0,
                                      t_resume=base.t_resume + 3.0)
         new = HeatSource(hotter, power)
+        fresh = HeatSource(hotter, power)
+        old_events, fresh_events, new_events = map(record_throttle_changes, (old, fresh, new))
         # Past the old trip point, short of the new one.
         temp = base.t_throttle + 1.0
         states = [DeviceState(temp=temp, freq=base.f_nominal) for _ in range(3)]
-        assert old.rule(states[0]) == "throttle_on"
-        assert HeatSource(hotter, power).rule(states[1]) is new.rule(states[2]) is None
+        old.rule(states[0])
+        fresh.rule(states[1])
+        new.rule(states[2])
+        assert old_events == ["throttle_on"]
+        assert fresh_events == new_events == []
         assert governed(states[1]) == governed(states[2]) != governed(states[0])
 
 
@@ -364,7 +377,13 @@ class TestGovernorTable:
         # Past the trip point: the same band, and the rule trips the governor.
         states = [DeviceState(temp=base.t_throttle + 1.0, freq=base.f_nominal) for _ in range(2)]
         assert band(states[0]) == source.band(states[1])
-        assert rule(states[0]) == source.rule(states[1]) == EVENT_THROTTLE_ON
+        # The solver's rule, held as a source holds it, so the helper can wrap it.
+        solved_rule = SimpleNamespace(rule=rule)
+        solved_events = record_throttle_changes(solved_rule)
+        source_events = record_throttle_changes(source)
+        solved_rule.rule(states[0])
+        source.rule(states[1])
+        assert solved_events == source_events == [EVENT_THROTTLE_ON]
         assert governed(states[0]) == governed(states[1])
 
     @pytest.mark.parametrize("base", [PHONE_PROFILE, PI_PROFILE], ids=["phone-drop", "pi-pin"])
@@ -469,19 +488,22 @@ class TestRuleCalledWhereItActs:
     @staticmethod
     def rule_calls(monkeypatch, scenario):
         """(trace, [event of each rule call]) of a run whose heat sources
-        count their rule calls."""
-        calls = []
+        count their rule calls. A call's event is the throttle change
+        ``record_throttle_changes`` records for it, or None."""
+        calls, changes = [], []
         heat_sources = harness._heat_sources
 
         def counted(rule):
             def rule_counted(state):
-                calls.append(rule(state))
-                return calls[-1]
+                before = len(changes)
+                rule(state)
+                calls.append(changes[before] if len(changes) > before else None)
             return rule_counted
 
         def counting_sources(scenario):
             sources = heat_sources(scenario)
             for source in sources:
+                record_throttle_changes(source, changes)
                 source.rule = counted(source.rule)
             return sources
 
@@ -524,14 +546,16 @@ class TestRuleCalledWhereItActs:
         cool = HeatSource(p, lambda f: 2.0 * f / p.f_nominal)
         # Saturated: the pinned equilibrium lies above the floor.
         assert hot.band(DeviceState(temp=p.t_throttle + 1.0, freq=p.f_nominal))[1] > floor
-        above = []
+        above, changes = [], []
         for source in (hot, cool):
+            record_throttle_changes(source, changes)
+
             def watched(state, rule=source.rule):
-                before = state_bits(state)
-                event = rule(state)
+                before, recorded = state_bits(state), len(changes)
+                rule(state)
                 if state.temp > floor:
+                    event = changes[recorded] if len(changes) > recorded else None
                     above.append((before, event, state_bits(state)))
-                return event
             source.rule = watched
         # Heat past the floor, then cool back below it.
         state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
@@ -581,6 +605,64 @@ class TestEnumMembersBoundOnce:
             "    Mode.LARGE = None\n"
         )
         assert enum_reads_in_loops(source) == [(3, "Mode.LARGE"), (8, "GovernorKind.PI_PIN")]
+
+
+def trace_vocabulary(source):
+    """``(line, text)`` of each trace event string (``harness._EVENTS``) in
+    ``source``, and of each ``return`` with a value in its ``advance`` or
+    in the ``rule`` of its ``_drop`` or ``_pin``; ``(0, ...)`` if any of
+    these three functions is missing, so a rename cannot pass unchecked."""
+    tree = ast.parse(source)
+    found = [(node.lineno, repr(node.value)) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in harness._EVENTS]
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    checked = [f for f in functions if f.name == "advance"]
+    checked += [rule for f in functions if f.name in ("_drop", "_pin")
+                for rule in f.body if isinstance(rule, ast.FunctionDef) and rule.name == "rule"]
+    if len(checked) != 3:
+        found.append((0, f"{len(checked)} of advance, _drop's rule and _pin's rule found"))
+    found += [(node.lineno, ast.unparse(node)) for f in checked for node in ast.walk(f)
+              if isinstance(node, ast.Return) and node.value is not None]
+    return sorted(found)
+
+
+class TestTraceVocabularyInHarness:
+    """The trace's event names live in ``harness``. ``thermal`` integrates
+    the device state only: ``advance`` and the governor rules leave their
+    trips on the state and return nothing."""
+
+    def test_thermal_holds_no_event_and_returns_no_events(self):
+        path = Path(thermal.__file__)
+        assert [f"{path.name}:{line}: {text}"
+                for line, text in trace_vocabulary(path.read_text())] == []
+
+    def test_the_check_finds_event_strings_and_returned_values(self):
+        source = (
+            'ON = "throttle_on"\n'
+            'label = "throttle_on_time"\n'
+            "def advance(state, source, dt):\n"
+            "    if dt:\n"
+            "        return\n"
+            "    return []\n"
+            "def _drop(profile, power):\n"
+            "    def band(state):\n"
+            "        return 1\n"
+            "    def rule(state):\n"
+            "        return None\n"
+            "    return band, rule, 0.0\n"
+            "def _pin(profile, power):\n"
+            "    def rule(state):\n"
+            "        return 'none'\n"
+            "    return None, rule, 0.0\n"
+            "def rule(state):\n"
+            "    return 'shift_to_small'\n"
+        )
+        assert trace_vocabulary(source) == [
+            (1, "'throttle_on'"), (6, "return []"), (11, "return None"), (15, "'none'"),
+            (15, "return 'none'"), (18, "'shift_to_small'")]
+        assert trace_vocabulary("def advance(state, source, dt):\n    pass\n") == [
+            (0, "1 of advance, _drop's rule and _pin's rule found")]
 
 
 def suite_hour(suite_name, seed, baseline):

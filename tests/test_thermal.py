@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import threading
@@ -5,13 +6,12 @@ import threading
 import pytest
 
 from conftest import state_bits
-from oracles import reference_advance
+from oracles import record_throttle_changes, reference_advance
 
 from thermoshift import thermal
 from thermoshift.errors import CalibrationError, ProfileError
+from thermoshift.harness import EVENT_THROTTLE_OFF, EVENT_THROTTLE_ON
 from thermoshift.thermal import (
-    EVENT_THROTTLE_OFF,
-    EVENT_THROTTLE_ON,
     CalibrationTargets,
     DeviceProfile,
     DeviceState,
@@ -37,6 +37,24 @@ def governor(p):
     return HeatSource(p, lambda f: 0.0).rule
 
 
+def rule_events(p, state):
+    """Run the governor rule of profile ``p`` once on ``state``; the
+    throttle changes it made, as ``record_throttle_changes`` lists them."""
+    source = HeatSource(p, lambda f: 0.0)
+    events = record_throttle_changes(source)
+    source.rule(state)
+    return events
+
+
+def advance_events(state, source, dt):
+    """``advance(state, source, dt)``; the throttle changes its rule calls
+    made, recorded on a copy of ``source``."""
+    source = copy.copy(source)
+    events = record_throttle_changes(source)
+    advance(state, source, dt)
+    return events
+
+
 def closed_form(t, ambient, C, k, power, start):
     t_eq = ambient + power / k
     return t_eq + (start - t_eq) * math.exp(-k * t / C)
@@ -46,24 +64,24 @@ class TestPhoneDropGovernor:
     def test_trips_at_threshold(self):
         p = profile()
         state = DeviceState(temp=77.2, freq=p.f_nominal)
-        assert governor(p)(state) == EVENT_THROTTLE_ON
+        assert rule_events(p, state) == [EVENT_THROTTLE_ON]
         assert state.freq == p.f_throttled
         assert state.throttled
 
     def test_hysteresis_release(self):
         p = profile(t_resume=72.0)
         state = DeviceState(temp=70.0, freq=p.f_throttled, throttled=True)
-        assert governor(p)(state) == EVENT_THROTTLE_OFF
+        assert rule_events(p, state) == [EVENT_THROTTLE_OFF]
         assert state.freq == p.f_nominal
         assert not state.throttled
 
     def test_inside_band_no_transition(self):
         p = profile(t_resume=72.0)
         state = DeviceState(temp=74.0, freq=p.f_throttled, throttled=True)
-        assert governor(p)(state) is None
+        assert rule_events(p, state) == []
         assert state.throttled
         state2 = DeviceState(temp=74.0, freq=p.f_nominal, throttled=False)
-        assert governor(p)(state2) is None
+        assert rule_events(p, state2) == []
         assert not state2.throttled
 
     def test_two_level_frequency_and_crossing_only_transitions(self):
@@ -78,7 +96,7 @@ class TestPhoneDropGovernor:
                 source = HeatSource(p, lambda f: power)
                 elapsed = 0.0
                 while elapsed < seconds:
-                    events = advance(state, source, 0.1)
+                    events = advance_events(state, source, 0.1)
                     elapsed += 0.1
                     transitions.extend((e, state.temp) for e in events)
                     freqs.add(state.freq)
@@ -107,7 +125,7 @@ class TestPiPinGovernor:
     def test_proportional_shed(self):
         p = self.pin_profile(pin_gain=0.2)
         state = DeviceState(temp=80.0, freq=p.f_nominal)
-        assert governor(p)(state) == EVENT_THROTTLE_ON
+        assert rule_events(p, state) == [EVENT_THROTTLE_ON]
         assert state.freq == pytest.approx(1.5 - 0.2 * 2.0)
 
     def test_clamped_at_floor(self):
@@ -130,6 +148,61 @@ class TestPiPinGovernor:
             freqs.append(state.freq)
         assert all(abs(t - 78.0) <= 1.0 for t in temps)
         assert (max(freqs) - min(freqs)) / max(freqs) < 0.01
+
+
+class TestTripsCounter:
+    """Each rule adds 1 to ``trips`` where ``throttled`` turns True and
+    nothing elsewhere: after every ``advance`` step ``trips`` equals the
+    ``throttle_on`` changes recorded so far, and ``throttled`` matches the
+    last change recorded."""
+
+    def drive(self, p, legs):
+        """Advance one state through ``legs``, ``(watts at f_nominal,
+        seconds)`` each, in 1.1 s steps, checking the counter after every
+        step; returns the state and the changes recorded."""
+        state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
+        events = []
+        for watts, seconds in legs:
+            source = HeatSource(p, lambda f, w=watts: w * f / p.f_nominal)
+            record_throttle_changes(source, events)
+            for _ in range(round(seconds / 1.1)):
+                advance(state, source, 1.1)
+                assert state.trips == events.count(EVENT_THROTTLE_ON)
+                assert state.throttled == (events[-1] == EVENT_THROTTLE_ON if events else False)
+        return state, events
+
+    def test_phone_drop_trip_release_trip(self):
+        # 18 W settles at 94 C, past the 77 C trip point; 0 W cools to
+        # ambient, below the 72 C release point.
+        p = profile(C=50.0, k=0.25, t_throttle=77.0, t_resume=72.0)
+        state, events = self.drive(p, [(18.0, 800.0), (0.0, 1500.0), (18.0, 800.0)])
+        assert events == [EVENT_THROTTLE_ON, EVENT_THROTTLE_OFF, EVENT_THROTTLE_ON]
+        assert state.trips == 2 and state.throttled
+
+    def test_pi_pin_trip_release_trip(self):
+        # 5.9 W pins just above the 78 C trip point; 0 W cools below it.
+        p = profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN, t_throttle=78.0,
+                    t_resume=73.0, f_nominal=1.5, f_throttled=0.6, pin_gain=0.14)
+        state, events = self.drive(p, [(5.9, 2000.0), (0.0, 2000.0), (5.9, 2000.0)])
+        assert events == [EVENT_THROTTLE_ON, EVENT_THROTTLE_OFF, EVENT_THROTTLE_ON]
+        assert state.trips == 2 and state.throttled
+
+    def test_pi_pin_saturated_above_the_floor_adds_no_trip(self):
+        # 20 W settles above the frequency floor (84.43 C), where every
+        # step runs the rule at the floor clock, throttled already.
+        p = profile(C=20.1, k=0.10, governor=GovernorKind.PI_PIN, t_throttle=78.0,
+                    t_resume=73.0, f_nominal=1.5, f_throttled=0.6, pin_gain=0.14)
+        source = HeatSource(p, lambda f: 20.0 * f / p.f_nominal)
+        events = record_throttle_changes(source)
+        state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
+        above = 0
+        for _ in range(2000):
+            advance(state, source, 1.1)
+            if state.temp > pin_floor(p):
+                above += 1
+                assert state.trips == 1 and state.throttled
+        assert above > 1000
+        assert events == [EVENT_THROTTLE_ON]
 
 
 class TestProfileValidation:
@@ -348,11 +421,11 @@ class TestExactAdvance:
             expected = [EVENT_THROTTLE_ON]
         source = HeatSource(p, lambda f: power * f / p.f_nominal)
         whole = DeviceState(temp=start, freq=p.f_nominal)
-        whole_events = advance(whole, source, 600.0)
+        whole_events = advance_events(whole, source, 600.0)
         steps = DeviceState(temp=start, freq=p.f_nominal)
         step_events = []
         for _ in range(6000):
-            step_events += advance(steps, source, 0.1)
+            step_events += advance_events(steps, source, 0.1)
         assert whole_events == step_events == expected
         assert steps.temp == pytest.approx(whole.temp, abs=1e-9)
         assert steps.freq == pytest.approx(whole.freq, abs=1e-9)
@@ -364,7 +437,7 @@ class TestExactAdvance:
         p = profile(C=50.0, k=0.25, f_nominal=2.86, f_throttled=2.0)
         power_of_freq = lambda f: 18.0 * f / p.f_nominal
         state = DeviceState(temp=22.0, freq=p.f_nominal)
-        assert advance(state, HeatSource(p, power_of_freq), 400.0) == [EVENT_THROTTLE_ON]
+        assert advance_events(state, HeatSource(p, power_of_freq), 400.0) == [EVENT_THROTTLE_ON]
         tau = 50.0 / 0.25
         t_eq = 22.0 + 18.0 / 0.25
         crossing = tau * math.log((t_eq - 22.0) / (t_eq - 77.0))
@@ -385,7 +458,8 @@ class TestExactAdvance:
         assert p.t_throttle < pinned < p.t_throttle + (p.f_nominal - p.f_throttled) / p.pin_gain
         state = DeviceState(temp=p.ambient_temp, freq=p.f_nominal)
         tau = p.heat_capacity / p.dissipation
-        assert advance(state, HeatSource(p, power_of_freq), 20.0 * tau) == [EVENT_THROTTLE_ON]
+        assert (advance_events(state, HeatSource(p, power_of_freq), 20.0 * tau)
+                == [EVENT_THROTTLE_ON])
         assert state.temp == pytest.approx(pinned, abs=1e-9)
         freq = p.f_nominal - p.pin_gain * (pinned - p.t_throttle)
         assert state.freq == pytest.approx(freq, abs=1e-9)
@@ -412,7 +486,7 @@ class TestExactAdvance:
             expected.append(EVENT_THROTTLE_OFF)
             t += heat_s
         state = DeviceState(temp=22.0, freq=p.f_nominal)
-        events = advance(state, HeatSource(p, power_of_freq), 3000.0)
+        events = advance_events(state, HeatSource(p, power_of_freq), 3000.0)
         assert len(events) >= 4
         assert events == expected
         assert 72.0 <= state.temp <= 77.0
@@ -465,7 +539,7 @@ class TestExactAdvance:
         p = profile(C=50.0, k=0.25)
         state = DeviceState(temp=80.0, freq=p.f_nominal)
         power_of_freq = lambda f: 15.0 * f / p.f_nominal
-        assert advance(state, HeatSource(p, power_of_freq), 10.0) == [EVENT_THROTTLE_ON]
+        assert advance_events(state, HeatSource(p, power_of_freq), 10.0) == [EVENT_THROTTLE_ON]
         expected = closed_form(10.0, 22.0, 50.0, 0.25, power_of_freq(p.f_throttled), 80.0)
         assert state.temp == pytest.approx(expected, abs=1e-9)
 
@@ -492,7 +566,7 @@ class TestExactAdvance:
         crossed = None
         step = 0.1
         while state.sim_time < 1000.0:
-            if advance(state, source, step) == [EVENT_THROTTLE_ON]:
+            if advance_events(state, source, step) == [EVENT_THROTTLE_ON]:
                 crossed = state.sim_time
                 break
         assert crossed == pytest.approx(expected, rel=0.01)
@@ -583,7 +657,7 @@ class TestHeatSource:
                                 throttled=throttled)
             events = []
             for dt in dts:
-                events += advance(state, source_for(), dt)
+                events += advance_events(state, source_for(), dt)
             ends.append((state.temp, state.freq, state.throttled, state.sim_time, events))
         return ends
 
@@ -678,7 +752,7 @@ class TestOneBandExact:
         temps = []
         for source in (HeatSource(p, power_of_freq), reused, reused):
             state = DeviceState(temp=start, freq=freq, throttled=throttled)
-            assert advance(state, source, dt) == []
+            assert advance_events(state, source, dt) == []
             assert state.throttled == throttled
             temps.append(state.temp)
         return temps
@@ -740,9 +814,9 @@ class TestSplitIntervalEqualsWhole:
         """Advance two copies of ``start`` over ``a`` then ``b`` and over
         ``a + b``; return the whole interval's events."""
         split = DeviceState(**vars(start))
-        split_events = advance(split, source, a) + advance(split, source, b)
+        split_events = advance_events(split, source, a) + advance_events(split, source, b)
         whole = DeviceState(**vars(start))
-        whole_events = advance(whole, source, a + b)
+        whole_events = advance_events(whole, source, a + b)
         assert split_events == whole_events
         assert split.throttled == whole.throttled
         assert abs(split.temp - whole.temp) <= self.TEMP_TOL
@@ -775,7 +849,8 @@ class TestSplitIntervalEqualsWhole:
         # The edge is reached within 0.7 s: it raises an event, or (the
         # pi-pin floor, which raises none) the temperature ends past it.
         probe = DeviceState(**vars(start))
-        assert advance(probe, source, 0.7) or (start.temp - edge) * (probe.temp - edge) < 0.0
+        assert (advance_events(probe, source, 0.7)
+                or (start.temp - edge) * (probe.temp - edge) < 0.0)
         self.check(p, source, start, a, b)
 
     @pytest.mark.parametrize("kind", ["phone-drop", "pi-pin"])
@@ -901,7 +976,7 @@ class TestAdvanceLockstep:
                     plain = DeviceState(temp=temp, freq=freq, throttled=throttled)
                     # A second step goes on from wherever the first one ended.
                     for step in (dt, rng.choice(dts)):
-                        got = advance(lean, source, step)
+                        got = advance_events(lean, source, step)
                         assert got == reference_advance(plain, source, step), (temp, freq, dt)
                         assert state_bits(lean) == state_bits(plain), (temp, freq, dt)
                         events.update(got)
@@ -933,7 +1008,7 @@ class TestAdvanceLockstep:
         assert on_floor.freq != p.f_throttled and on_floor.throttled
         above = DeviceState(temp=math.nextafter(pin_floor(p), math.inf),
                             freq=p.f_throttled, throttled=True)
-        assert governor(p)(above) is None and above.freq == p.f_throttled
+        assert rule_events(p, above) == [] and above.freq == p.f_throttled
         # Gain 0.0273: it moves the clock just above the floor too.
         p, _ = self.pin_cases(0.0273, 0.3)
         above = DeviceState(temp=math.nextafter(pin_floor(p), math.inf),
