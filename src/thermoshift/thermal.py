@@ -38,8 +38,9 @@ bound is never passed.
 
 Calibration runs no simulation. Below the trip point the model is
 linear, so the time the large model takes to reach the trip point from
-ambient, and with it the heat capacity, has a closed form. A pi-pin
-device's pinned temperature is its large-model source's ``hottest``.
+ambient, and with it the heat capacity, has a closed form, and so has a
+pi-pin gain. A pi-pin device's pinned temperature is its large-model
+source's ``hottest``.
 
 Two governor styles are modeled:
 
@@ -64,8 +65,8 @@ class GovernorKind(enum.Enum):
     PI_PIN = "pi-pin"
 
 
-# Bound once: every profile check and each of calibration's 61 pi-pin probes
-# read it, and a member read through its enum class costs far more.
+# Bound once: every profile check and calibration read it, and a member
+# read through its enum class costs far more.
 _PI_PIN = GovernorKind.PI_PIN
 
 
@@ -384,19 +385,23 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     large model heats the device toward its equilibrium T_eq with time
     constant C/k, so it reaches the trip point from ambient after
     (C/k) * ln((T_eq - T_amb) / (T_eq - T_trip)) seconds; setting that to
-    ``time_to_throttle`` gives C. The pi-pin gain, when relevant, is found
-    by bisection on the equilibrium latency rise. Each probe reads its
-    pinned temperature from the large model's source, as ``hottest``,
-    and runs the rule once there for the pinned clock. Raises
-    CalibrationError for infeasible targets (a dissipation that is not
-    positive, small model unable to cool the device, small power above
-    large power or below zero, a time to throttle that is not positive,
-    outside its window or too short or long for a heat capacity in (0,
-    inf), a trip point the large model cannot cross or ambient already
-    reaches, and, where the phone-drop large-model power is derived from
-    their ratio, an ``f_nominal`` or ``f_throttled`` that is not > 0, an
-    ``f_throttled`` not below ``f_nominal``, or one so small that the
-    ratio rounds to 0).
+    ``time_to_throttle`` gives C. The pi-pin gain is closed-form too: the
+    rule's clock f_nominal - gain * (T - T_trip) must be the pinned clock
+    f* = f_nominal / (1 + latency_rise) at T* = T_amb + P_large(f*) / k,
+    the large model's equilibrium on f*. That profile's large-model source
+    gives the pinned temperature, as ``hottest``, and its rule the pinned
+    clock there. Raises CalibrationError for infeasible targets (a
+    dissipation that is not positive, small model unable to cool the
+    device, small power above large power or below zero, a time to
+    throttle that is not positive, outside its window or too short or long
+    for a heat capacity in (0, inf), a trip point the large model cannot
+    cross or ambient already reaches; where the phone-drop large-model
+    power is derived from their ratio, an ``f_nominal`` or ``f_throttled``
+    that is not > 0, an ``f_throttled`` not below ``f_nominal``, or one so
+    small that the ratio rounds to 0; and for a pi-pin device, a
+    ``latency_rise`` outside (0, f_nominal / f_throttled - 1], a
+    ``large_power`` whose T* is not above the trip point, or a pinned
+    temperature more than 1 C from it).
     """
     k = targets.dissipation
     amb = targets.ambient
@@ -497,34 +502,27 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     pinned_temp = None
     rise = None
     if targets.governor is _PI_PIN:
-        def pinned(gain):
-            # The profile with this gain, its pinned temperature and clock:
-            # the large model's source solves the temperature as
-            # ``hottest``, and its rule sets the clock there.
-            # The constructor, not ``dataclasses.replace``, whose generic
-            # field walk added about a fifth to this 61-probe bisection.
-            pinned_profile = DeviceProfile(**solved, governor=_PI_PIN, pin_gain=gain)
-            source = HeatSource(pinned_profile, lambda f: large_power * f / targets.f_nominal)
-            state = DeviceState(temp=source.hottest, freq=targets.f_nominal)
-            source.rule(state)
-            return pinned_profile, state.temp, state.freq
-
-        # More gain sheds more frequency per degree, so the equilibrium
-        # latency rise grows monotonically with it.
-        glo, ghi = 1e-4, 50.0
-        for _ in range(60):
-            gmid = 0.5 * (glo + ghi)
-            freq = pinned(gmid)[2]
-            if targets.f_nominal / freq - 1.0 > targets.latency_rise:
-                ghi = gmid
-            else:
-                glo = gmid
-        profile, pinned_temp, freq = pinned(0.5 * (glo + ghi))
-        rise = targets.f_nominal / freq - 1.0
-        if abs(pinned_temp - targets.trip_temp) > 1.0:
+        f_nom, f_floor, trip = targets.f_nominal, targets.f_throttled, targets.trip_temp
+        f_pin = f_nom / (1.0 + targets.latency_rise)
+        if not f_floor <= f_pin < f_nom:
+            raise CalibrationError(
+                f"latency_rise {targets.latency_rise} is out of reach: the f_throttled floor "
+                f"{f_floor} GHz allows (0, {f_nom / f_floor - 1.0}]")
+        t_pin = amb + large_power * f_pin / f_nom / k
+        if t_pin <= trip:
+            raise CalibrationError(
+                f"large_power {large_power} W settles at {t_pin:.2f} C on the pinned clock, "
+                f"not above trip {trip} C: no pin gain gives the latency_rise")
+        gain = (f_nom - f_pin) / (t_pin - trip)
+        profile = DeviceProfile(**solved, governor=_PI_PIN, pin_gain=gain)
+        source = HeatSource(profile, lambda f: large_power * f / f_nom)
+        state = DeviceState(temp=source.hottest, freq=f_nom)
+        source.rule(state)
+        pinned_temp, rise = state.temp, f_nom / state.freq - 1.0
+        if abs(pinned_temp - trip) > 1.0:
             raise CalibrationError(
                 f"pinned equilibrium {pinned_temp:.2f} C is more than 1 C from trip "
-                f"{targets.trip_temp} C; reduce the latency-rise target"
+                f"{trip} C; reduce the latency-rise target"
             )
 
     return CalibrationResult(

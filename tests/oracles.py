@@ -10,16 +10,20 @@ pick from a list of governor events (``run_scenario`` reads the device's
 ``trips`` and ``throttled`` instead), the whole controller update,
 the whole row loop, the stable-cycle accuracy's scan for shifts to
 SMALL (``stable_iteration_accuracy`` finds only the starts it reads, by
-``list.index``), and the trace CSV's row formatting and row parsing
-(``emit_trace`` and ``parse_trace`` handle each distinct tail once). The
-row parse has its own judge, ``row_problem``, which words a row's error
-without the program's ``_checked_row``, so the two are checked against
-each other. No program path calls them; the lockstep tests require the
-lean code to equal them bit for bit. Tests import this module as they
-import ``conftest``; it holds no tests.
+``list.index``), the pi-pin gain's bisection (``calibrate_profile``
+solves the gain in closed form), and the trace CSV's row formatting and
+row parsing (``emit_trace`` and ``parse_trace`` handle each distinct
+tail once). The row parse has its own judge, ``row_problem``, which
+words a row's error without the program's ``_checked_row``, so the two
+are checked against each other. No program path calls them; the
+lockstep tests require the lean code to equal them bit for bit, except
+the pi-pin gain, which a bisection finds only to within its last
+steps. Tests import this module as they import ``conftest``; it holds
+no tests.
 """
 
 import copy
+import dataclasses
 import random
 import weakref
 from itertools import product
@@ -32,7 +36,7 @@ from thermoshift.controller import (
     ShiftController,
     TemperatureSample,
 )
-from thermoshift.errors import AnalysisError, TraceFormatError
+from thermoshift.errors import AnalysisError, CalibrationError, TraceFormatError
 from thermoshift.harness import (
     CSV_HEADER,
     EVENT_NONE,
@@ -43,7 +47,7 @@ from thermoshift.harness import (
     Trace,
     TraceRecord,
 )
-from thermoshift.thermal import DeviceState, HeatSource, advance
+from thermoshift.thermal import DeviceState, GovernorKind, HeatSource, advance
 from thermoshift.workload import LOGGING_OVERHEAD, Platform, iteration_time, power_draw
 
 
@@ -222,6 +226,42 @@ def reference_advance(state, source, dt) -> list[str]:
         source.rule(state)
     state.sim_time += dt
     return events
+
+
+def reference_pin_gain(profile, large_power, latency_rise):
+    """The pi-pin calibration as it stood before the closed form: 60
+    bisection steps on the gain in [1e-4, 50] GHz/C, each probe building
+    ``profile`` with that gain and the large model's source, reading the
+    pinned temperature as the source's ``hottest`` and the pinned clock
+    from one rule call there. More gain sheds more clock per degree, so
+    the latency rise grows monotonically with it. ``profile`` is the
+    solved device before its governor; its governor and gain are set
+    here. Returns ``(pinned profile, pinned temperature, latency rise)``,
+    and raises CalibrationError, as calibration does, where the pinned
+    temperature is more than 1 C from the trip point. A target beyond
+    every gain's reach ends at a bracket end, accepted."""
+    f_nominal = profile.f_nominal
+
+    def pinned(gain):
+        pinned_profile = dataclasses.replace(profile, governor=GovernorKind.PI_PIN, pin_gain=gain)
+        source = HeatSource(pinned_profile, lambda f: large_power * f / f_nominal)
+        state = DeviceState(temp=source.hottest, freq=f_nominal)
+        source.rule(state)
+        return pinned_profile, state.temp, state.freq
+
+    glo, ghi = 1e-4, 50.0
+    for _ in range(60):
+        gmid = 0.5 * (glo + ghi)
+        if f_nominal / pinned(gmid)[2] - 1.0 > latency_rise:
+            ghi = gmid
+        else:
+            glo = gmid
+    pinned_profile, pinned_temp, freq = pinned(0.5 * (glo + ghi))
+    if abs(pinned_temp - profile.t_throttle) > 1.0:
+        raise CalibrationError(
+            f"pinned equilibrium {pinned_temp:.2f} C is more than 1 C from trip "
+            f"{profile.t_throttle} C; reduce the latency-rise target")
+    return pinned_profile, pinned_temp, f_nominal / freq - 1.0
 
 
 def reference_run(scenario, split=False):

@@ -220,6 +220,19 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert "bogus" in err
 
+    @pytest.mark.parametrize("key, value", [("large_power", 5.7), ("latency_rise", 2.0)])
+    def test_unreachable_pin_targets_exit_2_naming_the_key(self, tmp_path, capsys, key, value):
+        # No pi-pin gain meets these: 5.7 W settles below the 78 C trip point
+        # on the pinned clock, and the 0.6 / 1.5 GHz floor allows a rise of 1.5.
+        calibration = {"governor": "pi-pin", "trip_temp": 78.0, "time_to_throttle": 600.0,
+                       "small_equilibrium": 60.0, "f_nominal": 1.5, "f_throttled": 0.6,
+                       "dissipation": 0.10, key: value}
+        cfg_path = write_config(tmp_path, base_config(suite="slimmable-resnet50-pi", duration=60,
+                                                      device={"calibration": calibration}))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "t.csv")]) == 2
+        assert f"  - device.calibration: {key} {value} " in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_each_problem_of_an_object_is_its_own_line(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(controller={
             "temp_threshold": 73, "grad_threshold": -0.07,

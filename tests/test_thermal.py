@@ -1,4 +1,7 @@
+import ast
 import copy
+import dataclasses
+import inspect
 import math
 import random
 import threading
@@ -6,7 +9,7 @@ import threading
 import pytest
 
 from conftest import state_bits
-from oracles import record_throttle_changes, reference_advance
+from oracles import record_throttle_changes, reference_advance, reference_pin_gain
 
 from thermoshift import thermal
 from thermoshift.errors import CalibrationError, ProfileError
@@ -287,7 +290,7 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_profile(CalibrationTargets(time_to_throttle=1200.0))
 
-    def test_pipin_gain_found_by_bisection(self):
+    def test_pipin_gain_solved_in_closed_form(self):
         targets = CalibrationTargets(
             trip_temp=78.0, temp_threshold=77.0, governor=GovernorKind.PI_PIN,
             f_nominal=1.5, f_throttled=0.6, dissipation=0.10,
@@ -315,7 +318,7 @@ def random_pin_targets(rng):
 
 
 class TestPinnedStateSolved:
-    """Each pi-pin probe reads its pinned state from the large model's
+    """Pi-pin calibration reads its pinned state from the large model's
     source, not from a run: the temperature is the source's ``hottest``,
     and the rule sets the clock there."""
 
@@ -325,10 +328,10 @@ class TestPinnedStateSolved:
 
         monkeypatch.setattr(thermal, "advance", refuse)
         result = calibrate_profile(PI_PIN_TARGETS)
-        # The pi-sweep device, bit for bit as the simulated probes found it.
-        assert result.profile.pin_gain == 0.1291866028708096
+        # The pi-sweep device, bit for bit as the closed form solves it.
+        assert result.profile.pin_gain == 0.12918660287081307
         assert result.pinned_temp.hex() == "0x1.3a00000000001p+6"
-        assert result.latency_rise.hex() == "0x1.70a3d70a3d700p-5"
+        assert result.latency_rise.hex() == "0x1.70a3d70a3d7c0p-5"
 
     def test_pinned_state_is_hottest_and_held_by_advance(self):
         rng = random.Random(0)
@@ -350,6 +353,120 @@ class TestPinnedStateSolved:
             advance(state, source, p.heat_capacity / p.dissipation)
             assert (state.temp, state.freq) == (result.pinned_temp, freq)
         assert accepted >= 150
+
+
+def unpinned(targets):
+    """The solved device and large-model power that calibration hands its
+    pi-pin gain: the same targets calibrated as a phone-drop device with
+    the pi-pin large-model power given, which asks for no gain. The
+    pinned state does not depend on the heat capacity, which may differ
+    from the pi-pin device's in its last bit."""
+    k, amb = targets.dissipation, targets.ambient
+    large_power = k * (amb + (targets.trip_temp + 0.5 - amb) * (1.0 + targets.latency_rise) - amb)
+    drop = dataclasses.replace(targets, governor=GovernorKind.PHONE_DROP, large_power=large_power)
+    return calibrate_profile(drop).profile, large_power
+
+
+class TestPinGainClosedForm:
+    """The pi-pin gain is solved, not searched: one profile and one source,
+    no loop, the gain the bisection found, and a refusal naming the key
+    where no gain meets the targets."""
+
+    def test_lockstep_with_bisection(self):
+        rng = random.Random(0)
+        tally = {"accepted": 0, "refused": 0, "floor, bisection accepted": 0,
+                 "floor, bisection refused": 0}
+        for draw in range(1000):
+            targets = random_pin_targets(rng)
+            try:
+                new = calibrate_profile(targets)
+            except CalibrationError as exc:
+                new = str(exc)
+            try:
+                profile, large_power = unpinned(targets)
+                old = reference_pin_gain(profile, large_power, targets.latency_rise)
+            except CalibrationError as exc:
+                old = str(exc)
+            if isinstance(new, str) and new.startswith("latency_rise "):
+                # Beyond the f_throttled floor: the bisection ends at its
+                # 50 GHz/C bracket end, or the 1 C pin check refuses it.
+                if isinstance(old, str):
+                    tally["floor, bisection refused"] += 1
+                else:
+                    assert old[0].pin_gain > 49.9, draw
+                    assert old[2] < targets.latency_rise - 1e-12, draw
+                    tally["floor, bisection accepted"] += 1
+                continue
+            assert isinstance(new, str) == isinstance(old, str), (draw, new, old)
+            if isinstance(new, str):
+                tally["refused"] += 1
+                continue
+            tally["accepted"] += 1
+            gain = old[0].pin_gain
+            assert abs(new.profile.pin_gain - gain) <= 1e-9 * gain, draw
+            assert abs(new.latency_rise - targets.latency_rise) <= 1e-12, draw
+        assert tally == {"accepted": 941, "refused": 0, "floor, bisection accepted": 5,
+                         "floor, bisection refused": 54}
+
+    def test_bisection_reference_finds_the_old_gain(self):
+        profile, large_power = unpinned(PI_PIN_TARGETS)
+        pinned, _, rise = reference_pin_gain(profile, large_power, PI_PIN_TARGETS.latency_rise)
+        assert pinned.pin_gain == 0.1291866028708096
+        assert rise.hex() == "0x1.70a3d70a3d700p-5"
+
+    def test_one_profile_with_a_gain_and_one_source(self, monkeypatch):
+        built = []
+
+        def counted(cls):
+            def build(*args, **kwargs):
+                built.append(cls(*args, **kwargs))
+                return built[-1]
+            return build
+
+        monkeypatch.setattr(thermal, "DeviceProfile", counted(DeviceProfile))
+        monkeypatch.setattr(thermal, "HeatSource", counted(HeatSource))
+        result = calibrate_profile(PI_PIN_TARGETS)
+        assert [p for p in built if isinstance(p, DeviceProfile) and p.pin_gain] == [result.profile]
+        assert sum(isinstance(source, HeatSource) for source in built) == 1
+
+    def test_pin_branch_has_no_loop(self):
+        tree = ast.parse(inspect.getsource(thermal.calibrate_profile))
+        branches = [node for node in ast.walk(tree) if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "targets.governor is _PI_PIN"]
+        assert len(branches) == 1
+        loops = [ast.unparse(node) for node in ast.walk(branches[0])
+                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+        assert loops == []
+
+    def test_latency_rise_beyond_the_floor_rejected_by_name(self):
+        # The 0.6 / 1.5 GHz floor allows a rise of at most 1.5.
+        with pytest.raises(CalibrationError, match=r"^latency_rise 2.0 is out of reach: the "
+                                                   r"f_throttled floor 0.6 GHz allows \(0, 1.5\]$"):
+            calibrate_profile(dataclasses.replace(PI_PIN_TARGETS, latency_rise=2.0))
+
+    def test_unreachable_random_draw_rejected(self):
+        # Draw 210 asks 0.263; the bisection returned 0.254 and no error.
+        rng = random.Random(0)
+        for _ in range(211):
+            targets = random_pin_targets(rng)
+        assert round(targets.latency_rise, 3) == 0.263
+        with pytest.raises(CalibrationError, match=r"^latency_rise 0.2628029974793108 is out"):
+            calibrate_profile(targets)
+
+    @pytest.mark.parametrize("rise", [0.0, -0.01])
+    def test_latency_rise_not_positive_rejected_by_name(self, rise):
+        # A given large_power skips the derived one, whose equilibrium
+        # check would refuse a rise of 0 or less first.
+        with pytest.raises(CalibrationError, match=rf"^latency_rise {rise} is out of reach"):
+            calibrate_profile(dataclasses.replace(PI_PIN_TARGETS, large_power=8.0, latency_rise=rise))
+
+    def test_large_power_that_settles_below_trip_rejected_by_name(self):
+        # 22 C + 5.7 W * (1.5 / 1.045) / 1.5 / 0.1 W/C = 76.55 C on the pinned
+        # clock, short of the 78 C trip point: the bisection returned a rise
+        # of 0.0178 at 50 GHz/C and no error.
+        with pytest.raises(CalibrationError, match=r"^large_power 5.7 W settles at 76.55 C on the "
+                                                   r"pinned clock, not above trip 78.0 C"):
+            calibrate_profile(dataclasses.replace(PI_PIN_TARGETS, large_power=5.7))
 
 
 class TestClosedFormCapacity:
