@@ -25,7 +25,6 @@ from .harness import (
 )
 from .workload import ModelVariant
 
-DEFAULT_CELL_DURATION = 1800.0  # 30 simulated minutes per grid cell
 STABLE_CYCLES = 2  # complete shift cycles that stable_iteration_accuracy reads
 
 # Bound once: ``summarize`` tests every row's mode, and a member read through
@@ -168,7 +167,7 @@ class AblationGrid:
 
 
 def ablation_grid(base_scenario: Scenario, temp_thresholds, grad_thresholds,
-                  duration: float = DEFAULT_CELL_DURATION) -> AblationGrid:
+                  duration: float | None = None) -> AblationGrid:
     """Sweep the two thresholds; each cell runs an independent scenario.
 
     Each cell's value is ``stable_iteration_accuracy`` over its first two
@@ -178,9 +177,10 @@ def ablation_grid(base_scenario: Scenario, temp_thresholds, grad_thresholds,
     the full run's, so every value and note is the full run's.
 
     Cells that never complete two shift cycles run for the whole
-    ``duration`` and record a note instead of a value; one bad cell does
-    not abort the sweep. Per-cell seeds depend only on the base seed and
-    the cell's thresholds, so execution order cannot change any value.
+    ``duration`` (``base_scenario.duration`` unless given) and record a
+    note instead of a value; one bad cell does not abort the sweep.
+    Per-cell seeds depend only on the base seed and the cell's
+    thresholds, so execution order cannot change any value.
 
     The controller shifts to SMALL only on a reading strictly above
     ``temp_threshold``, and no reading exceeds ``hottest_reading``. A cell
@@ -193,6 +193,8 @@ def ablation_grid(base_scenario: Scenario, temp_thresholds, grad_thresholds,
     template = base_scenario.controller
     if template is None:
         raise AnalysisError("ablation needs a scenario with a controller config")
+    if duration is None:
+        duration = base_scenario.duration
     hottest = hottest_reading(base_scenario)
     try:
         stable_iteration_accuracy(Trace(), base_scenario.large, base_scenario.small)

@@ -8,14 +8,13 @@ import math
 import sys
 from dataclasses import replace
 
-from .analysis import DEFAULT_CELL_DURATION, ablation_grid, summarize
+from .analysis import ablation_grid, summarize
 from .config import load_scenario
 from .controller import ShiftController
 from .errors import ConfigFileError, ProfileError, ThermoshiftError, check_writable, write_text
 from .harness import emit_trace, hottest_reading, parse_trace, run_scenario
 from .plots import emit_plots
 from .sensors import SysfsSource, live_run
-from .suites import SUITE_NAMES, get_suite
 
 
 def _finite(text: str) -> float:
@@ -33,21 +32,15 @@ def _float_list(text: str) -> list[float]:
     return [_finite(part) for part in text.split(",")]
 
 
-def _cell_duration(text: str) -> float:
-    """``ablate --duration``: finite simulated seconds > 0."""
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
 def _summary_json(summary) -> str:
     return json.dumps(summary.to_dict(), indent=2, sort_keys=True)
 
 
 def _load_runnable(path):
-    """``load_scenario`` and the scenario's ``hottest_reading``. Building
-    the run's heat sources for that bound makes a device whose band
+    """``load_scenario`` and the scenario's ``hottest_reading``: every
+    command's one scenario reader, so each refuses the configs ``run``
+    refuses, before any trace is read or any work starts. Building the
+    run's heat sources for that bound makes a device whose band
     equilibria are not finite (a pi-pin gain that sheds an infinite
     power) a ``device`` problem before any simulation."""
     scenario = load_scenario(path)
@@ -97,7 +90,7 @@ def cmd_ablate(args) -> int:
     check_writable(args.out, "grid")
     check_writable(table_path, "table")
     scenario = _load_controlled(args.config, "ablation")
-    grid = ablation_grid(scenario, args.tlims, args.glims, duration=args.duration)
+    grid = ablation_grid(scenario, args.tlims, args.glims)
     grid.to_csv(args.out)
     table = grid.format_table()
     write_text(table_path, table + "\n", "table")
@@ -107,19 +100,22 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    scenario, _ = _load_runnable(args.config)
     trace = parse_trace(args.trace)
-    suite = get_suite(args.suite)
-    summary = summarize(trace, suite.large, suite.small)
+    summary = summarize(trace, scenario.large, scenario.small)
     print(_summary_json(summary))
     return 0
 
 
 def cmd_plot(args) -> int:
+    scenario, _ = _load_runnable(args.config)
+    controller = scenario.controller
     trace = parse_trace(args.trace)
     overlay = parse_trace(args.overlay) if args.overlay is not None else None
     paths = emit_plots(
         trace, args.out, overlay=overlay,
-        temp_threshold=args.tlim, trip_temp=args.t_throttle,
+        temp_threshold=controller.temp_threshold if controller else None,
+        trip_temp=scenario.profile.t_throttle,
     )
     for path in paths:
         print(f"wrote {path}")
@@ -164,30 +160,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_abl = sub.add_parser("ablate", help="sweep temperature/derivative thresholds")
-    p_abl.add_argument("--config", required=True)
+    p_abl.add_argument("--config", required=True,
+                       help="JSON scenario config; each cell runs its duration")
     p_abl.add_argument("--tlims", required=True, type=_float_list,
                        help="comma-separated temperature thresholds, e.g. 75,73,70,65")
     p_abl.add_argument("--glims", required=True, type=_float_list,
                        help="comma-separated derivative thresholds; use --glims=-0.07,-0.10 "
                             "so the leading dash is not read as a flag")
     p_abl.add_argument("--out", required=True, help="grid CSV output path")
-    p_abl.add_argument("--duration", type=_cell_duration,
-                       default=DEFAULT_CELL_DURATION,
-                       help=f"simulated seconds per cell (default {DEFAULT_CELL_DURATION:g})")
     p_abl.set_defaults(func=cmd_ablate)
 
     p_sum = sub.add_parser("summarize", help="summarize an existing trace CSV")
     p_sum.add_argument("--trace", required=True)
-    p_sum.add_argument("--suite", required=True, choices=SUITE_NAMES,
-                       help="built-in suite name: " + ", ".join(SUITE_NAMES))
+    p_sum.add_argument("--config", required=True,
+                       help="JSON scenario config the trace was run from; gives the accuracies")
     p_sum.set_defaults(func=cmd_summarize)
 
     p_plot = sub.add_parser("plot", help="render temperature/frequency/latency SVG charts")
     p_plot.add_argument("--trace", required=True)
     p_plot.add_argument("--overlay", help="second trace drawn on the same axes")
     p_plot.add_argument("--out", required=True, help="output path prefix")
-    p_plot.add_argument("--tlim", type=_finite, help="shift threshold reference line")
-    p_plot.add_argument("--t-throttle", type=_finite, help="throttle trip reference line")
+    p_plot.add_argument("--config", required=True,
+                        help="JSON scenario config; its temp_threshold and trip point "
+                             "are the reference lines")
     p_plot.set_defaults(func=cmd_plot)
 
     p_live = sub.add_parser("live", help="poll a Linux thermal zone and signal shifts")

@@ -52,7 +52,6 @@ PROFILES = {
 class Suite:
     """A large/small weight-shared pair plus its default run settings."""
 
-    name: str
     platform: Platform
     large: ModelVariant
     small: ModelVariant
@@ -62,7 +61,6 @@ class Suite:
 
 SUITES = {
     "slimmable-resnet50-phone": Suite(
-        name="slimmable-resnet50-phone",
         platform=Platform.PHONE,
         large=ModelVariant("resnet50-1.0x", base_latency=0.205, power_nominal=6.96,
                            accuracy=0.768, shift_mean=1.000, shift_std=0.252),
@@ -72,7 +70,6 @@ SUITES = {
         pacing=PacingPolicy(target_period=0.205),
     ),
     "dynabert-phone": Suite(
-        name="dynabert-phone",
         platform=Platform.PHONE,
         large=ModelVariant("bert-d0.5-w0.5", base_latency=0.155, power_nominal=7.10,
                            accuracy=0.900, shift_mean=0.885, shift_std=0.066),
@@ -86,7 +83,6 @@ SUITES = {
         pacing=PacingPolicy(target_period=0.217, latency_multiplier=1.4),
     ),
     "slimmable-resnet50-pi": Suite(
-        name="slimmable-resnet50-pi",
         platform=Platform.PI,
         large=ModelVariant("resnet50-1.0x", base_latency=1.10, power_nominal=5.90,
                            accuracy=0.768, shift_mean=0.887, shift_std=0.070),
@@ -96,7 +92,6 @@ SUITES = {
         pacing=PacingPolicy(target_period=1.10),
     ),
     "dynabert-pi": Suite(
-        name="dynabert-pi",
         platform=Platform.PI,
         large=ModelVariant("bert-d0.5-w1.0", base_latency=2.20, power_nominal=5.90,
                            accuracy=0.908, shift_mean=1.527, shift_std=0.423),

@@ -401,7 +401,7 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
     small that the ratio rounds to 0; and for a pi-pin device, a
     ``latency_rise`` outside (0, f_nominal / f_throttled - 1], a
     ``large_power`` whose T* is not above the trip point, or a pinned
-    temperature more than 1 C from it).
+    temperature more than 1 C above it).
     """
     k = targets.dissipation
     amb = targets.ambient
@@ -521,8 +521,8 @@ def calibrate_profile(targets: CalibrationTargets) -> CalibrationResult:
         pinned_temp, rise = state.temp, f_nom / state.freq - 1.0
         if abs(pinned_temp - trip) > 1.0:
             raise CalibrationError(
-                f"pinned equilibrium {pinned_temp:.2f} C is more than 1 C from trip "
-                f"{trip} C; reduce the latency-rise target"
+                f"pinned equilibrium {pinned_temp:.2f} C is more than 1 C above trip "
+                f"{trip} C; raise latency_rise or lower large_power"
             )
 
     return CalibrationResult(

@@ -11,10 +11,12 @@ import pytest
 import thermoshift
 from thermoshift import cli
 from thermoshift.cli import main
+from thermoshift.analysis import ablation_grid
 from thermoshift.config import build_scenario, load_scenario
 from thermoshift.controller import ShiftController, TemperatureSample
 from thermoshift.errors import ConfigFileError
 from thermoshift.harness import Trace, TraceRecord, emit_trace, parse_trace, run_scenario
+from thermoshift.plots import emit_plots
 from thermoshift.sensors import ReplaySource, live_run
 from thermoshift.suites import get_suite
 from thermoshift.thermal import GovernorKind
@@ -286,18 +288,17 @@ class TestCliAblate:
         assert Path(out).read_bytes() == first
 
     def test_insufficient_cycles_cell(self, tmp_path):
-        cfg_path = write_config(tmp_path, base_config())
+        cfg_path = write_config(tmp_path, base_config(duration=60))
         out = str(tmp_path / "grid.csv")
         assert main(["ablate", "--config", cfg_path, "--tlims", "73",
-                     "--glims=-0.07", "--out", out, "--duration", "60"]) == 0
+                     "--glims=-0.07", "--out", out]) == 0
         assert "insufficient-cycles" in Path(out).read_text()
 
     def test_four_by_four_dimensions(self, tmp_path):
-        cfg_path = write_config(tmp_path, base_config())
+        cfg_path = write_config(tmp_path, base_config(duration=60))
         out = str(tmp_path / "grid.csv")
         assert main(["ablate", "--config", cfg_path, "--tlims", "75,73,70,65",
-                     "--glims=-0.005,-0.01,-0.07,-0.10", "--out", out,
-                     "--duration", "60"]) == 0
+                     "--glims=-0.005,-0.01,-0.07,-0.10", "--out", out]) == 0
         lines = Path(out).read_text().splitlines()
         assert len(lines) == 5  # header + one row per derivative threshold
         assert all(len(line.split(",")) == 5 for line in lines)
@@ -309,19 +310,34 @@ class TestCliAblate:
         assert main(["ablate", "--config", cfg_path, "--tlims", "73",
                      "--glims=-0.07", "--out", str(tmp_path / "g.csv")]) == 2
 
+    def test_cells_run_the_configs_duration(self, tmp_path):
+        # Two configs that differ only in duration: the short one's cell
+        # never closes two cycles, the long one's does.
+        grids = {}
+        for duration in (60, 1800):
+            cfg_path = write_config(tmp_path, base_config(duration=duration), f"{duration}.json")
+            out = tmp_path / f"{duration}.csv"
+            assert main(["ablate", "--config", cfg_path, "--tlims", "73",
+                         "--glims=-0.07", "--out", str(out)]) == 0
+            grids[duration] = out.read_bytes()
+        assert grids[60] != grids[1800]
+        assert b"insufficient-cycles" in grids[60]
+        direct = tmp_path / "direct.csv"
+        ablation_grid(load_scenario(tmp_path / "1800.json"), [73.0], [-0.07]).to_csv(direct)
+        assert grids[1800] == direct.read_bytes()
+
 
 class TestCliSummarizePlot:
     def make_trace(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         out = str(tmp_path / "trace.csv")
         main(["run", "--config", cfg_path, "--out", out])
-        return out
+        return cfg_path, out
 
     def test_summarize_prints_json(self, tmp_path, capsys):
-        out = self.make_trace(tmp_path)
+        cfg_path, out = self.make_trace(tmp_path)
         capsys.readouterr()  # drop the run command's output
-        assert main(["summarize", "--trace", out,
-                     "--suite", "slimmable-resnet50-phone"]) == 0
+        assert main(["summarize", "--trace", out, "--config", cfg_path]) == 0
         data = json.loads(capsys.readouterr().out)
         assert 0.638 <= data["est_accuracy"] <= 0.768
 
@@ -330,8 +346,7 @@ class TestCliSummarizePlot:
         out = str(tmp_path / "base.csv")
         main(["run", "--config", cfg_path, "--out", out, "--baseline"])
         capsys.readouterr()
-        assert main(["summarize", "--trace", out,
-                     "--suite", "slimmable-resnet50-phone"]) == 0
+        assert main(["summarize", "--trace", out, "--config", cfg_path]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["est_accuracy"] == pytest.approx(0.768)
         assert data["n_small"] == 0
@@ -342,28 +357,79 @@ class TestCliSummarizePlot:
         out = tmp_path / "big.csv"
         emit_trace(Trace([TraceRecord(0.0, 40.0, inference_latency=1e308),
                           TraceRecord(1.0, 41.0, inference_latency=1.5e308)]), out)
-        assert main(["summarize", "--trace", str(out),
-                     "--suite", "slimmable-resnet50-phone"]) == 0
+        cfg_path = write_config(tmp_path, base_config())
+        assert main(["summarize", "--trace", str(out), "--config", cfg_path]) == 0
         data = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert data["avg_latency"] == 1.25e308
 
+    def test_summarize_of_an_inline_pair_is_the_runs_summary(self, tmp_path, capsys):
+        # No built-in suite holds these accuracies: only the config gives them.
+        suite = get_suite("slimmable-resnet50-phone")
+        inline = {"large": dict(vars(suite.large), accuracy=0.5),
+                  "small": dict(vars(suite.small), accuracy=0.4)}
+        controller = {"temp_threshold": 73.0, "grad_threshold": -0.07}
+        cfg_path = write_config(tmp_path, base_config(suite=inline, platform="phone",
+                                                      duration=600, controller=controller))
+        out = str(tmp_path / "inline.csv")
+        assert main(["run", "--config", cfg_path, "--out", out]) == 0
+        ran = json.loads(Path(out + ".summary.json").read_text())
+        assert ran["n_shifts"] > 0
+        capsys.readouterr()
+        assert main(["summarize", "--trace", out, "--config", cfg_path]) == 0
+        summarized = json.loads(capsys.readouterr().out)
+        for key in ("est_accuracy", "n_large", "n_small", "n_shifts", "n_throttle_events"):
+            assert summarized[key] == ran[key], key
+
     def test_plot_with_overlay(self, tmp_path):
-        out = self.make_trace(tmp_path)
-        cfg_path = write_config(tmp_path, base_config(duration=600))
+        cfg_path, out = self.make_trace(tmp_path)
+        base_cfg = write_config(tmp_path, base_config(duration=600), "base.json")
         base_out = str(tmp_path / "base.csv")
-        main(["run", "--config", cfg_path, "--out", base_out, "--baseline"])
+        main(["run", "--config", base_cfg, "--out", base_out, "--baseline"])
         prefix = str(tmp_path / "fig")
         assert main(["plot", "--trace", out, "--overlay", base_out,
-                     "--out", prefix, "--tlim", "73", "--t-throttle", "77"]) == 0
+                     "--out", prefix, "--config", cfg_path]) == 0
         svg = Path(prefix + "_temperature.svg").read_text()
         assert svg.count("<polyline") == 2
         main(["plot", "--trace", out, "--overlay", base_out,
-              "--out", prefix, "--tlim", "73", "--t-throttle", "77"])
+              "--out", prefix, "--config", cfg_path])
         assert Path(prefix + "_temperature.svg").read_text() == svg
 
+    @pytest.mark.parametrize("controller,lines", [
+        ({"temp_threshold": 70.5, "grad_threshold": -0.07}, {"temp_threshold": 70.5}),
+        (None, {}),
+    ])
+    def test_plot_draws_the_configs_lines(self, tmp_path, controller, lines):
+        cfg = base_config(duration=600, controller=controller)
+        if controller is None:
+            del cfg["controller"]
+        cfg_path = write_config(tmp_path, cfg)
+        trace = tmp_path / "t.csv"
+        emit_trace(run_scenario(load_scenario(cfg_path)), trace)
+        assert main(["plot", "--trace", str(trace), "--out", str(tmp_path / "cli"),
+                     "--config", cfg_path]) == 0
+        emit_plots(parse_trace(trace), str(tmp_path / "direct"), trip_temp=77.0, **lines)
+        for key in ("temperature", "frequency", "latency"):
+            cli_svg = (tmp_path / f"cli_{key}.svg").read_text()
+            assert cli_svg == (tmp_path / f"direct_{key}.svg").read_text(), key
+        temp_svg = (tmp_path / "cli_temperature.svg").read_text()
+        assert "throttle trip" in temp_svg
+        assert ("shift threshold" in temp_svg) == (controller is not None)
+
+    @pytest.mark.parametrize("command", [["summarize"], ["plot", "--out", "unused"]])
+    def test_bad_config_exits_2_before_the_trace_is_read(self, tmp_path, capsys,
+                                                         monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the trace was read before the config was checked")
+
+        monkeypatch.setattr(cli, "parse_trace", refuse)
+        cfg_path = write_config(tmp_path, base_config(suite="nope"))
+        assert main(command + ["--trace", "unused.csv", "--config", cfg_path]) == 2
+        assert "  - suite: " in capsys.readouterr().err
+
     def test_missing_trace_errors(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config())
         assert main(["summarize", "--trace", str(tmp_path / "nope.csv"),
-                     "--suite", "slimmable-resnet50-phone"]) == 1
+                     "--config", cfg_path]) == 1
 
 
 class TestCliLive:

@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -31,6 +32,15 @@ class TestAxisRange:
     def test_swapped_bounds_normalized(self):
         lo, hi = axis_range(10.0, 0.0)
         assert lo < hi
+
+
+@pytest.fixture
+def quick_config(tmp_path):
+    """The quick-start config's path: the phone suite and its controller."""
+    path = tmp_path / "quick.json"
+    path.write_text(json.dumps({"suite": "slimmable-resnet50-phone", "seed": 0,
+                                "controller": "default", "duration": 60}))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +101,15 @@ class TestEmitPlots:
             emit_plots(short_trace, str(tmp_path / "x"), overlay=Trace())
         assert list(tmp_path.iterdir()) == []
 
-    def test_cli_header_only_overlay_exits_1(self, short_trace, tmp_path, capsys):
+    def test_cli_header_only_overlay_exits_1(self, short_trace, tmp_path, capsys, quick_config):
         run, overlay = tmp_path / "run.csv", tmp_path / "overlay.csv"
         emit_trace(short_trace, run)
         emit_trace(Trace(), overlay)
         assert main(["plot", "--trace", str(run), "--overlay", str(overlay),
-                     "--out", str(tmp_path / "p")]) == 1
+                     "--out", str(tmp_path / "p"), "--config", quick_config]) == 1
         assert "overlay" in capsys.readouterr().err
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["overlay.csv", "run.csv"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["overlay.csv", "quick.json",
+                                                              "run.csv"]
 
 
 class TestLiveTracePlot:
@@ -116,10 +127,11 @@ class TestLiveTracePlot:
         assert paths == [str(tmp_path / "live_temperature.svg")]
         assert sorted(f.name for f in tmp_path.iterdir()) == ["live_temperature.svg"]
 
-    def test_cli_plot_exits_0(self, live_trace, tmp_path, capsys):
+    def test_cli_plot_exits_0(self, live_trace, tmp_path, capsys, quick_config):
         trace = tmp_path / "live.csv"
         emit_trace(live_trace, trace)
-        assert main(["plot", "--trace", str(trace), "--out", str(tmp_path / "p")]) == 0
+        assert main(["plot", "--trace", str(trace), "--out", str(tmp_path / "p"),
+                     "--config", quick_config]) == 0
         assert capsys.readouterr().out == f"wrote {tmp_path / 'p'}_temperature.svg\n"
         assert not (tmp_path / "p_frequency.svg").exists()
         assert not (tmp_path / "p_latency.svg").exists()

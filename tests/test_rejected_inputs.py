@@ -1,6 +1,6 @@
 """Inputs that must be refused with a message, not a traceback or a hang:
-non-finite live pacing, bad live controller fields, bad ablate and plot
-flags, an unknown suite, an
+non-finite live pacing, bad live controller fields, bad ablate flags, a
+config that ablate, summarize or plot cannot run from, an
 undecodable trace file, a trace holding nan, unwritable output paths
 (refused before any work starts), empty optional paths, and the profile,
 calibration, workload, analysis and config checks that no run in the
@@ -14,7 +14,7 @@ import pytest
 from conftest import phone_scenario, pi_scenario
 
 from thermoshift import cli
-from thermoshift.analysis import DEFAULT_CELL_DURATION, ablation_grid
+from thermoshift.analysis import ablation_grid
 from thermoshift.cli import main
 from thermoshift.config import build_scenario, load_config
 from thermoshift.controller import ControllerConfig, TemperatureSample
@@ -106,23 +106,24 @@ class TestLivePacingArguments:
         assert err.startswith("error: ") and flag.lstrip("-") in err
 
 
+def quick_config(tmp_path, **overrides):
+    """The quick-start config, with ``overrides``, written to a file."""
+    path = tmp_path / "quick.json"
+    path.write_text(json.dumps(dict(QUICK, **overrides)))
+    return str(path)
+
+
 class TestUnknownSuite:
-    def test_summarize_exits_2_naming_the_option(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["summarize", "--trace", str(tmp_path / "t.csv"), "--suite", "nope"])
-        assert exc.value.code == 2
-        assert "--suite" in capsys.readouterr().err
+    def test_summarize_exits_2_naming_the_key(self, tmp_path, capsys):
+        assert main(["summarize", "--trace", str(tmp_path / "t.csv"),
+                     "--config", quick_config(tmp_path, suite="nope")]) == 2
+        assert "  - suite: unknown suite 'nope'" in capsys.readouterr().err
 
 
 class TestUnwritableOutputs:
-    def config(self, tmp_path):
-        path = tmp_path / "quick.json"
-        path.write_text(json.dumps(QUICK))
-        return str(path)
-
     def ablate(self, tmp_path, out):
-        return main(["ablate", "--config", self.config(tmp_path), "--tlims", "73",
-                     "--glims=-0.07", "--duration", "60", "--out", out])
+        return main(["ablate", "--config", quick_config(tmp_path), "--tlims", "73",
+                     "--glims=-0.07", "--out", out])
 
     def test_ablate_grid_in_missing_directory(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "g.csv")
@@ -140,21 +141,22 @@ class TestUnwritableOutputs:
     def test_run_summary_path_is_a_directory(self, tmp_path, capsys):
         out = str(tmp_path / "run.csv")
         (tmp_path / "run.csv.summary.json").mkdir()
-        assert main(["run", "--config", self.config(tmp_path), "--out", out]) == 1
+        assert main(["run", "--config", quick_config(tmp_path), "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write summary to '{out}.summary.json': ")
 
     def test_run_trace_in_missing_directory(self, tmp_path, capsys):
         out = str(tmp_path / "missing" / "run.csv")
-        assert main(["run", "--config", self.config(tmp_path), "--out", out]) == 1
+        assert main(["run", "--config", quick_config(tmp_path), "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write trace to '{out}': ")
 
     def test_plot_in_missing_directory(self, tmp_path, capsys):
         trace = str(tmp_path / "run.csv")
-        assert main(["run", "--config", self.config(tmp_path), "--out", trace]) == 0
+        assert main(["run", "--config", quick_config(tmp_path), "--out", trace]) == 0
         prefix = str(tmp_path / "missing" / "p")
-        assert main(["plot", "--trace", trace, "--out", prefix]) == 1
+        assert main(["plot", "--trace", trace, "--out", prefix,
+                     "--config", quick_config(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"error: cannot write chart to '{prefix}_temperature.svg': " in err
 
@@ -177,7 +179,7 @@ class TestOutputsCheckedUpFront:
             return ["run", "--config", "unused.json", "--out", out]
         if kind == "ablate":
             return ["ablate", "--config", "unused.json", "--tlims", "75,73,70,65",
-                    "--glims=-0.07,-0.1,-0.15,-0.2", "--duration", "360000", "--out", out]
+                    "--glims=-0.07,-0.1,-0.15,-0.2", "--out", out]
         return ["live", "--zone", "unused", "--config", "unused.json",
                 "--duration", "1", "--out", out]
 
@@ -225,7 +227,7 @@ class TestEmptyOptionalPaths:
         trace = tmp_path / "t.csv"
         emit_trace(run_scenario(phone_scenario(duration=60.0)), trace)
         assert main(["plot", "--trace", str(trace), "--overlay", "",
-                     "--out", str(tmp_path / "p")]) == 1
+                     "--out", str(tmp_path / "p"), "--config", quick_config(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot read trace from '': ")
         assert not list(tmp_path.glob("p_*.svg"))
 
@@ -240,8 +242,8 @@ class TestCheckWritable:
 
 
 class TestAblateFlags:
-    """Bad ``--tlims``/``--glims`` entries and cell durations are refused by
-    argparse (exit 2, naming the flag) before the config is even read."""
+    """Bad ``--tlims``/``--glims`` entries are refused by argparse (exit 2,
+    naming the flag) before the config is even read."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -251,7 +253,7 @@ class TestAblateFlags:
         monkeypatch.setattr(cli, "load_scenario", refuse)
 
     def ablate(self, tmp_path, **flags):
-        args = {"--tlims": "73", "--glims": "-0.07", "--duration": "60"}
+        args = {"--tlims": "73", "--glims": "-0.07"}
         args.update(flags)
         return ["ablate", "--config", "unused.json", "--out", str(tmp_path / "g.csv")] + [
             f"{flag}={value}" for flag, value in args.items()]
@@ -260,8 +262,6 @@ class TestAblateFlags:
         ("--tlims", "73,,70"), ("--tlims", "73,"), ("--tlims", ""), ("--tlims", "73,nan"),
         ("--tlims", "inf"), ("--glims", "-0.07,-inf"), ("--glims", "NaN"),
         ("--tlims", "73,abc"),
-        ("--duration", "nan"), ("--duration", "0"), ("--duration", "-5"),
-        ("--duration", "inf"), ("--duration", "ten"),
     ])
     def test_exits_2_naming_the_flag(self, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -269,10 +269,36 @@ class TestAblateFlags:
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
 
-    def test_default_duration_is_the_analysis_default(self):
-        args = cli.build_parser().parse_args(
-            ["ablate", "--config", "c.json", "--tlims", "73", "--glims=-0.07", "--out", "g"])
-        assert args.duration == DEFAULT_CELL_DURATION == 1800.0
+
+class TestAblateDuration:
+    """Each cell runs the config's ``duration``, so a duration ``run``
+    refuses is refused by ``ablate`` too (exit 2, one ``- duration`` line)
+    before any cell runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran before the config was checked")
+
+        monkeypatch.setattr(cli, "ablation_grid", refuse)
+
+    @pytest.mark.parametrize("duration,problem", [
+        (math.nan, "must be finite, got nan"), (0, "must be > 0, got 0"),
+        (-5, "must be > 0, got -5"), (math.inf, "must be finite, got inf"),
+        ("ten", "expected a number, got 'ten'"),
+    ])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, duration, problem):
+        out = tmp_path / "g.csv"
+        assert main(["ablate", "--config", quick_config(tmp_path, duration=duration),
+                     "--tlims", "73", "--glims=-0.07", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config errors:\n  - duration: {problem}\n"
+        assert not out.exists()
+
+    def test_library_default_is_the_scenarios_duration(self):
+        scenario = phone_scenario(duration=60.0)
+        grid = ablation_grid(scenario, [73.0], [-0.07])
+        assert grid == ablation_grid(scenario, [73.0], [-0.07], duration=60.0)
+        assert grid != ablation_grid(scenario, [73.0], [-0.07], duration=1800.0)
 
 
 class TestLiveConfig:
@@ -311,48 +337,47 @@ class TestLiveConfig:
                                        f"  - controller.{field}: expected a number"))
 
 
-class TestPlotFlags:
-    """``plot``'s reference lines are refused by argparse (exit 2, naming
-    the flag) before the trace is read or a chart is drawn."""
+class TestPlotConfig:
+    """``plot``'s reference lines are the config's ``temp_threshold`` and
+    trip point, so a config that gives a bad one is refused as ``run``
+    refuses it (exit 2, one line naming the section) before the trace is
+    read or a chart is drawn."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the trace was read before the flags were checked")
+            raise AssertionError("the trace was read before the config was checked")
 
         for name in ("parse_trace", "emit_plots"):
             monkeypatch.setattr(cli, name, refuse)
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--tlim", "nan"), ("--tlim", "inf"), ("--tlim", "hot"),
-        ("--t-throttle", "-inf"), ("--t-throttle", "NaN"), ("--t-throttle", "Infinity"),
+    @pytest.mark.parametrize("section,value,problem", [
+        ("controller", math.nan, "controller: temp_threshold must be finite, got nan"),
+        ("controller", math.inf, "controller: temp_threshold must be finite, got inf"),
+        ("controller", "hot", "controller.temp_threshold: expected a number, got 'hot'"),
+        ("device", -math.inf, "device.profile: t_throttle must be finite, got -inf"),
+        ("device", math.nan, "device.profile: t_throttle must be finite, got nan"),
+        ("device", math.inf, "device.profile: t_throttle must be finite, got inf"),
     ])
-    def test_exits_2_naming_the_flag(self, capsys, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["plot", "--trace", "unused.csv", "--out", "unused", f"{flag}={value}"])
-        assert exc.value.code == 2
-        assert f"argument {flag}: " in capsys.readouterr().err
-
-    def test_good_values_parse(self):
-        plot = ["plot", "--trace", "t.csv", "--out", "p"]
-        args = cli.build_parser().parse_args(plot + ["--tlim", "73", "--t-throttle", "76.5"])
-        assert (args.tlim, args.t_throttle) == (73.0, 76.5)
-        defaults = cli.build_parser().parse_args(plot)
-        assert (defaults.tlim, defaults.t_throttle) == (None, None)
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, section, value, problem):
+        if section == "controller":
+            overrides = {"controller": {"temp_threshold": value, "grad_threshold": -0.07}}
+        else:
+            overrides = {"device": {"profile": dict(PHONE_FIELDS, t_throttle=value)}}
+        assert main(["plot", "--trace", "unused.csv", "--out", "unused",
+                     "--config", quick_config(tmp_path, **overrides)]) == 2
+        assert capsys.readouterr().err == f"config errors:\n  - {problem}\n"
 
 
 class TestUndecodableTrace:
     """A trace with a byte that is not UTF-8 ends in exit 1 naming the file
     and the byte's offset, not in a ``UnicodeDecodeError`` traceback."""
 
-    @pytest.mark.parametrize("command", [
-        ["summarize", "--suite", "slimmable-resnet50-phone"],
-        ["plot", "--out", "unused"],
-    ])
+    @pytest.mark.parametrize("command", [["summarize"], ["plot", "--out", "unused"]])
     def test_exits_1_naming_the_path(self, tmp_path, capsys, command):
         path = tmp_path / "t.csv"
         path.write_bytes(b"sim_time\xff")
-        assert main(command + ["--trace", str(path)]) == 1
+        assert main(command + ["--trace", str(path), "--config", quick_config(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read trace from '{path}': ")
         assert "can't decode byte 0xff in position 8" in err
@@ -362,10 +387,7 @@ class TestNonFiniteTrace:
     """A trace with nan in ``cpu_temp`` ends in exit 1 naming the file and
     line, with no summary printed and no chart written."""
 
-    @pytest.mark.parametrize("command", [
-        ["summarize", "--suite", "slimmable-resnet50-phone"],
-        ["plot", "--out", "chart"],
-    ])
+    @pytest.mark.parametrize("command", [["summarize"], ["plot", "--out", "chart"]])
     def test_exits_1_naming_the_line(self, tmp_path, capsys, monkeypatch, command):
         path = tmp_path / "t.csv"
         emit_trace(run_scenario(phone_scenario(duration=60.0)), path)
@@ -375,7 +397,7 @@ class TestNonFiniteTrace:
         lines[5] = ",".join(fields)
         path.write_text("".join(lines))
         monkeypatch.chdir(tmp_path)
-        assert main(command + ["--trace", str(path)]) == 1
+        assert main(command + ["--trace", str(path), "--config", quick_config(tmp_path)]) == 1
         out, err = capsys.readouterr()
         assert err == f"error: {path}:6: cpu_temp must be finite, got nan\n"
         assert out == ""
@@ -487,10 +509,20 @@ class TestCalibrationChecks:
             calibrate_profile(CalibrationTargets(large_power=6.5, small_equilibrium=60.0))
 
     def test_pinned_equilibrium_far_from_the_trip_point(self):
-        # 10 W settles near 118 C: no gain in range holds the pin within 1 C.
-        with pytest.raises(CalibrationError, match="pinned equilibrium .* is more than 1 C "
-                                                   "from trip 78.0 C"):
+        # 10 W on the 4.5%-slower pinned clock settles near 118 C.
+        with pytest.raises(CalibrationError, match=r"^pinned equilibrium 117.69 C is more than "
+                                                   r"1 C above trip 78.0 C; raise latency_rise "
+                                                   r"or lower large_power$"):
             calibrate_profile(CalibrationTargets(**PI_TARGETS, large_power=10.0))
+
+    @pytest.mark.parametrize("targets", [dict(large_power=10.0, latency_rise=0.77),
+                                         dict(large_power=5.9)])
+    def test_the_advised_direction_is_accepted(self, targets):
+        # The pinned temperature ambient + large_power / (k (1 + rise))
+        # falls as the rise grows or the power drops.
+        result = calibrate_profile(CalibrationTargets(**PI_TARGETS, **targets))
+        assert 78.0 < result.pinned_temp <= 79.0
+        assert result.latency_rise == pytest.approx(targets.get("latency_rise", 0.045))
 
 
 class TestAnalysisChecks:
